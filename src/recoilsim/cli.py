@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -60,6 +61,12 @@ QUADRATURE_TOLERANCE = 1e-8   # angle quadrature vs factorized form, relative
 # configured grid would be prohibitively slow under a double angle sum.
 QUADRATURE_POINTS = 16
 QUADRATURE_SPAN = 2.0
+
+# Samples the amplitudes oracle stores, and the other state-sized complex
+# vectors scipy's DOP853 holds (16 extended stages, 7 interpolant rows and a
+# few work vectors): the terms of its memory estimate besides the generator.
+AMPLITUDE_SAMPLES = 51
+DOP853_VECTORS = 30
 
 DEFAULTS = {
     "params": {"omega0": 1.0, "gamma": 0.01, "mu": 10.0},
@@ -100,7 +107,13 @@ def _require_mapping(value, where: str) -> dict:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{where} must be a finite number, got {number}")
+    return number
 
 
 def _require_int(value, where: str) -> int:
@@ -238,6 +251,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -289,6 +306,12 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
     grid = _spatial_grid(cfg, params)
     gamma_times = cfg["times"] if times is None else times
     flags = [True, False] if emission is None else [emission == "on"]
+    stems = [f"density_gt{gt:g}" for gt in gamma_times]
+    repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if repeated:
+        raise ConfigurationError(
+            f"times {gamma_times} would write {', '.join(repeated)}_*.csv "
+            "more than once")
 
     # Compute everything up front: a validity-gate failure on any requested
     # time must leave the output directory untouched.
@@ -300,8 +323,8 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
     entries = []
     for flag, runs in sweeps:
         tag = "on" if flag else "off"
-        for gt, dg in zip(gamma_times, runs):
-            name = f"density_gt{gt:g}_{tag}.csv"
+        for gt, stem, dg in zip(gamma_times, stems, runs):
+            name = f"{stem}_{tag}.csv"
             _write_csv(os.path.join(out_dir, name),
                        "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho",
                        _density_rows(dg, lam))
@@ -328,12 +351,34 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
     return 0
 
 
+def _check_amplitudes_size(modes: dict) -> None:
+    """Refuse a mode grid whose amplitudes run cannot fit in physical memory.
+
+    Counts the packed state ``dim``, the generator's CSR arrays (at most 3
+    entries per pair row: complex data plus int32 index) and the state-sized
+    vectors held by the integrator and the stored samples.
+    """
+    n = modes["n_k"] * modes["n_phi"]
+    pairs = n * (n + 1) // 2
+    dim = 1 + n + pairs
+    nnz = (1 + n) + n * (n + 2) + 3 * pairs
+    need = 20 * nnz + 4 * (dim + 1) + 16 * dim * (DOP853_VECTORS + AMPLITUDE_SAMPLES)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigurationError(
+            f"modes.n_k = {modes['n_k']} needs about {need / 2**30:.3g} GiB for "
+            f"the amplitudes oracle, more than the {have / 2**30:.3g} GiB of "
+            "physical memory")
+
+
 def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
+    _check_amplitudes_size(cfg["modes"])
     params = _model_params(cfg)
     grid = _mode_grid(cfg, params)
     t_final = 5.0 / params.gamma
     run = OdeRun(params=params, grid=grid, t_span=(0.0, t_final),
-                 sample_times=np.linspace(0.0, t_final, 51), tol=1e-10)
+                 sample_times=np.linspace(0.0, t_final, AMPLITUDE_SAMPLES),
+                 tol=1e-10)
     trajectory = integrate_amplitudes(run)
     populations = trajectory.sector_populations
     norms = trajectory.norms
@@ -425,9 +470,12 @@ def _parse_times(text: str) -> list[float]:
     if not stripped:
         return []
     try:
-        return [float(part) for part in stripped.split(",")]
+        times = [float(part) for part in stripped.split(",")]
     except ValueError:
         raise ConfigurationError(f"--times must be a comma list of numbers, got {text!r}")
+    if not all(map(math.isfinite, times)):
+        raise ConfigurationError(f"--times must be finite, got {text!r}")
+    return times
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .core import (
@@ -42,6 +43,7 @@ __all__ = [
     "RateCheck",
     "StiffnessFailure",
     "Trajectory",
+    "amplitude_generator",
     "density_quadrature",
     "integrate_amplitudes",
     "max_decay_error",
@@ -138,6 +140,7 @@ class Trajectory:
     b: np.ndarray        # (n_t, n_modes) complex
     d_data: np.ndarray   # (n_t, M) packed or (n_t, n_modes**2) ordered
     symmetric: bool
+    nfev: int            # right-hand-side evaluations the integrator made
 
     def __post_init__(self):
         for name in ("times", "a", "b", "d_data"):
@@ -196,6 +199,40 @@ class Trajectory:
         return np.add.reduce(self.sector_populations, axis=1)
 
 
+def amplitude_generator(run: OdeRun) -> sparse.csr_array:
+    """The amplitude equations ``y' = L y`` as one CSR matrix ``L``.
+
+    ``y`` is [A, B_k, D] in the rotating frame, D packed (row-major upper
+    triangle) or ordered (row-major n x n) per ``run.keep_cross_term``.  Rows
+    are written directly: A couples to A and every B_k; B_k to A, B_k and
+    the n pairs D_kj; pair {r, c} to itself, B_r and, by the exchange route,
+    B_c (merged into B_r on the packed diagonal, absent when ordered).
+    """
+    params, grid, packed = run.params, run.grid, run.keep_cross_term
+    n, g, mk, mphi = grid.n_modes, grid.mode_coupling, grid.mode_k, grid.mode_phi
+    alpha = omega_no_photon(run.p, run.total_momentum, params) - params.omega0
+    beta = omega_one_photon(mk, mphi, run.p, run.total_momentum, params) - params.omega0
+    rows, cols = np.triu_indices(n) if packed else np.divmod(np.arange(n * n), n)
+    delta = omega_two_photon(mk[rows], mphi[rows], mk[cols], mphi[cols],
+                             run.p, run.total_momentum, params) - params.omega0
+    off, dim = 1 + n, 1 + n + rows.size
+    pair = np.empty((n, n), dtype=int)  # D index of (k, j); the row-major store wins
+    pair[cols, rows] = pair[rows, cols] = np.arange(rows.size)
+    b_idx = np.column_stack([np.zeros(n, dtype=int), 1 + np.arange(n), off + pair])
+    b_val = np.column_stack([g, beta, np.broadcast_to(g, (n, n))])
+    d_idx = np.column_stack([1 + rows, 1 + cols, np.arange(off, dim)])
+    d_val = np.column_stack([g[cols] * (1 + (packed & (rows == cols))), g[rows], delta])
+    d_keep = np.ones(d_idx.shape, dtype=bool)
+    d_keep[:, 1] = packed & (rows != cols)
+    indptr = np.concatenate(([0], off + (n + 2) * np.arange(n + 1),
+                             off + (n + 2) * n + np.cumsum(d_keep.sum(axis=1))))
+    indices = np.concatenate([np.arange(off), b_idx.ravel(), d_idx[d_keep]])
+    data = -1j * np.concatenate([[alpha], 2.0 * g, b_val.ravel(), d_val[d_keep]])
+    itype = np.int32 if indptr[-1] < 2**31 else np.int64
+    return sparse.csr_array((data, indices.astype(itype), indptr.astype(itype)),
+                            shape=(dim, dim))
+
+
 def integrate_amplitudes(run: OdeRun) -> Trajectory:
     """Integrate the coupled amplitude equations on the discrete grid.
 
@@ -204,52 +241,14 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     condition A = C_p, everything else zero.  For norm-conserving runs the
     conserved quantity |A|^2 + 2 sum|B|^2 + sum|D|^2 is monitored and a drift
     beyond ``10 * tol`` raises :class:`NormDriftFailure`.  Deterministic:
-    every mode sum is a fixed-order pairwise reduction.
+    each right-hand side is one sparse product, summed in a fixed order.
     """
-    params, grid = run.params, run.grid
-    n = grid.n_modes
-    g = grid.mode_coupling
-    mk, mphi = grid.mode_k, grid.mode_phi
-    alpha = omega_no_photon(run.p, run.total_momentum, params) - params.omega0
-    beta = omega_one_photon(mk, mphi, run.p, run.total_momentum, params) - params.omega0
-    delta_full = omega_two_photon(
-        mk[:, None], mphi[:, None], mk[None, :], mphi[None, :],
-        run.p, run.total_momentum, params) - params.omega0
-
-    if run.keep_cross_term:
-        rows, cols = np.triu_indices(n)
-        delta_packed = delta_full[rows, cols]
-        g_rows, g_cols = g[rows], g[cols]
-        full_buf = np.empty((n, n), dtype=complex)
-
-        def rhs(t, y):
-            a, b, dp = y[0], y[1:1 + n], y[1 + n:]
-            full_buf[rows, cols] = dp
-            full_buf[cols, rows] = dp
-            s = np.add.reduce(full_buf * g[None, :], axis=1)
-            da = -1j * alpha * a - 2j * np.add.reduce(g * b)
-            db = -1j * beta * b - 1j * g * a - 1j * s
-            ddp = -1j * delta_packed * dp - 1j * (g_cols * b[rows] + g_rows * b[cols])
-            return np.concatenate(([da], db, ddp))
-
-        dim = 1 + n + n * (n + 1) // 2
-    else:
-        def rhs(t, y):
-            a, b = y[0], y[1:1 + n]
-            e = y[1 + n:].reshape(n, n)
-            s = np.add.reduce(e * g[None, :], axis=1)
-            da = -1j * alpha * a - 2j * np.add.reduce(g * b)
-            db = -1j * beta * b - 1j * g * a - 1j * s
-            de = -1j * delta_full * e - 1j * np.multiply.outer(b, g)
-            return np.concatenate(([da], db, de.ravel()))
-
-        dim = 1 + n + n * n
-
-    y0 = np.zeros(dim, dtype=complex)
+    n = run.grid.n_modes
+    gen = amplitude_generator(run)
+    y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[0] = run.c_p
-    times = run.times
-    sol = solve_ivp(rhs, run.t_span, y0, method="DOP853", t_eval=times,
-                    rtol=run.tol, atol=run.tol * 1e-3)
+    sol = solve_ivp(lambda t, y: gen @ y, run.t_span, y0, method="DOP853",
+                    t_eval=run.times, rtol=run.tol, atol=run.tol * 1e-3)
     if sol.status == -1:
         reached = sol.t[-1] if sol.t.size else run.t_span[0]
         raise StiffnessFailure(
@@ -260,7 +259,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     traj = Trajectory(run=run, times=sol.t, a=sol.y[0],
                       b=sol.y[1:1 + n].T.copy(),
                       d_data=sol.y[1 + n:].T.copy(),
-                      symmetric=run.keep_cross_term)
+                      symmetric=run.keep_cross_term, nfev=sol.nfev)
     if run.keep_cross_term:
         drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
         if drift > 10.0 * run.tol:

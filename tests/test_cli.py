@@ -1,8 +1,10 @@
 """Command-line interface: config handling, files, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +72,7 @@ class TestLoadConfig:
         {"decoherence": {"points": 1}},
         {"decoherence": {"max_dx_over_lambda": -1.0}},
         {"output": {"dir": 7}},
+        {"params": {"mu": 10**400}},     # an integer no float can hold
     ])
     def test_rejects_malformed_configs(self, tmp_path, payload):
         path = write_config(tmp_path, payload)
@@ -188,6 +191,46 @@ class TestEvolveCommand:
         target.write_text("")
         assert main(["evolve", "--times", "", "--out", str(target)]) == 1
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestRejectedInputs:
+    """Inputs that must end in exit 1 with a one-line message and no files."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["evolve", "--times", "nan"], None),
+        (["evolve"], {"times": [float("nan")]}),
+        (["decoherence-factor"], {"decoherence": {"max_dx_over_lambda": float("inf")}}),
+        (["evolve", "--times", "5.000001,5.000002"], None),
+    ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision"])
+    def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
+        out = tmp_path / "out"
+        if payload is not None:
+            argv = [*argv, "--config", write_config(tmp_path, payload)]
+        assert run_cli(argv, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_oversized_mode_grid_is_refused_before_allocating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"modes": {"n_k": 10**6}})
+        start = time.perf_counter()
+        code = run_cli(["oracle", "--which", "amplitudes", "--config", cfg],
+                       tmp_path / "out")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert "modes.n_k" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_output_files_follow_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert run_cli(["decoherence-factor"], tmp_path) == 0
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "decoherence_factor.csv").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
 
 
 class TestOracleCommand:

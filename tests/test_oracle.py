@@ -9,10 +9,18 @@ the one modeling switch they expose (the two-photon exchange feedback).
 import numpy as np
 import pytest
 
-from recoilsim.core import ConfigurationError, ModeGrid, ModelParams
+from recoilsim.core import (
+    ConfigurationError,
+    ModeGrid,
+    ModelParams,
+    omega_no_photon,
+    omega_one_photon,
+    omega_two_photon,
+)
 from recoilsim.density import GaussianPacket, Scenario, decoherence_factor, psi_free
 from recoilsim.oracle import (
     OdeRun,
+    amplitude_generator,
     density_quadrature,
     integrate_amplitudes,
     max_decay_error,
@@ -102,6 +110,7 @@ class TestConservationAndDeterminism:
         assert np.array_equal(again.a, small_traj.a)
         assert np.array_equal(again.b, small_traj.b)
         assert np.array_equal(again.d_data, small_traj.d_data)
+        assert again.nfev == small_traj.nfev > 0
 
     def test_packed_and_expanded_sector_norms_agree(self, small_traj):
         # sector_populations works on the packed storage; state_at expands to
@@ -135,6 +144,72 @@ class TestConservationAndDeterminism:
         traj = integrate_amplitudes(run)
         with pytest.raises(ConfigurationError):
             max_decay_error(traj)
+
+
+def reference_rhs(run, y):
+    """The amplitude equations written out term by term, one mode at a time."""
+    params, grid = run.params, run.grid
+    n, g = grid.n_modes, grid.mode_coupling
+    mk, mphi = grid.mode_k, grid.mode_phi
+    p, big_p, w0 = run.p, run.total_momentum, params.omega0
+    a, b, d = y[0], y[1:1 + n], y[1 + n:]
+    if run.keep_cross_term:
+        slot, index = {}, 0
+        for r in range(n):
+            for c in range(r, n):
+                slot[r, c] = slot[c, r] = index
+                index += 1
+    else:
+        slot = {(k, j): k * n + j for k in range(n) for j in range(n)}
+    out = np.zeros_like(y)
+    out[0] = -1j * (omega_no_photon(p, big_p, params) - w0) * a
+    for k in range(n):
+        out[0] += -2j * g[k] * b[k]
+    for k in range(n):
+        beta = omega_one_photon(mk[k], mphi[k], p, big_p, params) - w0
+        out[1 + k] = -1j * beta * b[k] - 1j * g[k] * a
+        for j in range(n):
+            out[1 + k] += -1j * g[j] * d[slot[k, j]]
+    for k in range(n):
+        for j in range(n):
+            if run.keep_cross_term and j < k:
+                continue
+            m = slot[k, j]
+            delta = omega_two_photon(mk[k], mphi[k], mk[j], mphi[j], p, big_p,
+                                     params) - w0
+            feed = g[j] * b[k]
+            if run.keep_cross_term:
+                feed += g[k] * b[j]     # the exchange route
+            out[1 + n + m] = -1j * delta * d[m] - 1j * feed
+    return out
+
+
+class TestAmplitudeGenerator:
+    @pytest.mark.parametrize("n_k, n_phi, p, big_p, packed", [
+        (6, 1, 0.0, 0.0, True),
+        (2, 3, 0.0, 0.05, True),
+        (2, 3, 0.3, 0.0, False),
+        (7, 1, 0.2, 0.05, False),
+        (3, 2, -0.4, 0.0, False),
+    ])
+    def test_matches_term_by_term_equations(self, params, n_k, n_phi, p, big_p,
+                                            packed):
+        grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=12.0, n_phi=n_phi)
+        run = OdeRun(params=params, grid=grid, p=p, total_momentum=big_p,
+                     t_span=(0.0, 1.0), keep_cross_term=packed)
+        gen = amplitude_generator(run)
+        n = grid.n_modes
+        pairs = n * (n + 1) // 2 if packed else n * n
+        assert gen.shape == (1 + n + pairs,) * 2
+        d_entries = 3 * pairs - n if packed else 2 * pairs
+        assert gen.nnz == (1 + n) + n * (n + 2) + d_entries
+        assert gen.indices.dtype == np.int32
+        assert gen.indptr.dtype == np.int32
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            y = np.array([1.0, 1j]) @ rng.standard_normal((2, 1 + n + pairs))
+            ref = reference_rhs(run, y)
+            assert np.max(np.abs(gen @ y - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestExchangeFeedback:
