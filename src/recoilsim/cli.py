@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import os
@@ -182,6 +183,9 @@ def load_config(path: str | None) -> dict:
     for key, value in s.items():
         if key != "kind":
             _require_number(value, f"scenario.{key}")
+    width = s.get("width_over_lambda")
+    if width is not None and width <= 0:
+        raise ConfigurationError("scenario.width_over_lambda must be positive")
 
     g = merged["grid"]
     _require_number(g["min_over_lambda"], "grid.min_over_lambda")
@@ -244,13 +248,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file + rename."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings in ``chunks`` to ``path``, each as it comes, via a
+    same-directory temp file + rename."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-recoilsim-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         # mkstemp creates the file 0600; give it the mode open() would have.
         umask = os.umask(0o077)
         os.umask(umask)
@@ -265,9 +271,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write ``header`` and then each item of ``rows`` (one CSV line, or a
+    block of lines), each ending in a newline."""
+    _atomic_write(path, (text + "\n" for text in itertools.chain([header], rows)))
 
 
 # ----------------------------------------------------------------------
@@ -289,12 +295,14 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
 
 
 def _density_rows(dg, lam: float):
+    """One block of CSV lines per matrix row, built from the factors as it
+    is written."""
     x_strings = [_fmt(v) for v in dg.grid.x_values / lam]
     for i, xi in enumerate(x_strings):
-        row = dg.rho[i]
-        for j, xj in enumerate(x_strings):
-            v = row[j]
-            yield f"{xi},{xj},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
+        row = dg.row(i)
+        yield "\n".join(
+            f"{xi},{xj},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
+            for xj, v in zip(x_strings, row))
 
 
 def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
@@ -346,7 +354,7 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
         "runs": entries,
     }
     path = os.path.join(out_dir, "evolve_summary.json")
-    _atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     print(f"wrote {len(entries)} density files + {path}")
     return 0
 
@@ -530,6 +538,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'the run does not fit'}", file=sys.stderr)
         return 1
     except ModelValidityError as exc:
         print(f"validity gate: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .core import ConfigurationError, ModelParams, MomentumAmplitude
 from .specfun import bessel_j0
@@ -145,11 +144,12 @@ class Scenario:
         """
         if center_offset <= 0:
             raise ConfigurationError("center_offset must be positive")
+        # The packets validate the width before the overlap divides by it.
+        packets = (GaussianPacket(center_offset, width),
+                   GaussianPacket(-center_offset, width))
         s = float(np.exp(-(center_offset**2) / (2.0 * width**2)))
         w = 1.0 / np.sqrt(2.0 * (1.0 + s))
-        return cls(packets=(GaussianPacket(center_offset, width),
-                            GaussianPacket(-center_offset, width)),
-                   weights=(w, w))
+        return cls(packets=packets, weights=(w, w))
 
     def max_sigma(self, t, params: ModelParams) -> float:
         return max(pk.sigma(t, params) for pk in self.packets)
@@ -208,7 +208,9 @@ class SpatialGrid:
         if x.ndim != 1 or x.size < 2:
             raise ConfigurationError("need at least two grid points")
         dx = np.diff(x)
-        if np.any(dx <= 0) or not np.allclose(dx, dx[0], rtol=1e-12, atol=0.0):
+        # Rounding of x alone leaves steps a few ulp of max |x| apart.
+        tol = 4.0 * np.spacing(np.abs(x).max())
+        if np.any(dx <= 0) or np.abs(dx - dx[0]).max() > tol:
             raise ConfigurationError("x_values must be uniform and increasing")
         x.setflags(write=False)
         object.__setattr__(self, "x_values", x)
@@ -234,36 +236,57 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Reduced density matrix of the relative coordinate sampled on a grid.
+    """Reduced density matrix of the relative coordinate on a grid, kept as
+    its factors: ``rho[i, j] = norm_factor psi[i] psi*[j] factor[|i - j|]``,
+    ``factor`` being the decoherence-factor column (ones without emission).
 
-    Hermitian by construction (exactly, not to rounding), diagonal real and
-    non-negative, trace normalized to one via ``norm_factor``.
+    ``rho`` is built only on request: Hermitian exactly, not to rounding,
+    with a real non-negative diagonal and trace normalized to one.
     """
 
     grid: SpatialGrid
-    rho: np.ndarray
+    psi: np.ndarray
+    factor: np.ndarray
     t: float
     emission: bool
     norm_factor: float
     params: ModelParams
 
     def __post_init__(self):
-        r = np.asarray(self.rho, dtype=complex)
-        if r.shape != (self.grid.n, self.grid.n):
-            raise ConfigurationError("rho must be square over the grid")
-        r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
+        for name, dtype in (("psi", complex), ("factor", float)):
+            v = np.array(getattr(self, name), dtype=dtype)
+            if v.shape != (self.grid.n,):
+                raise ConfigurationError(f"{name} needs one value per grid point")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` of rho.  Entries below the diagonal conjugate their
+        mirror image: a fused multiply-add in the complex product, and signed
+        zeros, would leave last-bit asymmetries in ``psi[i] psi*[j]``."""
+        psi = self.psi
+        row = psi[i] * psi.conj()
+        row[:i] = np.conj(psi[:i] * psi[i].conj())
+        row[i] = row[i].real
+        return row * self.factor[np.abs(np.arange(psi.size) - i)] * self.norm_factor
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The dense matrix, built anew on each access (read-only)."""
+        out = np.array([self.row(i) for i in range(self.grid.n)])
+        out.setflags(write=False)
+        return out
 
     @property
     def diagonal(self) -> np.ndarray:
-        return self.rho.diagonal().real
+        return (self.psi * self.psi.conj()).real * self.norm_factor
 
     def trace(self) -> float:
         return float(np.add.reduce(self.diagonal) * self.grid.spacing)
 
     def purity(self) -> float:
         """trace(rho^2) by the grid quadrature; 1 for a pure state."""
-        return float(np.add.reduce(np.abs(self.rho).ravel() ** 2)
+        return float(np.dot(self.factor**2, _offset_sums(self.diagonal))
                      * self.grid.spacing**2)
 
     def diag_width(self) -> float:
@@ -277,9 +300,17 @@ class DensityGrid:
 
     def off_band_mass(self, width: float) -> float:
         """Sum of |rho| over pairs separated by more than ``width/2``."""
-        x = self.grid.x_values
-        sep = np.abs(x[:, None] - x[None, :])
-        return float(np.add.reduce(np.abs(self.rho[sep > width / 2.0])))
+        band = np.arange(self.grid.n) * self.grid.spacing > width / 2.0
+        sums = self.factor * _offset_sums(np.abs(self.psi))
+        return float(self.norm_factor * np.add.reduce(sums[band]))
+
+
+def _offset_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of ``a_i a_j`` over the pairs with ``|i - j| = m``, for each m:
+    ``|rho_ij|`` depends on ``i`` and ``j`` only through such products and m."""
+    sums = np.correlate(a, a, "full")[a.size - 1:]
+    sums[1:] *= 2.0
+    return sums
 
 
 def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
@@ -316,22 +347,12 @@ def _check_emission_time(t: float, params: ModelParams) -> None:
 def _assemble_density(grid: SpatialGrid, t: float, scenario, emission: bool,
                       params: ModelParams) -> DensityGrid:
     psi = np.asarray(psi_free(grid.x_values, t, scenario, params), dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    # The Hermiticity contract is exact, not to rounding, and a fused
-    # multiply-add in the platform's complex product can leave ~1e-18
-    # asymmetries in psi_i * conj(psi_j); mirror the upper triangle instead
-    # of trusting the product.
-    lower = np.tril_indices(grid.n, -1)
-    rho[lower] = np.conj(rho.T[lower])
-    np.fill_diagonal(rho, rho.diagonal().real)
-    if emission:
-        offsets = np.arange(grid.n) * grid.spacing
-        factor_column = np.asarray(decoherence_factor(offsets, 0.0, params))
-        rho = rho * toeplitz(factor_column)
-    norm = 1.0 / (float(np.add.reduce(rho.diagonal().real)) * grid.spacing)
-    rho = rho * norm
-    return DensityGrid(grid=grid, rho=rho, t=float(t), emission=bool(emission),
-                       norm_factor=norm, params=params)
+    offsets = np.arange(grid.n) * grid.spacing
+    factor = decoherence_factor(offsets, 0.0, params) if emission else np.ones(grid.n)
+    # F(0) = 1 exactly, so emission leaves the diagonal and the norm as they are.
+    norm = 1.0 / (float(np.add.reduce((psi * psi.conj()).real)) * grid.spacing)
+    return DensityGrid(grid=grid, psi=psi, factor=factor, t=float(t),
+                       emission=bool(emission), norm_factor=norm, params=params)
 
 
 class CoherenceLength(NamedTuple):
@@ -367,10 +388,14 @@ def coherence_length(dg: DensityGrid) -> CoherenceLength:
     if center <= 0:
         return sentinel
     m_max = min(i0, dg.grid.n - 1 - i0)
+    # rho[i0 + m, i0 - m] for m = 1..m_max, built as DensityGrid.row builds it.
+    ms = np.arange(1, m_max + 1)
+    anti = (np.conj(dg.psi[i0 - ms] * dg.psi[i0 + ms].conj()) * dg.factor[2 * ms]
+            * dg.norm_factor)
     threshold = float(np.exp(-1.0))
     prev = 1.0
     for m in range(1, m_max + 1):
-        cur = abs(dg.rho[i0 + m, i0 - m]) / center
+        cur = abs(anti[m - 1]) / center
         if cur < threshold:
             dx_prev = 2.0 * (m - 1) * dg.grid.spacing
             dx_cur = 2.0 * m * dg.grid.spacing

@@ -73,6 +73,8 @@ class TestLoadConfig:
         {"decoherence": {"max_dx_over_lambda": -1.0}},
         {"output": {"dir": 7}},
         {"params": {"mu": 10**400}},     # an integer no float can hold
+        {"scenario": {"kind": "superposition", "width_over_lambda": 0,
+                      "center_offset_over_lambda": 1}},
     ])
     def test_rejects_malformed_configs(self, tmp_path, payload):
         path = write_config(tmp_path, payload)
@@ -220,6 +222,19 @@ class TestRejectedInputs:
         assert code == 1
         assert "modes.n_k" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Patched rather than allocated: whether a huge allocation fails at
+        # once depends on the machine's overcommit policy.
+        def exhausted(_x):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr("recoilsim.cli.bessel_j0", exhausted)
+        out = tmp_path / "out"
+        assert run_cli(["decoherence-factor"], out) == 1
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 74.5 GiB\n"
+        assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])

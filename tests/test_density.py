@@ -1,5 +1,6 @@
 """Wave packets, the decoherence factor, density assembly, and sweeps."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,6 +119,8 @@ class TestScenario:
         with pytest.raises(ConfigurationError):
             Scenario.superposition(center_offset=0.0, width=1.0)
         with pytest.raises(ConfigurationError):
+            Scenario.superposition(center_offset=1.0, width=0.0)
+        with pytest.raises(ConfigurationError):
             Scenario(packets=(GaussianPacket(0.0, 1.0),), weights=(0.5, 0.5))
         with pytest.raises(ConfigurationError):
             Scenario(packets=(), weights=())
@@ -191,6 +194,14 @@ class TestSpatialGrid:
             SpatialGrid(x_values=np.array([0.0, 0.5, 2.0]))
         with pytest.raises(ConfigurationError):
             SpatialGrid(x_values=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("points", [10_001, 100_001])
+    def test_fine_linspace_grids_are_uniform(self, points):
+        x = np.linspace(-12.0 * np.pi, 8.0 * np.pi, points)
+        assert SpatialGrid(x_values=x).n == points
+        x[points // 3] += 1e-6 * (x[1] - x[0])
+        with pytest.raises(ConfigurationError):
+            SpatialGrid(x_values=x)
 
 
 @pytest.fixture(scope="module")
@@ -288,20 +299,62 @@ class TestReducedDensity:
 
     def test_density_grid_validation_and_freezing(self, params, pair):
         on, _ = pair
+        n = on.grid.n
         with pytest.raises(ConfigurationError):
-            DensityGrid(grid=on.grid, rho=np.eye(3, dtype=complex), t=1.0,
+            DensityGrid(grid=on.grid, psi=np.ones(3), factor=np.ones(n), t=1.0,
                         emission=False, norm_factor=1.0, params=params)
+        with pytest.raises(ConfigurationError):
+            DensityGrid(grid=on.grid, psi=np.ones(n), factor=np.ones((n, n)),
+                        t=1.0, emission=True, norm_factor=1.0, params=params)
+        assert on.rho.shape == (n, n)
         with pytest.raises(ValueError):
             on.rho[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            on.psi[0] = 1.0
+        with pytest.raises(ValueError):
+            on.factor[0] = 1.0
 
     def test_off_band_mass_by_hand(self, params):
         grid = SpatialGrid(x_values=np.array([0.0, 1.0, 2.0]))
-        rho = np.arange(1, 10, dtype=complex).reshape(3, 3)
-        dg = DensityGrid(grid=grid, rho=rho, t=0.0, emission=False,
-                         norm_factor=1.0, params=params)
+        psi = np.array([1.0, 2.0j, -3.0 + 1.0j])
+        factor = np.array([1.0, 0.5, 0.25])
+        dg = DensityGrid(grid=grid, psi=psi, factor=factor, t=0.0, emission=True,
+                         norm_factor=2.0, params=params)
+        i, j = np.indices((3, 3))
+        rho = 2.0 * np.outer(psi, psi.conj()) * factor[np.abs(i - j)]
+        assert np.array_equal(dg.rho, rho)
         # Separations: only (0, 2) and (2, 0) exceed width/2 = 1.
         assert dg.off_band_mass(2.0) == pytest.approx(
             abs(rho[0, 2]) + abs(rho[2, 0]), rel=1e-15)
+
+    @pytest.mark.parametrize("points, span, emission", [
+        (9, 2.0, True), (64, 3.0, False), (201, 5.0, True)])
+    def test_purity_matches_the_dense_sum(self, params, points, span, emission):
+        lam = params.wavelength
+        grid = SpatialGrid.linspace(-span * lam, span * lam, points)
+        sc = Scenario.superposition(center_offset=0.7 * lam, width=0.4 * lam)
+        dg = reduced_density(grid, 5.0 / params.gamma, sc, emission, params)
+        x = grid.x_values
+        f = decoherence_factor(x[:, None], x[None, :], params) if emission else 1.0
+        rho = dg.norm_factor * np.outer(dg.psi, dg.psi.conj()) * f
+        dense = np.sum(np.abs(rho) ** 2) * grid.spacing**2
+        assert dg.purity() == pytest.approx(dense, rel=1e-13)
+
+    def test_observables_never_hold_a_dense_matrix(self, params):
+        lam = params.wavelength
+        n = 10_001
+        grid = SpatialGrid.linspace(-12.0 * lam, 12.0 * lam, n)
+        sc = Scenario.superposition(center_offset=2.0 * lam, width=lam / 2.0)
+        tracemalloc.start()
+        try:
+            dg = reduced_density(grid, 5.0 / params.gamma, sc, True, params)
+            dg.trace(), dg.purity(), dg.diag_width(), dg.off_band_mass(lam)
+            coherence_length(dg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One dense complex matrix would take n * n * 16 bytes, 1.6 GB.
+        assert peak < 0.01 * n * n * 16
 
 
 class TestCoherenceLength:
