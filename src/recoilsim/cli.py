@@ -23,7 +23,6 @@ import argparse
 import datetime
 import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -81,14 +80,17 @@ DEFAULTS = {
     "output": {"dir": "."},
 }
 
-_SCENARIO_KEYS = {
-    "single": {"kind", "width_over_lambda", "center_over_lambda"},
-    "superposition": {"kind", "width_over_lambda", "center_offset_over_lambda"},
+# DEFAULTS is the schema: a key's type is that of its default.  What it
+# cannot show: ``dipole`` may stand in for the default ``gamma``, and each
+# scenario kind has its own keys, all required but ``center_over_lambda``.
+_SCHEMA = {**DEFAULTS, "params": {**DEFAULTS["params"], "dipole": 0.0}}
+_SCENARIOS = {
+    "single": DEFAULTS["scenario"],
+    "superposition": {"kind": "superposition", "width_over_lambda": 0.5,
+                      "center_offset_over_lambda": 1.0},
 }
-
-# "dipole" is accepted as an alternative to the default "gamma", so the
-# allowed set is wider than the default keys.
-_PARAMS_KEYS = {"omega0", "gamma", "mu", "dipole"}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list", dict: "a JSON object"}
 
 
 class OracleToleranceError(RuntimeError):
@@ -99,40 +101,34 @@ class OracleToleranceError(RuntimeError):
 # configuration
 
 
-def _require_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
+def _typed(value, like, where: str):
+    """``value`` checked against ``like``, its value in the schema: a float
+    admits any finite number, returned as a float, an int any integer but a
+    bool, and anything else only its own type."""
+    if isinstance(like, float) and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:  # false for NaN, ±Inf, huge ints
+            return float(value)
+        raise ConfigurationError(f"{where} must be a finite number")
+    if type(value) is not type(like):
+        raise ConfigurationError(f"{where} must be {_TYPE_NAMES[type(like)]}")
     return value
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{where} must be a finite number, got {number}")
-    return number
-
-
-def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where} must be an integer")
-    return value
-
-
-def _require_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{where} must be true or false")
-    return value
-
-
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _section(value, schema: dict, where: str) -> dict:
+    """``value`` checked as a JSON object whose keys all appear in
+    ``schema``, each holding a value of its schema type."""
+    unknown = sorted(set(_typed(value, schema, where)) - set(schema))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return {key: _typed(item, schema[key], f"{where}.{key}")
+            for key, item in value.items()}
+
+
+def _times(values, where: str) -> list[float]:
+    times = [_typed(v, 0.0, f"{where} entry") for v in values]
+    if any(t < 0 for t in times):
+        raise ConfigurationError(f"{where} must be >= 0, got {min(times):g}")
+    return times
 
 
 def load_config(path: str | None) -> dict:
@@ -147,65 +143,38 @@ def load_config(path: str | None) -> dict:
         with open(path, encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bad UTF-8 and overlong integers
                 raise ConfigurationError(f"{path} is not valid JSON: {exc}")
-        user = _require_mapping(user, "config")
-        _reject_unknown(user, DEFAULTS, "config")
-        for key, value in user.items():
+        for key, value in _section(user, _SCHEMA, "config").items():
             if key == "times":
-                if not isinstance(value, list):
-                    raise ConfigurationError("times must be a list")
-                merged["times"] = [_require_number(v, "times entry") for v in value]
+                merged["times"] = _times(value, "times")
             elif key == "scenario":
-                merged["scenario"] = _require_mapping(value, "scenario")
+                merged["scenario"] = value
             else:
-                section = _require_mapping(value, key)
-                allowed = _PARAMS_KEYS if key == "params" else DEFAULTS[key]
-                _reject_unknown(section, allowed, key)
-                if key == "params" and "dipole" in section and "gamma" not in section:
+                if key == "params" and "dipole" in value and "gamma" not in value:
                     # The decay rate came in through its alternative form;
                     # the default gamma must not shadow it.
-                    merged["params"].pop("gamma", None)
-                merged[key].update(section)
-
-    p = merged["params"]
-    if "gamma" in p and "dipole" in p:
+                    merged["params"].pop("gamma")
+                merged[key].update(_section(value, _SCHEMA[key], key))
+    if "gamma" in merged["params"] and "dipole" in merged["params"]:
         raise ConfigurationError("params: give gamma or dipole, not both")
-    for key, value in p.items():
-        _require_number(value, f"params.{key}")
 
-    s = merged["scenario"]
-    kind = s.get("kind")
-    if kind not in _SCENARIO_KEYS:
+    kind = merged["scenario"].get("kind")
+    if kind not in tuple(_SCENARIOS):  # compared, not hashed: kind may be a list
         raise ConfigurationError(
             "scenario.kind must be 'single' or 'superposition'")
-    _reject_unknown(s, _SCENARIO_KEYS[kind], "scenario")
-    for key, value in s.items():
-        if key != "kind":
-            _require_number(value, f"scenario.{key}")
-    width = s.get("width_over_lambda")
-    if width is not None and width <= 0:
+    s = merged["scenario"] = _section(merged["scenario"], _SCENARIOS[kind], "scenario")
+    if kind == "single":
+        s.setdefault("center_over_lambda", 0.0)
+    missing = sorted(set(_SCENARIOS[kind]) - set(s))
+    if missing:
+        raise ConfigurationError(f"a {kind} scenario needs {', '.join(missing)}")
+    if s["width_over_lambda"] <= 0:
         raise ConfigurationError("scenario.width_over_lambda must be positive")
 
-    g = merged["grid"]
-    _require_number(g["min_over_lambda"], "grid.min_over_lambda")
-    _require_number(g["max_over_lambda"], "grid.max_over_lambda")
-    _require_int(g["points"], "grid.points")
-
-    m = merged["modes"]
-    _require_int(m["n_k"], "modes.n_k")
-    _require_number(m["bandwidth_gammas"], "modes.bandwidth_gammas")
-    _require_int(m["n_phi"], "modes.n_phi")
-    _require_bool(m["flat_coupling"], "modes.flat_coupling")
-
     d = merged["decoherence"]
-    _require_number(d["max_dx_over_lambda"], "decoherence.max_dx_over_lambda")
-    _require_int(d["points"], "decoherence.points")
     if d["points"] < 2 or d["max_dx_over_lambda"] <= 0:
         raise ConfigurationError("decoherence range must be positive with >= 2 points")
-
-    if not isinstance(merged["output"].get("dir"), str):
-        raise ConfigurationError("output.dir must be a string")
     return merged
 
 
@@ -220,8 +189,7 @@ def _scenario(cfg: dict, params: ModelParams) -> Scenario:
     lam = params.wavelength
     width = s["width_over_lambda"] * lam
     if s["kind"] == "single":
-        return Scenario.single(width=width,
-                               center=s.get("center_over_lambda", 0.0) * lam)
+        return Scenario.single(width=width, center=s["center_over_lambda"] * lam)
     return Scenario.superposition(
         center_offset=s["center_offset_over_lambda"] * lam, width=width)
 
@@ -419,12 +387,15 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
     psi = np.asarray(psi_free(xs, t, scenario, params), dtype=complex)
     factorized = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
         xs[:, None], xs[None, :], params)
+    scale = float(np.abs(factorized).max())
+    if scale == 0.0:
+        raise ConfigurationError("the packet has no density on the quadrature "
+                                 f"oracle's probe grid |x| <= {QUADRATURE_SPAN} lambda")
     quad = np.empty_like(factorized)
     for i, x in enumerate(xs):
         for j, x2 in enumerate(xs):
             quad[i, j] = density_quadrature(x, x2, t, scenario, params,
                                             n_phi=256, include_offset=False)
-    scale = float(np.abs(factorized).max())
     rows = (
         f"{_fmt(xs[i] / lam)},{_fmt(xs[j] / lam)},"
         f"{_fmt(quad[i, j].real)},{_fmt(quad[i, j].imag)},"
@@ -481,9 +452,7 @@ def _parse_times(text: str) -> list[float]:
         times = [float(part) for part in stripped.split(",")]
     except ValueError:
         raise ConfigurationError(f"--times must be a comma list of numbers, got {text!r}")
-    if not all(map(math.isfinite, times)):
-        raise ConfigurationError(f"--times must be finite, got {text!r}")
-    return times
+    return _times(times, "--times")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -541,6 +510,10 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'the run does not fit'}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print("number out of range: a config value is too large or too small "
+              "for the model's float arithmetic", file=sys.stderr)
         return 1
     except ModelValidityError as exc:
         print(f"validity gate: {exc}", file=sys.stderr)

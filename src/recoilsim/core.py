@@ -121,7 +121,10 @@ def decay_rate(params: ModelParams) -> float:
     d = params.dipole
     if not _finite(d) or d < 0:
         raise ConfigurationError(f"dipole must be non-negative and finite, got {d!r}")
-    return params.omega0**2 * d**2 / (4.0 * params.epsilon0 * params.hbar * params.c**2)
+    try:
+        return params.omega0**2 * d**2 / (4.0 * params.epsilon0 * params.hbar * params.c**2)
+    except OverflowError:  # a square beyond the float range
+        return np.inf
 
 
 def recoil_momentum(k, phi, params: ModelParams):

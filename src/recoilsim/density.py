@@ -147,7 +147,10 @@ class Scenario:
         # The packets validate the width before the overlap divides by it.
         packets = (GaussianPacket(center_offset, width),
                    GaussianPacket(-center_offset, width))
-        s = float(np.exp(-(center_offset**2) / (2.0 * width**2)))
+        # Through the ratio: the squares alone leave the float range at
+        # lengths far short of where the ratio does.
+        ratio = center_offset / width
+        s = float(np.exp(-0.5 * ratio * ratio))
         w = 1.0 / np.sqrt(2.0 * (1.0 + s))
         return cls(packets=packets, weights=(w, w))
 
@@ -207,6 +210,8 @@ class SpatialGrid:
         x = np.array(self.x_values, dtype=float, copy=True)
         if x.ndim != 1 or x.size < 2:
             raise ConfigurationError("need at least two grid points")
+        if not np.all(np.isfinite(x)):
+            raise ConfigurationError("grid points must be finite")
         dx = np.diff(x)
         # Rounding of x alone leaves steps a few ulp of max |x| apart.
         tol = 4.0 * np.spacing(np.abs(x).max())
@@ -217,8 +222,9 @@ class SpatialGrid:
 
     @classmethod
     def linspace(cls, x_min: float, x_max: float, points: int) -> "SpatialGrid":
-        if points < 2 or x_max <= x_min:
-            raise ConfigurationError("need x_max > x_min and at least 2 points")
+        if points < 2 or not 0.0 < x_max - x_min < np.inf:
+            raise ConfigurationError("need x_max > x_min, a finite span "
+                                     "and at least 2 points")
         return cls(x_values=np.linspace(x_min, x_max, points))
 
     @property

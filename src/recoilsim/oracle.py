@@ -139,7 +139,6 @@ class Trajectory:
     a: np.ndarray        # (n_t,) complex
     b: np.ndarray        # (n_t, n_modes) complex
     d_data: np.ndarray   # (n_t, M) packed or (n_t, n_modes**2) ordered
-    symmetric: bool
     nfev: int            # right-hand-side evaluations the integrator made
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ class Trajectory:
 
     def _d_matrix(self, i: int) -> np.ndarray:
         n = self.n_modes
-        if self.symmetric:
+        if self.run.keep_cross_term:
             rows, cols = np.triu_indices(n)
             full = np.empty((n, n), dtype=complex)
             full[rows, cols] = self.d_data[i]
@@ -183,7 +182,7 @@ class Trajectory:
         """(n_t, 3) array of (|A|^2, 2 sum|B|^2, sum|D|^2) per sample."""
         pop_a = np.abs(self.a) ** 2
         pop_b = 2.0 * np.add.reduce(np.abs(self.b) ** 2, axis=1)
-        if self.symmetric:
+        if self.run.keep_cross_term:
             n = self.n_modes
             rows, cols = np.triu_indices(n)
             sq = np.abs(self.d_data) ** 2
@@ -258,8 +257,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
 
     traj = Trajectory(run=run, times=sol.t, a=sol.y[0],
                       b=sol.y[1:1 + n].T.copy(),
-                      d_data=sol.y[1 + n:].T.copy(),
-                      symmetric=run.keep_cross_term, nfev=sol.nfev)
+                      d_data=sol.y[1 + n:].T.copy(), nfev=sol.nfev)
     if run.keep_cross_term:
         drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
         if drift > 10.0 * run.tol:

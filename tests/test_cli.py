@@ -8,8 +8,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import run_cli
+from recoilsim import cli
 from recoilsim.cli import DEFAULTS, load_config, main
 from recoilsim.core import ConfigurationError
 from recoilsim.specfun import bessel_j0
@@ -47,6 +49,19 @@ class TestLoadConfig:
         assert cfg["scenario"]["kind"] == "superposition"
         assert "center_over_lambda" not in cfg["scenario"]
 
+    def test_numbers_come_back_as_floats_and_integers_as_integers(self, tmp_path):
+        path = write_config(tmp_path, {"params": {"mu": 800}, "times": [5],
+                                       "grid": {"points": 481}})
+        cfg = load_config(path)
+        assert type(cfg["params"]["mu"]) is float and cfg["times"] == [5.0]
+        assert type(cfg["times"][0]) is float and type(cfg["grid"]["points"]) is int
+
+    def test_single_scenario_center_defaults_to_zero(self, tmp_path):
+        path = write_config(tmp_path, {"scenario": {"kind": "single",
+                                                    "width_over_lambda": 0.25}})
+        assert load_config(path)["scenario"] == {
+            "kind": "single", "width_over_lambda": 0.25, "center_over_lambda": 0.0}
+
     def test_dipole_displaces_the_default_gamma(self, tmp_path):
         path = write_config(tmp_path, {"params": {"dipole": 0.2}})
         cfg = load_config(path)
@@ -75,6 +90,10 @@ class TestLoadConfig:
         {"params": {"mu": 10**400}},     # an integer no float can hold
         {"scenario": {"kind": "superposition", "width_over_lambda": 0,
                       "center_offset_over_lambda": 1}},
+        {"times": [-5]},
+        {"scenario": {"kind": "single"}},
+        {"scenario": {"kind": "superposition", "width_over_lambda": 0.5}},
+        {"scenario": {"kind": ["single"], "width_over_lambda": 0.5}},
     ])
     def test_rejects_malformed_configs(self, tmp_path, payload):
         path = write_config(tmp_path, payload)
@@ -203,7 +222,12 @@ class TestRejectedInputs:
         (["evolve"], {"times": [float("nan")]}),
         (["decoherence-factor"], {"decoherence": {"max_dx_over_lambda": float("inf")}}),
         (["evolve", "--times", "5.000001,5.000002"], None),
-    ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision"])
+        (["evolve", "--times", "-1"], None),
+        (["oracle", "--which", "quadrature"],
+         {"scenario": {"kind": "single", "width_over_lambda": 0.5,
+                       "center_over_lambda": 100.0}}),
+    ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision",
+            "times-flag-negative", "quadrature-packet-off-the-probe-grid"])
     def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
         out = tmp_path / "out"
         if payload is not None:
@@ -212,6 +236,31 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [["evolve", "--times", "5"],
+                                      ["oracle", "--which", "quadrature"]])
+    @pytest.mark.parametrize("scenario, key", [
+        ({"kind": "single"}, "width_over_lambda"),
+        ({"kind": "superposition", "width_over_lambda": 0.5},
+         "center_offset_over_lambda"),
+    ])
+    def test_scenario_missing_a_key_exits_one(self, tmp_path, capsys, argv,
+                                              scenario, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"scenario": scenario})
+        assert run_cli([*argv, "--config", cfg], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflow_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"scenario": {"kind": "single",
+                                                   "width_over_lambda": 1e300}})
+        assert run_cli(["oracle", "--which", "quadrature", "--config", cfg], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("number out of range") and err.count("\n") == 1
+        assert not any(out.iterdir())
 
     def test_oversized_mode_grid_is_refused_before_allocating(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"modes": {"n_k": 10**6}})
@@ -235,6 +284,86 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err == "out of memory: Unable to allocate 74.5 GiB\n"
         assert not any(out.iterdir())
+
+
+# Wrong types and non-finite numbers for most keys.
+_ODD = st.sampled_from([None, True, "x", [], {}, float("nan"), float("inf"),
+                        -float("inf"), 10**400, -10**400])
+
+
+# Finite magnitudes whose squares, or whose products with the wavelength,
+# leave the float range.
+_EXTREMES = [5e-324, 1e-200, 1e200, sys.float_info.max, 10**300]
+
+
+def _mostly(valid, odd=_ODD):
+    """Values from ``valid``, one time in eight from ``odd`` instead."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else odd)
+
+
+def _like(default):
+    """Values of the type of ``default``; counts stay small, so no run of the
+    builders allocates much."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-3, 40)
+    if isinstance(default, float):
+        return (st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-9, 9) | st.sampled_from(_EXTREMES))
+    return st.text(max_size=3)
+
+
+def _fields(schema):
+    """Objects with any subset of the keys of ``schema``, sometimes with an
+    unknown key as well."""
+    keys = st.fixed_dictionaries({}, optional={
+        key: _mostly(_like(value)) for key, value in schema.items()})
+    extra = _mostly(st.just({}), st.just({"unknown": 1}))
+    return st.builds(lambda section, more: {**section, **more}, keys, extra)
+
+
+_KINDS = {"single": {"width_over_lambda": 0.5, "center_over_lambda": 0.0},
+          "superposition": {"width_over_lambda": 0.5,
+                            "center_offset_over_lambda": 1.0}}
+_SCENARIO = st.sampled_from([*_KINDS, "triple"]).flatmap(
+    lambda kind: _fields(_KINDS.get(kind, _KINDS["single"])).map(
+        lambda section: {**section, "kind": kind}))
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    **{key: _mostly(_fields(value)) for key, value in DEFAULTS.items()
+       if isinstance(value, dict)},
+    "params": _mostly(_fields({**DEFAULTS["params"], "dipole": 0.1})),
+    "scenario": _mostly(_SCENARIO),
+    "times": _mostly(st.lists(_mostly(_like(0.0)), max_size=3)),
+})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_CONFIGS)
+@example(payload={"params": {"omega0": 1e200, "dipole": 1e200}})
+@example(payload={"params": {"mu": 10**300}})
+@example(payload={"scenario": {"kind": "superposition", "width_over_lambda": 1e-200,
+                               "center_offset_over_lambda": 1.0}})
+@example(payload={"grid": {"min_over_lambda": -1e308, "max_over_lambda": 1e308}})
+def test_config_fuzz_ends_in_configuration_error_or_buildable(tmp_path, payload):
+    """Every config is refused with a ConfigurationError or builds the
+    objects the subcommands need, each either finite or refused with a
+    ConfigurationError."""
+    path = write_config(tmp_path, payload)
+    try:
+        cfg = load_config(path)
+        params = cli._model_params(cfg)
+    except ConfigurationError:
+        return
+    for build, arrays in [(cli._scenario, lambda sc: sc.weights),
+                          (cli._spatial_grid, lambda grid: grid.x_values),
+                          (cli._mode_grid, lambda grid: grid.k_values)]:
+        try:
+            built = build(cfg, params)
+        except ConfigurationError:
+            continue
+        assert np.isfinite(arrays(built)).all()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])

@@ -39,6 +39,10 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(**kwargs)
 
+    def test_dipole_rate_beyond_the_float_range_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ModelParams(omega0=1e200, mu=1.0, dipole=1e200)
+
     def test_gamma_or_dipole_required(self):
         with pytest.raises(ConfigurationError):
             ModelParams(omega0=1.0, mu=1.0)

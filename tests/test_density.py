@@ -108,6 +108,13 @@ class TestScenario:
         assert sc.packets[0].center == a
         assert sc.packets[1].center == -a
 
+    @pytest.mark.parametrize("a, d, s", [(1e200, 1.0, 0.0), (1.0, 1e-200, 0.0),
+                                         (1e-200, 1e-200, np.exp(-0.5))])
+    def test_superposition_overlap_where_the_squares_leave_the_float_range(
+            self, a, d, s):
+        sc = Scenario.superposition(center_offset=a, width=d)
+        assert sc.weights[0] == pytest.approx(1.0 / np.sqrt(2.0 * (1.0 + s)), rel=1e-15)
+
     def test_superposition_is_unit_normalized_even_when_packets_overlap(self, params):
         lam = params.wavelength
         sc = Scenario.superposition(center_offset=lam / 4.0, width=lam / 2.0)
@@ -194,6 +201,12 @@ class TestSpatialGrid:
             SpatialGrid(x_values=np.array([0.0, 0.5, 2.0]))
         with pytest.raises(ConfigurationError):
             SpatialGrid(x_values=np.array([1.0, 0.0]))
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SpatialGrid(x_values=np.array([0.0, 1.0, np.nan]))
+        with pytest.raises(ConfigurationError):  # the step overflows
+            SpatialGrid.linspace(-1e308, 1e308, 3)
 
     @pytest.mark.parametrize("points", [10_001, 100_001])
     def test_fine_linspace_grids_are_uniform(self, points):
