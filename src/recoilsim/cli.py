@@ -46,6 +46,7 @@ from .oracle import (
     density_quadrature,
     integrate_amplitudes,
     max_decay_error,
+    memory_estimate,
     ww_rate_check,
 )
 from .specfun import bessel_j0
@@ -61,12 +62,6 @@ QUADRATURE_TOLERANCE = 1e-8   # angle quadrature vs factorized form, relative
 # configured grid would be prohibitively slow under a double angle sum.
 QUADRATURE_POINTS = 16
 QUADRATURE_SPAN = 2.0
-
-# Samples the amplitudes oracle stores, and the other state-sized complex
-# vectors scipy's DOP853 holds (16 extended stages, 7 interpolant rows and a
-# few work vectors): the terms of its memory estimate besides the generator.
-AMPLITUDE_SAMPLES = 51
-DOP853_VECTORS = 30
 
 DEFAULTS = {
     "params": {"omega0": 1.0, "gamma": 0.01, "mu": 10.0},
@@ -327,42 +322,23 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
     return 0
 
 
-def _check_amplitudes_size(modes: dict) -> None:
-    """Refuse a mode grid whose amplitudes run cannot fit in physical memory.
-
-    Counts the packed state ``dim``, the generator's CSR arrays (at most 3
-    entries per pair row: complex data plus int32 index) and the state-sized
-    vectors held by the integrator and the stored samples.
-    """
-    n = modes["n_k"] * modes["n_phi"]
-    pairs = n * (n + 1) // 2
-    dim = 1 + n + pairs
-    nnz = (1 + n) + n * (n + 2) + 3 * pairs
-    need = 20 * nnz + 4 * (dim + 1) + 16 * dim * (DOP853_VECTORS + AMPLITUDE_SAMPLES)
+def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
+    params = _model_params(cfg)
+    run = OdeRun(params=params, grid=_mode_grid(cfg, params),
+                 t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
+    need = memory_estimate(run)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigurationError(
-            f"modes.n_k = {modes['n_k']} needs about {need / 2**30:.3g} GiB for "
-            f"the amplitudes oracle, more than the {have / 2**30:.3g} GiB of "
-            "physical memory")
-
-
-def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
-    _check_amplitudes_size(cfg["modes"])
-    params = _model_params(cfg)
-    grid = _mode_grid(cfg, params)
-    t_final = 5.0 / params.gamma
-    run = OdeRun(params=params, grid=grid, t_span=(0.0, t_final),
-                 sample_times=np.linspace(0.0, t_final, AMPLITUDE_SAMPLES),
-                 tol=1e-10)
+        raise ConfigurationError(f"modes.n_k = {cfg['modes']['n_k']} needs about "
+                                 f"{need / 2**30:.3g} GiB for the amplitudes oracle, more "
+                                 f"than the {have / 2**30:.3g} GiB of physical memory")
     trajectory = integrate_amplitudes(run)
-    populations = trajectory.sector_populations
     norms = trajectory.norms
     rows = (
         f"{_fmt(t)},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(n)},"
         f"{_fmt(pa)},{_fmt(pb)},{_fmt(pd)}"
         for t, a, n, (pa, pb, pd)
-        in zip(trajectory.times, trajectory.a, norms, populations)
+        in zip(trajectory.times, trajectory.a, norms, trajectory.sector_populations)
     )
     path = os.path.join(out_dir, "oracle_amplitudes.csv")
     _write_csv(path, "t,re_a,im_a,norm,pop_a,pop_b,pop_d", rows)
@@ -371,9 +347,7 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     print(f"wrote {path}")
     print(f"max |A|^2 decay deviation (within recurrence window): {decay:.3e}")
     print(f"max sector-norm drift: {drift:.3e}")
-    if decay > DECAY_TOLERANCE:
-        raise OracleToleranceError(
-            f"decay_rate deviation {decay:.3e} > {DECAY_TOLERANCE}")
+    _require_within("decay_rate deviation", decay, DECAY_TOLERANCE)
     return 0
 
 
@@ -388,8 +362,8 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
     factorized = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
         xs[:, None], xs[None, :], params)
     scale = float(np.abs(factorized).max())
-    if scale == 0.0:
-        raise ConfigurationError("the packet has no density on the quadrature "
+    if not 0.0 < scale < np.inf:  # also NaN, from model arithmetic out of range
+        raise ConfigurationError("the packet has no finite density on the quadrature "
                                  f"oracle's probe grid |x| <= {QUADRATURE_SPAN} lambda")
     quad = np.empty_like(factorized)
     for i, x in enumerate(xs):
@@ -409,9 +383,7 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
     relative = float(np.abs(quad - factorized).max()) / scale
     print(f"wrote {path}")
     print(f"max |quadrature - factorized| / max|factorized|: {relative:.3e}")
-    if relative > QUADRATURE_TOLERANCE:
-        raise OracleToleranceError(
-            f"quadrature deviation {relative:.3e} > {QUADRATURE_TOLERANCE}")
+    _require_within("quadrature deviation", relative, QUADRATURE_TOLERANCE)
     return 0
 
 
@@ -419,6 +391,8 @@ def _oracle_rate(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
     grid = _mode_grid(cfg, params)
     check = ww_rate_check(grid, params)
+    if not np.isfinite(check.rate):  # the float arithmetic under- or overflowed
+        raise ConfigurationError("the mode grid's pole sum is not a finite number")
     relative = abs(check.rate / check.expected - 1.0)
     path = os.path.join(out_dir, "oracle_rate.csv")
     _write_csv(path, "rate,expected,relative_error,flagged",
@@ -426,18 +400,15 @@ def _oracle_rate(cfg: dict, out_dir: str) -> int:
                 f"{_fmt(relative)},{str(check.flagged).lower()}"])
     print(f"wrote {path}")
     print(f"pole-sum rate relative error: {relative:.3e}")
-    if check.flagged or relative > RATE_TOLERANCE:
-        raise OracleToleranceError(
-            f"rate_deficit {relative:.3e} > {RATE_TOLERANCE} "
-            "(grid bandwidth too small)")
+    # Flagged means a deficit over 10 %, always beyond this tolerance.
+    _require_within("rate_deficit", relative, RATE_TOLERANCE, " (grid bandwidth too small)")
     return 0
 
 
-def cmd_oracle(cfg: dict, out_dir: str, which: str) -> int:
-    runner = {"amplitudes": _oracle_amplitudes,
-              "quadrature": _oracle_quadrature,
-              "rate": _oracle_rate}[which]
-    return runner(cfg, out_dir)
+def _require_within(what: str, value: float, tolerance: float, hint: str = "") -> None:
+    """Pass only when ``value <= tolerance``: a NaN comparison fails."""
+    if not value <= tolerance:
+        raise OracleToleranceError(f"{what} {value:.3e} > {tolerance}{hint}")
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +472,9 @@ def main(argv=None) -> int:
         if ns.command == "evolve":
             times = _parse_times(ns.times) if ns.times is not None else None
             return cmd_evolve(cfg, out_dir, ns.emission, times)
-        return cmd_oracle(cfg, out_dir, ns.which)
+        oracle = {"amplitudes": _oracle_amplitudes, "quadrature": _oracle_quadrature,
+                  "rate": _oracle_rate}[ns.which]
+        return oracle(cfg, out_dir)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

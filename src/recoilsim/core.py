@@ -195,7 +195,6 @@ class ModeGrid:
 
     k_values: np.ndarray     # strictly increasing wavenumbers, all > 0
     phi_values: np.ndarray   # emission angles in [0, 2*pi)
-    weights: np.ndarray      # trapezoid weights reproducing integrals over k
     coupling_ref: float      # per-mode coupling at k = k0
     reference_k: float       # resonant wavenumber the couplings are anchored to
     flat_coupling: bool = False  # True: g(k) = g0; False: g(k) = g0*sqrt(k/k0)
@@ -203,18 +202,14 @@ class ModeGrid:
     def __post_init__(self):
         k = _frozen_array(self.k_values)
         phi = _frozen_array(self.phi_values)
-        w = _frozen_array(self.weights)
         object.__setattr__(self, "k_values", k)
         object.__setattr__(self, "phi_values", phi)
-        object.__setattr__(self, "weights", w)
         if k.ndim != 1 or k.size < 2:
             raise ConfigurationError("need at least two wavenumbers")
         if np.any(k <= 0) or np.any(np.diff(k) <= 0):
             raise ConfigurationError("k_values must be positive and strictly increasing")
         if phi.ndim != 1 or phi.size < 1 or np.any(phi < 0) or np.any(phi >= 2 * np.pi):
             raise ConfigurationError("phi_values must lie in [0, 2*pi)")
-        if w.shape != k.shape:
-            raise ConfigurationError("weights must match k_values")
         if not _finite(self.coupling_ref) or self.coupling_ref < 0:
             raise ConfigurationError("coupling_ref must be non-negative")
 
@@ -247,12 +242,10 @@ class ModeGrid:
             )
         k = np.linspace(k0 - half_width, k0 + half_width, n_k)
         dk = k[1] - k[0]
-        w = np.full(n_k, dk)
-        w[0] = w[-1] = dk / 2.0
         phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
         g0 = np.sqrt(params.gamma * params.c * dk / (2.0 * np.pi * n_phi))
-        return cls(k_values=k, phi_values=phi, weights=w,
-                   coupling_ref=g0, reference_k=k0, flat_coupling=flat_coupling)
+        return cls(k_values=k, phi_values=phi, coupling_ref=g0, reference_k=k0,
+                   flat_coupling=flat_coupling)
 
     @property
     def n_modes(self) -> int:

@@ -328,26 +328,28 @@ def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     form presumes both atoms have long since decayed: below ``gamma t = 1``
     it is refused outright, below ``gamma t = 5`` a warning is issued.
     """
-    if t < 0:
-        raise ConfigurationError("t must be non-negative")
-    if emission:
-        _check_emission_time(t, params)
-    params.require_scenario_regime()
+    _check_times([t], emission, params)
     return _assemble_density(grid, t, scenario, emission, params)
 
 
-def _check_emission_time(t: float, params: ModelParams) -> None:
-    gt = params.gamma * t
-    if gt < HARD_TIME_GATE:
-        raise ModelValidityError(
-            f"emission density matrix requested at gamma*t = {gt:.3g}; "
-            f"the traced-out form requires gamma*t >= {HARD_TIME_GATE} "
-            "(both atoms must have decayed)")
-    if gt < SOFT_TIME_GATE:
-        warnings.warn(
-            f"gamma*t = {gt:.3g} is marginal for the emission-traced "
-            f"density matrix (recommended gamma*t >= {SOFT_TIME_GATE})",
-            ValidityWarning, stacklevel=3)
+def _check_times(times: list[float], emission: bool, params: ModelParams) -> None:
+    """The time checks of every density request.  Called directly by the
+    public entry points, so ``stacklevel=3`` points at their caller."""
+    if min(times) < 0:
+        raise ConfigurationError("t must be non-negative")
+    for t in times if emission else []:
+        gt = params.gamma * t
+        if gt < HARD_TIME_GATE:
+            raise ModelValidityError(
+                f"emission density matrix requested at gamma*t = {gt:.3g}; "
+                f"the traced-out form requires gamma*t >= {HARD_TIME_GATE} "
+                "(both atoms must have decayed)")
+        if gt < SOFT_TIME_GATE:
+            warnings.warn(
+                f"gamma*t = {gt:.3g} is marginal for the emission-traced "
+                f"density matrix (recommended gamma*t >= {SOFT_TIME_GATE})",
+                ValidityWarning, stacklevel=3)
+    params.require_scenario_regime()
 
 
 def _assemble_density(grid: SpatialGrid, t: float, scenario, emission: bool,
@@ -438,12 +440,7 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
         raise ConfigurationError(
             f"grid extent {grid.extent:.4g} is below 6x the largest packet "
             f"spread {needed:.4g} at the final time")
-    if times[0] < 0:
-        raise ConfigurationError("t must be non-negative")
-    if emission:
-        for t in times:
-            _check_emission_time(t, params)
-    params.require_scenario_regime()
+    _check_times(times, emission, params)
     if len(times) == 1:
         return [_assemble_density(grid, times[0], scenario, emission, params)]
     # All inputs are immutable and every run is independent, so the sweep can

@@ -19,6 +19,7 @@ check.  A discrete bath refeeds the atoms after the recurrence time
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "density_quadrature",
     "integrate_amplitudes",
     "max_decay_error",
+    "memory_estimate",
     "ww_rate_check",
 ]
 
@@ -128,21 +130,20 @@ class OdeRun:
 class Trajectory:
     """Sampled solution of one :class:`OdeRun`.
 
-    ``d_data`` holds the two-photon sector in packed upper-triangle form for
-    norm-conserving runs, or as the ordered (first-emission-labeled) full
+    ``y`` holds the state [A, B_k, D] once per sample; ``a``, ``b`` and
+    ``d_data`` are views of it.  ``d_data`` is packed upper-triangle for
+    norm-conserving runs, or the ordered (first-emission-labeled) full
     matrix when the exchange feedback was dropped; :meth:`state_at` expands
     either into the observable ordered matrix.
     """
 
     run: OdeRun
     times: np.ndarray
-    a: np.ndarray        # (n_t,) complex
-    b: np.ndarray        # (n_t, n_modes) complex
-    d_data: np.ndarray   # (n_t, M) packed or (n_t, n_modes**2) ordered
+    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex
     nfev: int            # right-hand-side evaluations the integrator made
 
     def __post_init__(self):
-        for name in ("times", "a", "b", "d_data"):
+        for name in ("times", "y"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -150,6 +151,18 @@ class Trajectory:
     @property
     def n_modes(self) -> int:
         return self.run.grid.n_modes
+
+    @property
+    def a(self) -> np.ndarray:  # (n_t,)
+        return self.y[:, 0]
+
+    @property
+    def b(self) -> np.ndarray:  # (n_t, n_modes)
+        return self.y[:, 1:1 + self.n_modes]
+
+    @property
+    def d_data(self) -> np.ndarray:  # (n_t, pairs), in storage order
+        return self.y[:, 1 + self.n_modes:]
 
     @property
     def recurrence_time(self) -> float:
@@ -161,41 +174,60 @@ class Trajectory:
         """Largest time to which this trajectory should be trusted as an oracle."""
         return COMPARISON_WINDOW_FRACTION * self.recurrence_time
 
-    def _d_matrix(self, i: int) -> np.ndarray:
-        n = self.n_modes
-        if self.run.keep_cross_term:
-            rows, cols = np.triu_indices(n)
-            full = np.empty((n, n), dtype=complex)
-            full[rows, cols] = self.d_data[i]
-            full[cols, rows] = self.d_data[i]
-            return full
-        e = self.d_data[i].reshape(n, n)
-        return e + e.T
-
     def state_at(self, i: int) -> AmplitudeState:
+        d = self.d_data[i][_pairs(self.n_modes, self.run.keep_cross_term)[2]]
         return AmplitudeState(p=self.run.p, t=float(self.times[i]),
                               a_val=complex(self.a[i]), b_vals=self.b[i],
-                              d_vals=self._d_matrix(i))
+                              d_vals=d if self.run.keep_cross_term else d + d.T)
 
-    @property
+    @cached_property
     def sector_populations(self) -> np.ndarray:
-        """(n_t, 3) array of (|A|^2, 2 sum|B|^2, sum|D|^2) per sample."""
+        """(n_t, 3) array of (|A|^2, 2 sum|B|^2, sum|D|^2) per sample
+        (computed once, read-only)."""
         pop_a = np.abs(self.a) ** 2
         pop_b = 2.0 * np.add.reduce(np.abs(self.b) ** 2, axis=1)
+        rows, cols, index = _pairs(self.n_modes, self.run.keep_cross_term)
         if self.run.keep_cross_term:
-            n = self.n_modes
-            rows, cols = np.triu_indices(n)
             sq = np.abs(self.d_data) ** 2
             pop_d = 2.0 * np.add.reduce(sq, axis=1) \
                 - np.add.reduce(sq[:, rows == cols], axis=1)
         else:
-            pop_d = np.array([np.add.reduce(np.abs(self._d_matrix(i)).ravel() ** 2)
-                              for i in range(self.times.size)])
-        return np.column_stack([pop_a, pop_b, pop_d])
+            pop_d = np.array([np.add.reduce(np.abs(e + e.T).ravel() ** 2)
+                              for e in self.d_data[:, index]])
+        pops = np.column_stack([pop_a, pop_b, pop_d])
+        pops.setflags(write=False)
+        return pops
 
     @property
     def norms(self) -> np.ndarray:
         return np.add.reduce(self.sector_populations, axis=1)
+
+
+def _pairs(n: int, packed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-photon storage: modes ``(rows, cols)`` of the stored amplitudes
+    in order (the row-major upper triangle if packed, else all n x n pairs
+    row-major), and the (n, n) map from modes (k, j) to the stored index."""
+    rows, cols = np.triu_indices(n) if packed else np.divmod(np.arange(n * n), n)
+    index = np.empty((n, n), dtype=int)  # ordered: the row-major store wins
+    index[cols, rows] = index[rows, cols] = np.arange(rows.size)
+    return rows, cols, index
+
+
+def _state_size(run: OdeRun) -> tuple[int, int]:
+    """``dim`` and generator ``nnz`` of the run's layout, counted, not built."""
+    n, packed = run.grid.n_modes, run.keep_cross_term
+    pairs = n * (n + 1) // 2 if packed else n * n
+    # Pair rows hold D, B_r and B_c, but no B_c on the packed diagonal or ordered.
+    return 1 + n + pairs, (1 + n) + n * (n + 2) + 3 * pairs - (n if packed else pairs)
+
+
+def memory_estimate(run: OdeRun) -> int:
+    """Bytes :func:`integrate_amplitudes` needs, roughly, found without
+    building anything: the generator's CSR arrays, ~30 state vectors of
+    scipy's DOP853 (stages, interpolant, work) and the stored samples."""
+    dim, nnz = _state_size(run)
+    index = 4 if nnz < 2**31 else 8
+    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (30 + run.times.size)
 
 
 def amplitude_generator(run: OdeRun) -> sparse.csr_array:
@@ -211,12 +243,10 @@ def amplitude_generator(run: OdeRun) -> sparse.csr_array:
     n, g, mk, mphi = grid.n_modes, grid.mode_coupling, grid.mode_k, grid.mode_phi
     alpha = omega_no_photon(run.p, run.total_momentum, params) - params.omega0
     beta = omega_one_photon(mk, mphi, run.p, run.total_momentum, params) - params.omega0
-    rows, cols = np.triu_indices(n) if packed else np.divmod(np.arange(n * n), n)
+    rows, cols, pair = _pairs(n, packed)
     delta = omega_two_photon(mk[rows], mphi[rows], mk[cols], mphi[cols],
                              run.p, run.total_momentum, params) - params.omega0
     off, dim = 1 + n, 1 + n + rows.size
-    pair = np.empty((n, n), dtype=int)  # D index of (k, j); the row-major store wins
-    pair[cols, rows] = pair[rows, cols] = np.arange(rows.size)
     b_idx = np.column_stack([np.zeros(n, dtype=int), 1 + np.arange(n), off + pair])
     b_val = np.column_stack([g, beta, np.broadcast_to(g, (n, n))])
     d_idx = np.column_stack([1 + rows, 1 + cols, np.arange(off, dim)])
@@ -242,7 +272,6 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     beyond ``10 * tol`` raises :class:`NormDriftFailure`.  Deterministic:
     each right-hand side is one sparse product, summed in a fixed order.
     """
-    n = run.grid.n_modes
     gen = amplitude_generator(run)
     y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[0] = run.c_p
@@ -255,9 +284,8 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
 
-    traj = Trajectory(run=run, times=sol.t, a=sol.y[0],
-                      b=sol.y[1:1 + n].T.copy(),
-                      d_data=sol.y[1 + n:].T.copy(), nfev=sol.nfev)
+    traj = Trajectory(run=run, times=sol.t, y=sol.y.T.copy(), nfev=sol.nfev)
+    del sol  # its (dim, n_t) samples: keep only traj's copy through the checks
     if run.keep_cross_term:
         drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
         if drift > 10.0 * run.tol:
@@ -337,13 +365,11 @@ def density_quadrature(x, x2, t, packet_spec, params: ModelParams,
     dphase = (params.omega0 / (2.0 * params.c)) * (x - x2)
     w1 = np.exp(-1j * dphase * sphi)
     w2 = np.exp(+1j * dphase * sphi)
+    shift = 0.0
     if include_offset:
         s_off = params.hbar * params.omega0 * t / (2.0 * params.mu * params.c)
         shift = s_off * (sphi[:, None] + sphi[None, :])
-        psi1 = psi_free(x + shift, t, packet_spec, params)
-        psi2 = psi_free(x2 + shift, t, packet_spec, params)
-    else:
-        psi1 = psi_free(x, t, packet_spec, params)
-        psi2 = psi_free(x2, t, packet_spec, params)
+    psi1 = psi_free(x + shift, t, packet_spec, params)
+    psi2 = psi_free(x2 + shift, t, packet_spec, params)
     integrand = (w1[:, None] * w2[None, :]) * (psi1 * np.conj(psi2))
     return complex(np.add.reduce(np.asarray(integrand).ravel()) / n_phi**2)

@@ -226,8 +226,15 @@ class TestRejectedInputs:
         (["oracle", "--which", "quadrature"],
          {"scenario": {"kind": "single", "width_over_lambda": 0.5,
                        "center_over_lambda": 100.0}}),
+        # Model arithmetic out of range: each of these wrote nan and exited 0.
+        (["oracle", "--which", "quadrature"],
+         {"params": {"mu": 5e-324}, "grid": {"points": 41}}),
+        (["oracle", "--which", "quadrature"],
+         {"params": {"gamma": 5e-324}, "grid": {"points": 41}}),
+        (["oracle", "--which", "rate"], {"params": {"omega0": 1e-300, "gamma": 1e-305}}),
     ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision",
-            "times-flag-negative", "quadrature-packet-off-the-probe-grid"])
+            "times-flag-negative", "quadrature-packet-off-the-probe-grid",
+            "quadrature-nan-tiny-mu", "quadrature-nan-tiny-gamma", "rate-nan-pole-sum"])
     def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
         out = tmp_path / "out"
         if payload is not None:
@@ -426,6 +433,17 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "oracle tolerance breach" in err
         assert "decay_rate deviation" in err
+
+
+class TestToleranceCheck:
+    @pytest.mark.parametrize("value", [0.0, 0.05])
+    def test_values_up_to_the_tolerance_pass(self, value):
+        cli._require_within("deviation", value, 0.05)
+
+    @pytest.mark.parametrize("value", [0.050000001, float("nan"), float("inf")])
+    def test_a_breach_or_nan_fails(self, value):
+        with pytest.raises(cli.OracleToleranceError, match="deviation"):
+            cli._require_within("deviation", value, 0.05)
 
 
 class TestEntryPoint:

@@ -166,16 +166,6 @@ class TestModeGrid:
         assert np.all(np.diff(grid.k_values) > 0)
         assert np.all(grid.k_values > 0)
 
-    def test_weights_integrate_linear_functions_exactly(self, params):
-        grid = ModeGrid.build(params, n_k=33, bandwidth_gammas=25.0)
-        k = grid.k_values
-        # trapezoid weights are exact on polynomials of degree <= 1
-        assert np.dot(grid.weights, np.ones_like(k)) == \
-            pytest.approx(k[-1] - k[0], rel=1e-13)
-        assert np.dot(grid.weights, k) == \
-            pytest.approx((k[-1]**2 - k[0]**2) / 2.0, rel=1e-13)
-        assert np.all(grid.weights > 0)
-
     def test_band_reaching_nonpositive_k_rejected(self):
         p = ModelParams(omega0=1.0, mu=1.0, gamma=0.1)
         with pytest.raises(ConfigurationError):
@@ -185,7 +175,6 @@ class TestModeGrid:
         with pytest.raises(ConfigurationError):
             ModeGrid(k_values=np.array([1.0, 0.5]),
                      phi_values=np.array([0.0]),
-                     weights=np.array([1.0, 1.0]),
                      coupling_ref=0.1, reference_k=1.0)
 
     def test_flat_coupling_profile_is_constant(self, params):

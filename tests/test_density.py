@@ -471,6 +471,15 @@ class TestScenarioSweep:
         with pytest.warns(ValidityWarning):
             scenario_sweep(sc, [2.0 / g, 3.0 / g], True, sweep_grid, params)
 
+    def test_validity_warnings_point_at_the_callers_line(self, sc, sweep_grid, params):
+        g = params.gamma
+        calls = [lambda: scenario_sweep(sc, [2.0 / g, 3.0 / g], True, sweep_grid, params),
+                 lambda: reduced_density(sweep_grid, 2.0 / g, sc, True, params)]
+        for call in calls:
+            with pytest.warns(ValidityWarning) as record:
+                call()
+            assert {w.filename for w in record} == {__file__}
+
     def test_emission_factorizes_against_the_paired_sweep(self, sc, sweep_grid, params):
         g = params.gamma
         times = [5.0 / g, 6.5 / g, 8.0 / g]

@@ -18,6 +18,7 @@ from recoilsim.core import (
     omega_two_photon,
 )
 from recoilsim.density import GaussianPacket, Scenario, decoherence_factor, psi_free
+from recoilsim import oracle
 from recoilsim.oracle import (
     OdeRun,
     amplitude_generator,
@@ -112,6 +113,18 @@ class TestConservationAndDeterminism:
         assert np.array_equal(again.d_data, small_traj.d_data)
         assert again.nfev == small_traj.nfev > 0
 
+    def test_samples_are_stored_once(self, small_traj):
+        # a, b and d_data are read-only views of the one sampled state array,
+        # and the populations are computed on first use only.
+        y = small_traj.y
+        assert y.shape == (small_traj.times.size, 1 + 24 + 24 * 25 // 2)
+        for view in (small_traj.a, small_traj.b, small_traj.d_data):
+            assert view.base is y and not view.flags.writeable
+        assert np.array_equal(small_traj.d_data[:, -1], y[:, -1])
+        pops = small_traj.sector_populations
+        assert small_traj.sector_populations is pops
+        assert not pops.flags.writeable
+
     def test_packed_and_expanded_sector_norms_agree(self, small_traj):
         # sector_populations works on the packed storage; state_at expands to
         # the full ordered matrix.  Two summation orders, same numbers.
@@ -205,11 +218,33 @@ class TestAmplitudeGenerator:
         assert gen.nnz == (1 + n) + n * (n + 2) + d_entries
         assert gen.indices.dtype == np.int32
         assert gen.indptr.dtype == np.int32
+        # The pre-flight memory estimate counts the same layout unbuilt.
+        assert oracle._state_size(run) == (gen.shape[0], gen.nnz)
         rng = np.random.default_rng(7)
         for _ in range(3):
             y = np.array([1.0, 1j]) @ rng.standard_normal((2, 1 + n + pairs))
             ref = reference_rhs(run, y)
             assert np.max(np.abs(gen @ y - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestMemoryEstimate:
+    def test_counts_the_generator_solver_and_samples(self, params, small_grid):
+        run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0))
+        gen = amplitude_generator(run)
+        dim = gen.shape[0]
+        csr = gen.data.nbytes + gen.indices.nbytes + gen.indptr.nbytes
+        assert oracle.memory_estimate(run) == csr + 16 * dim * (30 + 51)
+        fewer = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0),
+                       sample_times=np.linspace(0.0, 1.0, 11))
+        assert oracle.memory_estimate(run) - oracle.memory_estimate(fewer) \
+            == 16 * dim * 40
+
+    def test_huge_grids_are_counted_without_building(self, params):
+        grid = ModeGrid.build(params, n_k=10**6, bandwidth_gammas=12.0)
+        run = OdeRun(params=params, grid=grid, t_span=(0.0, 1.0))
+        pairs = 10**6 * (10**6 + 1) // 2
+        assert oracle._state_size(run)[0] == 1 + 10**6 + pairs
+        assert oracle.memory_estimate(run) > 16 * 81 * pairs
 
 
 class TestExchangeFeedback:
@@ -245,6 +280,8 @@ class TestExchangeFeedback:
         state = traj.state_at(1)
         assert state.d_vals.shape == (n, n)
         assert np.array_equal(state.d_vals, state.d_vals.T)
+        assert np.allclose(traj.sector_populations[1], state.sector_norms,
+                           rtol=1e-12, atol=0.0)
 
 
 class TestGoldenRuleRate:
@@ -271,10 +308,7 @@ class TestGoldenRuleRate:
         """Dropping every other mode at fixed per-mode coupling halves the
         pole sum -- the discrete sum really is counting modes."""
         full = ModeGrid.build(params, n_k=501, bandwidth_gammas=25.0)
-        half_k = full.k_values[::2]
-        dk = half_k[1] - half_k[0]
-        half = ModeGrid(k_values=half_k, phi_values=full.phi_values,
-                        weights=np.full(half_k.size, dk),
+        half = ModeGrid(k_values=full.k_values[::2], phi_values=full.phi_values,
                         coupling_ref=full.coupling_ref,
                         reference_k=full.reference_k)
         ratio = ww_rate_check(half, params).rate / ww_rate_check(full, params).rate
