@@ -21,105 +21,15 @@ The package has three layers:
   (:mod:`~recoilsim.cli`).
 """
 
-from .core import (
-    ConfigurationError,
-    ModeGrid,
-    ModelParams,
-    MomentumAmplitude,
-    coupling_strength,
-    decay_rate,
-    omega_no_photon,
-    omega_one_photon,
-    omega_two_photon,
-    recoil_momentum,
-)
-from .specfun import (
-    BesselEval,
-    BesselMethod,
-    bessel_j0,
-    bessel_j0_eval,
-    j0_quadrature_oracle,
-)
-from .amplitudes import (
-    AmplitudeState,
-    TwoPhotonLimit,
-    amplitude_a,
-    amplitude_b,
-    amplitude_d,
-    amplitude_d_infinity,
-    closed_form_state,
-)
-from .density import (
-    CoherenceLength,
-    DensityGrid,
-    GaussianPacket,
-    ModelValidityError,
-    Scenario,
-    SpatialGrid,
-    ValidityWarning,
-    coherence_length,
-    decoherence_factor,
-    psi_free,
-    reduced_density,
-    scenario_sweep,
-)
-from .oracle import (
-    NormDriftFailure,
-    OdeRun,
-    RateCheck,
-    StiffnessFailure,
-    Trajectory,
-    density_quadrature,
-    integrate_amplitudes,
-    max_decay_error,
-    ww_rate_check,
-)
+from . import core, specfun, amplitudes, density, oracle
+from .core import *
+from .specfun import *
+from .amplitudes import *
+from .density import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeState",
-    "BesselEval",
-    "BesselMethod",
-    "CoherenceLength",
-    "ConfigurationError",
-    "DensityGrid",
-    "GaussianPacket",
-    "ModeGrid",
-    "ModelParams",
-    "ModelValidityError",
-    "MomentumAmplitude",
-    "NormDriftFailure",
-    "OdeRun",
-    "RateCheck",
-    "Scenario",
-    "SpatialGrid",
-    "StiffnessFailure",
-    "Trajectory",
-    "TwoPhotonLimit",
-    "ValidityWarning",
-    "__version__",
-    "amplitude_a",
-    "amplitude_b",
-    "amplitude_d",
-    "amplitude_d_infinity",
-    "bessel_j0",
-    "bessel_j0_eval",
-    "closed_form_state",
-    "coherence_length",
-    "coupling_strength",
-    "decay_rate",
-    "decoherence_factor",
-    "density_quadrature",
-    "integrate_amplitudes",
-    "j0_quadrature_oracle",
-    "max_decay_error",
-    "omega_no_photon",
-    "omega_one_photon",
-    "omega_two_photon",
-    "psi_free",
-    "recoil_momentum",
-    "reduced_density",
-    "scenario_sweep",
-    "ww_rate_check",
-]
+# Each module's __all__ is its public API; the package re-exports them all.
+__all__ = [*core.__all__, *specfun.__all__, *amplitudes.__all__,
+           *density.__all__, *oracle.__all__, "__version__"]

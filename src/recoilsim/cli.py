@@ -24,6 +24,7 @@ import datetime
 import itertools
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -62,6 +63,8 @@ QUADRATURE_TOLERANCE = 1e-8   # angle quadrature vs factorized form, relative
 # configured grid would be prohibitively slow under a double angle sum.
 QUADRATURE_POINTS = 16
 QUADRATURE_SPAN = 2.0
+
+DENSITY_HEADER = "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho"
 
 DEFAULTS = {
     "params": {"omega0": 1.0, "gamma": 0.01, "mu": 10.0},
@@ -198,9 +201,10 @@ def _spatial_grid(cfg: dict, params: ModelParams) -> SpatialGrid:
 
 def _mode_grid(cfg: dict, params: ModelParams) -> ModeGrid:
     m = cfg["modes"]
-    return ModeGrid.build(params, n_k=m["n_k"],
-                          bandwidth_gammas=m["bandwidth_gammas"],
-                          n_phi=m["n_phi"], flat_coupling=m["flat_coupling"])
+    with np.errstate(all="ignore"):  # ModeGrid refuses a value out of range
+        return ModeGrid.build(params, n_k=m["n_k"],
+                              bandwidth_gammas=m["bandwidth_gammas"],
+                              n_phi=m["n_phi"], flat_coupling=m["flat_coupling"])
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +252,13 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
     dec = cfg["decoherence"]
     n = dec["points"]
     # Half-open grid [0, max): n evenly spaced rows starting exactly at zero.
-    dx = dec["max_dx_over_lambda"] * np.arange(n) / n
-    f_values = bessel_j0(np.pi * dx) ** 2
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        dx = dec["max_dx_over_lambda"] * np.arange(n) / n
+        z = np.pi * dx
+    if not np.isfinite(z).all():
+        raise ConfigurationError("decoherence: max_dx_over_lambda times points "
+                                 "leaves the float range")
+    f_values = bessel_j0(z) ** 2
     path = os.path.join(out_dir, "decoherence_factor.csv")
     _write_csv(path, "dx_over_lambda,F",
                (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(dx, f_values)))
@@ -257,10 +266,9 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _density_rows(dg, lam: float):
+def _density_rows(dg, x_strings: list[str]):
     """One block of CSV lines per matrix row, built from the factors as it
-    is written."""
-    x_strings = [_fmt(v) for v in dg.grid.x_values / lam]
+    is written; ``x_strings`` are the grid's formatted x values."""
     for i, xi in enumerate(x_strings):
         row = dg.row(i)
         yield "\n".join(
@@ -283,6 +291,17 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
         raise ConfigurationError(
             f"times {gamma_times} would write {', '.join(repeated)}_*.csv "
             "more than once")
+    x_strings = [_fmt(v) for v in grid.x_values / lam]
+    # A lower bound on the CSV bytes: the x columns exactly, then four commas,
+    # a newline and three values of at least one character each per row.
+    need = len(flags) * len(stems) * (len(DENSITY_HEADER) + 1 + grid.n * (
+        2 * sum(map(len, x_strings)) + 8 * grid.n))
+    free = shutil.disk_usage(out_dir).free
+    if need > free:
+        raise ConfigurationError(
+            f"grid.points = {grid.n} needs at least {need / 2**30:.3g} GiB for "
+            f"{len(flags) * len(stems)} density files, more than the "
+            f"{free / 2**30:.3g} GiB free in {out_dir}")
 
     # Compute everything up front: a validity-gate failure on any requested
     # time must leave the output directory untouched.
@@ -296,9 +315,8 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
         tag = "on" if flag else "off"
         for gt, stem, dg in zip(gamma_times, stems, runs):
             name = f"{stem}_{tag}.csv"
-            _write_csv(os.path.join(out_dir, name),
-                       "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho",
-                       _density_rows(dg, lam))
+            _write_csv(os.path.join(out_dir, name), DENSITY_HEADER,
+                       _density_rows(dg, x_strings))
             length = coherence_length(dg)
             entries.append({
                 "gamma_t": gt,
@@ -332,18 +350,20 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
         raise ConfigurationError(f"modes.n_k = {cfg['modes']['n_k']} needs about "
                                  f"{need / 2**30:.3g} GiB for the amplitudes oracle, more "
                                  f"than the {have / 2**30:.3g} GiB of physical memory")
-    trajectory = integrate_amplitudes(run)
-    norms = trajectory.norms
+    with np.errstate(all="ignore"):  # the decay check below fails a NaN
+        trajectory = integrate_amplitudes(run)
+        norms = trajectory.norms
+        populations = trajectory.sector_populations
+        decay = max_decay_error(trajectory)
+        drift = float(np.abs(norms - norms[0]).max())
     rows = (
         f"{_fmt(t)},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(n)},"
         f"{_fmt(pa)},{_fmt(pb)},{_fmt(pd)}"
         for t, a, n, (pa, pb, pd)
-        in zip(trajectory.times, trajectory.a, norms, trajectory.sector_populations)
+        in zip(trajectory.times, trajectory.a, norms, populations)
     )
     path = os.path.join(out_dir, "oracle_amplitudes.csv")
     _write_csv(path, "t,re_a,im_a,norm,pop_a,pop_b,pop_d", rows)
-    decay = max_decay_error(trajectory)
-    drift = float(np.abs(norms - norms[0]).max())
     print(f"wrote {path}")
     print(f"max |A|^2 decay deviation (within recurrence window): {decay:.3e}")
     print(f"max sector-norm drift: {drift:.3e}")
@@ -356,12 +376,16 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
     scenario = _scenario(cfg, params)
     lam = params.wavelength
     t = (max(cfg["times"]) if cfg["times"] else 5.0) / params.gamma
-    xs = np.linspace(-QUADRATURE_SPAN * lam, QUADRATURE_SPAN * lam,
-                     QUADRATURE_POINTS)
-    psi = np.asarray(psi_free(xs, t, scenario, params), dtype=complex)
-    factorized = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
-        xs[:, None], xs[None, :], params)
-    scale = float(np.abs(factorized).max())
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        xs = np.linspace(-QUADRATURE_SPAN * lam, QUADRATURE_SPAN * lam,
+                         QUADRATURE_POINTS)
+        if not np.isfinite(xs).all():
+            raise ConfigurationError("the quadrature oracle's probe grid |x| <= "
+                                     f"{QUADRATURE_SPAN} lambda leaves the float range")
+        psi = np.asarray(psi_free(xs, t, scenario, params), dtype=complex)
+        factorized = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
+            xs[:, None], xs[None, :], params)
+        scale = float(np.abs(factorized).max())
     if not 0.0 < scale < np.inf:  # also NaN, from model arithmetic out of range
         raise ConfigurationError("the packet has no finite density on the quadrature "
                                  f"oracle's probe grid |x| <= {QUADRATURE_SPAN} lambda")
@@ -390,9 +414,11 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
 def _oracle_rate(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
     grid = _mode_grid(cfg, params)
-    check = ww_rate_check(grid, params)
-    if not np.isfinite(check.rate):  # the float arithmetic under- or overflowed
-        raise ConfigurationError("the mode grid's pole sum is not a finite number")
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        check = ww_rate_check(grid, params)
+    if not np.isfinite(check.rate) or check.expected == 0.0:  # under- or overflow
+        raise ConfigurationError("the mode grid's pole sum or gamma/2 is not a "
+                                 "finite positive number")
     relative = abs(check.rate / check.expected - 1.0)
     path = os.path.join(out_dir, "oracle_rate.csv")
     _write_csv(path, "rate,expected,relative_error,flagged",

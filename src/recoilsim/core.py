@@ -9,10 +9,10 @@ the closed-form emission amplitudes, the brute-force ODE integration, and the
 reduced spatial density matrix -- pulls its constants and mode frequencies
 from here.
 
-Unit conventions default to natural units ``hbar = c = 1`` with the atomic
-transition frequency ``omega0`` setting the inverse-time scale.  The radiated
-wavelength is then ``2*pi/omega0``, and times are naturally reported in units
-of the inverse decay rate ``1/gamma``.
+Units are natural, ``hbar = c = epsilon0 = 1``, fixed as class constants of
+:class:`ModelParams`, with the atomic transition frequency ``omega0`` setting
+the inverse-time scale.  The radiated wavelength is then ``2*pi/omega0``, and
+times are naturally reported in units of the inverse decay rate ``1/gamma``.
 """
 
 from __future__ import annotations
@@ -66,12 +66,14 @@ class ModelParams:
     mu: float            # reduced mass of the atom pair
     gamma: float | None = None   # spontaneous decay rate of one excited atom
     dipole: float | None = None  # transition dipole magnitude, used only to derive gamma
-    hbar: float = 1.0
-    c: float = 1.0
-    epsilon0: float = 1.0
+
+    # Natural units: constants of the class, not fields.
+    hbar = 1.0
+    c = 1.0
+    epsilon0 = 1.0
 
     def __post_init__(self):
-        for name in ("omega0", "mu", "hbar", "c", "epsilon0"):
+        for name in ("omega0", "mu"):
             v = getattr(self, name)
             if not _finite(v) or v <= 0:
                 raise ConfigurationError(f"{name} must be positive and finite, got {v!r}")
@@ -206,8 +208,8 @@ class ModeGrid:
         object.__setattr__(self, "phi_values", phi)
         if k.ndim != 1 or k.size < 2:
             raise ConfigurationError("need at least two wavenumbers")
-        if np.any(k <= 0) or np.any(np.diff(k) <= 0):
-            raise ConfigurationError("k_values must be positive and strictly increasing")
+        if not _finite(k) or np.any(k <= 0) or np.any(np.diff(k) <= 0):
+            raise ConfigurationError("k_values must be finite, positive and strictly increasing")
         if phi.ndim != 1 or phi.size < 1 or np.any(phi < 0) or np.any(phi >= 2 * np.pi):
             raise ConfigurationError("phi_values must lie in [0, 2*pi)")
         if not _finite(self.coupling_ref) or self.coupling_ref < 0:
@@ -286,7 +288,6 @@ class MomentumAmplitude:
 
     p_values: np.ndarray
     c_p: np.ndarray
-    total_momentum: float = 0.0
 
     def __post_init__(self):
         p = _frozen_array(self.p_values)

@@ -334,7 +334,9 @@ def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
 
 def _check_times(times: list[float], emission: bool, params: ModelParams) -> None:
     """The time checks of every density request.  Called directly by the
-    public entry points, so ``stacklevel=3`` points at their caller."""
+    public entry points, so ``stacklevel=3`` points at their caller.  The
+    regime check comes first, so no warning precedes a refusal."""
+    params.require_scenario_regime()
     if min(times) < 0:
         raise ConfigurationError("t must be non-negative")
     for t in times if emission else []:
@@ -349,7 +351,6 @@ def _check_times(times: list[float], emission: bool, params: ModelParams) -> Non
                 f"gamma*t = {gt:.3g} is marginal for the emission-traced "
                 f"density matrix (recommended gamma*t >= {SOFT_TIME_GATE})",
                 ValidityWarning, stacklevel=3)
-    params.require_scenario_regime()
 
 
 def _assemble_density(grid: SpatialGrid, t: float, scenario, emission: bool,

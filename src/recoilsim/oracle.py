@@ -92,8 +92,8 @@ class OdeRun:
         if not (1e-12 <= self.tol <= 1e-6):
             raise ConfigurationError("tol must lie in [1e-12, 1e-6]")
         t0, t1 = self.t_span
-        if t0 != 0.0 or t1 <= 0.0:
-            raise ConfigurationError("t_span must be (0, T) with T > 0")
+        if t0 != 0.0 or not 0.0 < t1 < np.inf:
+            raise ConfigurationError("t_span must be (0, T) with T > 0 finite")
         k0 = self.params.k0
         min_w = MIN_BANDWIDTH_GAMMAS * self.params.gamma / self.params.c
         low = k0 - float(self.grid.k_values[0])
@@ -277,12 +277,10 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     y0[0] = run.c_p
     sol = solve_ivp(lambda t, y: gen @ y, run.t_span, y0, method="DOP853",
                     t_eval=run.times, rtol=run.tol, atol=run.tol * 1e-3)
-    if sol.status == -1:
+    if sol.status == -1:  # solve_ivp's only failing status
         reached = sol.t[-1] if sol.t.size else run.t_span[0]
         raise StiffnessFailure(
             f"integrator step size underflowed near t = {reached:.6g}: {sol.message}")
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
 
     traj = Trajectory(run=run, times=sol.t, y=sol.y.T.copy(), nfev=sol.nfev)
     del sol  # its (dim, n_t) samples: keep only traj's copy through the checks

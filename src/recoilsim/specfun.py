@@ -16,19 +16,9 @@ domain the package uses, and the tests hold them to that.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "BesselEval",
-    "BesselMethod",
-    "bessel_j0",
-    "bessel_j0_eval",
-    "j0_quadrature_oracle",
-    "CROSSOVER",
-]
+__all__ = ["bessel_j0", "j0_quadrature_oracle"]
 
 # Branch crossover |z| for the series vs. asymptotic evaluation.  At 12 the
 # power series still converges cleanly in extended precision and the
@@ -42,19 +32,6 @@ _SERIES_TERMS = 50
 # Hard cap on asymptotic terms; the smallest-term truncation always triggers
 # well before this for |z| >= CROSSOVER.
 _ASYMPT_MAX_TERMS = 30
-
-
-class BesselMethod(enum.Enum):
-    """Which branch produced a value."""
-    POWER_SERIES = "power_series"
-    ASYMPTOTIC = "asymptotic"
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    argument: float
-    value: float
-    method: BesselMethod
 
 
 def _j0_series(z: np.ndarray) -> np.ndarray:
@@ -120,13 +97,6 @@ def bessel_j0(z):
     if (~small).any():
         out[~small] = _j0_asymptotic(z_abs[~small])
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
-
-
-def bessel_j0_eval(z: float) -> BesselEval:
-    """Scalar J0 with provenance: reports which branch evaluated it."""
-    zf = float(z)
-    method = BesselMethod.POWER_SERIES if abs(zf) <= CROSSOVER else BesselMethod.ASYMPTOTIC
-    return BesselEval(argument=zf, value=bessel_j0(zf), method=method)
 
 
 def j0_quadrature_oracle(a, n: int = 256):

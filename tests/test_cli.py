@@ -1,10 +1,15 @@
 """Command-line interface: config handling, files, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,8 +219,59 @@ class TestEvolveCommand:
         assert "i/o error" in capsys.readouterr().err
 
 
+class TestDiskPreflight:
+    """``evolve`` refuses, before computing, CSVs that cannot fit on disk."""
+
+    CONFIG = {"params": {"mu": 800.0}, "times": [5.0],
+              "grid": {"min_over_lambda": -2.0, "max_over_lambda": 2.0, "points": 81}}
+
+    def _free(self, monkeypatch, free):
+        monkeypatch.setattr(cli.shutil, "disk_usage",
+                            lambda path: SimpleNamespace(free=free))
+
+    def test_refused_run_computes_and_writes_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        self._free(monkeypatch, 0)
+        monkeypatch.setattr(cli, "scenario_sweep", None)  # calling it would raise
+        out = tmp_path / "out"
+        assert run_cli(["evolve", "--config", write_config(tmp_path, self.CONFIG)],
+                       out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.points = 81") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+    def test_run_that_fits_still_runs(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert run_cli(["evolve", "--config", cfg], tmp_path / "first") == 0
+        csvs = sorted((tmp_path / "first").glob("*.csv"))
+        assert len(csvs) == 2
+        # The estimate never exceeds the true size: exactly that much room
+        # is enough.
+        self._free(monkeypatch, sum(path.stat().st_size for path in csvs))
+        assert run_cli(["evolve", "--config", cfg], tmp_path / "second") == 0
+        assert all((tmp_path / "second" / path.name).read_bytes() == path.read_bytes()
+                   for path in csvs)
+
+
 class TestRejectedInputs:
     """Inputs that must end in exit 1 with a one-line message and no files."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["oracle", "--which", "quadrature"],
+         {"scenario": {"kind": "single", "width_over_lambda": 0.5,
+                       "center_over_lambda": -1e300}}),
+        (["decoherence-factor"], {"decoherence": {"max_dx_over_lambda": 1e308}}),
+        (["evolve"], {"params": {"gamma": 0.2}, "times": [2], "grid": {"points": 401}}),
+    ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning"])
+    def test_refusal_is_one_stderr_line_from_a_shell(self, tmp_path, argv, payload):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "recoilsim", *argv, "--config",
+             write_config(tmp_path, payload), "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("argv, payload", [
         (["evolve", "--times", "nan"], None),
@@ -232,9 +288,24 @@ class TestRejectedInputs:
         (["oracle", "--which", "quadrature"],
          {"params": {"gamma": 5e-324}, "grid": {"points": 41}}),
         (["oracle", "--which", "rate"], {"params": {"omega0": 1e-300, "gamma": 1e-305}}),
+        # Out of range with a warning, a traceback or a hang before.
+        (["oracle", "--which", "quadrature"], {"params": {"omega0": 6.3e-308}}),
+        (["oracle", "--which", "quadrature"],
+         {"params": {"omega0": 6.3e-308},
+          "scenario": {"kind": "single", "width_over_lambda": 1e-200}}),
+        (["oracle", "--which", "rate"], {"params": {"omega0": 1.7e308, "gamma": 1e300}}),
+        (["oracle", "--which", "amplitudes"],
+         {"params": {"omega0": 1.7e308, "gamma": 1e306}, "modes": {"n_k": 4}}),
+        (["oracle", "--which", "rate"],
+         {"params": {"gamma": 5e-324}, "modes": {"n_k": 4, "bandwidth_gammas": 1.7e308}}),
+        (["oracle", "--which", "amplitudes"],
+         {"params": {"omega0": 6.3e-308, "gamma": 5e-324}, "modes": {"n_k": 4}}),
     ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision",
             "times-flag-negative", "quadrature-packet-off-the-probe-grid",
-            "quadrature-nan-tiny-mu", "quadrature-nan-tiny-gamma", "rate-nan-pole-sum"])
+            "quadrature-nan-tiny-mu", "quadrature-nan-tiny-gamma", "rate-nan-pole-sum",
+            "quadrature-probe-grid-overflow", "quadrature-probe-grid-nan",
+            "rate-coupling-overflow", "amplitudes-wavenumber-overflow",
+            "rate-half-gamma-underflow", "amplitudes-infinite-t-span"])
     def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
         out = tmp_path / "out"
         if payload is not None:
@@ -371,6 +442,64 @@ def test_config_fuzz_ends_in_configuration_error_or_buildable(tmp_path, payload)
         except ConfigurationError:
             continue
         assert np.isfinite(arrays(built)).all()
+
+
+# Caps on the sizes that set a run's cost.  One emission angle means no
+# recoil, so the amplitudes ODE's fastest frequency is the bandwidth and its
+# step count stays bounded whatever the params.
+_SMALL = {"grid": {"points": 41}, "decoherence": {"points": 40},
+          "modes": {"n_k": 8, "n_phi": 1, "bandwidth_gammas": 50.0}}
+
+
+def _small(payload):
+    """``payload`` with each size in ``_SMALL`` set to its cap when absent
+    and held at most at it when a number."""
+    for key, caps in _SMALL.items():
+        section = payload.setdefault(key, {})
+        if isinstance(section, dict):
+            for name, cap in caps.items():
+                value = section.get(name, cap)
+                numeric = type(value) in (int, float) and abs(value) <= sys.float_info.max
+                section[name] = min(value, type(value)(cap)) if numeric else value
+    return payload
+
+
+_FORMS = [["decoherence-factor"], ["evolve"], ["evolve", "--emission", "on"],
+          ["evolve", "--emission", "off"], ["oracle", "--which", "amplitudes"],
+          ["oracle", "--which", "quadrature"], ["oracle", "--which", "rate"]]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(_FORMS), payload=_CONFIGS.map(_small))
+@example(argv=["oracle", "--which", "quadrature"],
+         payload={"scenario": {"kind": "single", "width_over_lambda": 0.5,
+                               "center_over_lambda": -1e300}})
+@example(argv=["decoherence-factor"],
+         payload={"decoherence": {"max_dx_over_lambda": 1e308}})
+@example(argv=["evolve"],
+         payload={"params": {"gamma": 0.2}, "times": [2], "grid": {"points": 401}})
+@example(argv=["oracle", "--which", "amplitudes"],  # the step size overflows
+         payload={"params": {"omega0": 3e-300, "gamma": 6.3e-308}, "modes": {"n_k": 4}})
+def test_main_fuzz_exits_with_a_code_and_one_line(tmp_path, argv, payload):
+    """``main`` returns 0, 1, 2 or 3 and never raises.  A refusal is one
+    stderr line with no warning before it; a success writes no NaN or inf."""
+    run = tmp_path / f"run-{len(list(tmp_path.iterdir()))}"
+    run.mkdir()
+    config = write_config(run, payload)
+    out = run / "out"
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([*argv, "--config", config, "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+        assert not caught, [str(w.message) for w in caught]
+    else:
+        for path in out.iterdir():
+            assert not re.search("nan|inf", path.read_text(), re.I), path.name
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])

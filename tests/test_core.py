@@ -1,9 +1,14 @@
-"""Parameter plumbing: unit closure, frequency formulas, grids."""
+"""Parameter plumbing: unit closure, frequency formulas, grids, and the
+package's public names."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import recoilsim
+from recoilsim import amplitudes, core, density, oracle, specfun
 from recoilsim.core import (
     ConfigurationError,
     ModeGrid,
@@ -38,6 +43,18 @@ class TestModelParams:
         kwargs[field] = value
         with pytest.raises(ConfigurationError):
             ModelParams(**kwargs)
+
+    def test_only_the_physics_are_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelParams)] == [
+            "omega0", "mu", "gamma", "dipole"]
+        assert [f.name for f in dataclasses.fields(MomentumAmplitude)] == [
+            "p_values", "c_p"]
+
+    @pytest.mark.parametrize("unit", ["hbar", "c", "epsilon0"])
+    def test_units_are_fixed_constants(self, unit):
+        assert getattr(UNIT, unit) == 1.0
+        with pytest.raises(TypeError):
+            ModelParams(omega0=1.0, mu=1.0, gamma=0.01, **{unit: 2.0})
 
     def test_dipole_rate_beyond_the_float_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -172,10 +189,11 @@ class TestModeGrid:
             ModeGrid.build(p, n_k=11, bandwidth_gammas=11.0)
 
     def test_unsorted_wavenumbers_rejected(self, params):
-        with pytest.raises(ConfigurationError):
-            ModeGrid(k_values=np.array([1.0, 0.5]),
-                     phi_values=np.array([0.0]),
-                     coupling_ref=0.1, reference_k=1.0)
+        for k in ([1.0, 0.5], [1.0, np.inf], [1.0, np.nan]):
+            with pytest.raises(ConfigurationError):
+                ModeGrid(k_values=np.array(k),
+                         phi_values=np.array([0.0]),
+                         coupling_ref=0.1, reference_k=1.0)
 
     def test_flat_coupling_profile_is_constant(self, params):
         grid = ModeGrid.build(params, n_k=15, bandwidth_gammas=25.0,
@@ -224,3 +242,12 @@ class TestMomentumAmplitude:
         bad[3] += 1e-3
         with pytest.raises(ConfigurationError):
             MomentumAmplitude(p_values=bad, c_p=cp)
+
+
+def test_package_reexports_each_module_api():
+    modules = [core, specfun, amplitudes, density, oracle]
+    assert recoilsim.__all__ == [*(name for m in modules for name in m.__all__),
+                                 "__version__"]
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(recoilsim, name) is getattr(m, name)

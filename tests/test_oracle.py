@@ -50,8 +50,9 @@ class TestRunValidation:
     def test_span_must_start_at_zero(self, params, small_grid):
         with pytest.raises(ConfigurationError):
             OdeRun(params=params, grid=small_grid, t_span=(0.5, 1.0))
-        with pytest.raises(ConfigurationError):
-            OdeRun(params=params, grid=small_grid, t_span=(0.0, 0.0))
+        for end in (0.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError):
+                OdeRun(params=params, grid=small_grid, t_span=(0.0, end))
 
     def test_minimum_bandwidth_enforced(self, params):
         narrow = ModeGrid.build(params, n_k=16, bandwidth_gammas=8.0)

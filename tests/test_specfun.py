@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recoilsim.specfun import (
-    CROSSOVER,
-    BesselEval,
-    BesselMethod,
-    bessel_j0,
-    bessel_j0_eval,
-    j0_quadrature_oracle,
-)
+from recoilsim.specfun import CROSSOVER, bessel_j0, j0_quadrature_oracle
 from recoilsim.specfun import _j0_asymptotic, _j0_series
 
 # Reference values (Abramowitz & Stegun / mpmath, 16 significant digits).
@@ -58,19 +51,10 @@ class TestAgainstQuadratureOracle:
 
 
 class TestBranchStructure:
-    def test_eval_reports_series_below_crossover(self):
-        ev = bessel_j0_eval(3.0)
-        assert ev.method is BesselMethod.POWER_SERIES
-        assert ev.value == bessel_j0(3.0)
-        assert ev.argument == 3.0
-
-    def test_eval_reports_asymptotic_above_crossover(self):
-        ev = bessel_j0_eval(20.0)
-        assert ev.method is BesselMethod.ASYMPTOTIC
-        assert ev.value == bessel_j0(20.0)
-
-    def test_crossover_itself_uses_the_series(self):
-        assert bessel_j0_eval(CROSSOVER).method is BesselMethod.POWER_SERIES
+    def test_series_up_to_the_crossover_asymptotics_above(self):
+        for z in (3.0, CROSSOVER):
+            assert bessel_j0(z) == _j0_series(np.array([z]))[0]
+        assert bessel_j0(20.0) == _j0_asymptotic(np.array([20.0]))[0]
 
     def test_branches_agree_where_they_meet(self):
         # J0'(12) ~ -0.22, so the function itself moves by ~2e-9 across a
