@@ -51,10 +51,16 @@ class TestAgainstQuadratureOracle:
 
 
 class TestBranchStructure:
-    def test_series_up_to_the_crossover_asymptotics_above(self):
-        for z in (3.0, CROSSOVER):
-            assert bessel_j0(z) == _j0_series(np.array([z]))[0]
+    def test_eval_reports_series_below_crossover(self):
+        assert bessel_j0(3.0) == _j0_series(np.array([3.0]))[0]
+        assert bessel_j0(3.0) != _j0_asymptotic(np.array([3.0]))[0]
+
+    def test_eval_reports_asymptotic_above_crossover(self):
         assert bessel_j0(20.0) == _j0_asymptotic(np.array([20.0]))[0]
+        assert bessel_j0(20.0) != _j0_series(np.array([20.0]))[0]
+
+    def test_crossover_itself_uses_the_series(self):
+        assert bessel_j0(CROSSOVER) == _j0_series(np.array([CROSSOVER]))[0]
 
     def test_branches_agree_where_they_meet(self):
         # J0'(12) ~ -0.22, so the function itself moves by ~2e-9 across a
