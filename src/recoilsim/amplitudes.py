@@ -52,20 +52,19 @@ def _check_time(t) -> np.ndarray:
     return t
 
 
-def amplitude_a(p, t, params: ModelParams, c_p=1.0, *, total_momentum: float = 0.0):
+def amplitude_a(p, t, params: ModelParams, c_p=1.0):
     """No-photon amplitude: ``C_p e^{-gamma t} e^{-i alpha t}``.
 
     Pure exponential decay at the full two-atom rate with the free kinetic
     phase on top.  Broadcasts over ``p`` and ``t``.
     """
     t = _check_time(t)
-    alpha = omega_no_photon(p, total_momentum, params) - params.omega0
+    alpha = omega_no_photon(p, params) - params.omega0
     out = c_p * np.exp(-(1j * alpha + params.gamma) * t)
     return complex(out) if out.ndim == 0 else out
 
 
-def amplitude_b(k, phi, p, t, params: ModelParams, c_p=1.0, *,
-                coupling, total_momentum: float = 0.0):
+def amplitude_b(k, phi, p, t, params: ModelParams, c_p=1.0, *, coupling):
     """One-photon amplitude for the mode (k, phi).
 
     Two poles: the decaying source (A's pole, width ``gamma``) and the dressed
@@ -83,8 +82,8 @@ def amplitude_b(k, phi, p, t, params: ModelParams, c_p=1.0, *,
     """
     t = _check_time(t)
     g = params.gamma
-    alpha = omega_no_photon(p, total_momentum, params) - params.omega0
-    beta = omega_one_photon(k, phi, p, total_momentum, params) - params.omega0
+    alpha = omega_no_photon(p, params) - params.omega0
+    beta = omega_one_photon(k, phi, p, params) - params.omega0
     denom = 1j * (alpha - beta) + g / 2.0
     out = -1j * coupling * c_p * (
         np.exp(-(1j * beta + g / 2.0) * t) - np.exp(-(1j * alpha + g) * t)
@@ -111,7 +110,7 @@ def _pole_triple(alpha, beta, delta, gamma, t):
 
 
 def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, c_p=1.0, *,
-                coupling, coupling2, total_momentum: float = 0.0):
+                coupling, coupling2):
     """Two-photon amplitude for the ordered mode pair (k, phi), (k2, phi2).
 
     Six simple-pole terms, grouped as two triples (one per intermediate
@@ -126,10 +125,10 @@ def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, c_p=1.0, *,
     """
     t = _check_time(t)
     g = params.gamma
-    alpha = omega_no_photon(p, total_momentum, params) - params.omega0
-    beta1 = omega_one_photon(k, phi, p, total_momentum, params) - params.omega0
-    beta2 = omega_one_photon(k2, phi2, p, total_momentum, params) - params.omega0
-    delta = omega_two_photon(k, phi, k2, phi2, p, total_momentum, params) - params.omega0
+    alpha = omega_no_photon(p, params) - params.omega0
+    beta1 = omega_one_photon(k, phi, p, params) - params.omega0
+    beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
+    delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
     out = -coupling * coupling2 * c_p * (
         _pole_triple(alpha, beta1, delta, g, t)
         + _pole_triple(alpha, beta2, delta, g, t)
@@ -162,7 +161,7 @@ class TwoPhotonLimit:
 
 
 def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, c_p=1.0, *,
-                         coupling, coupling2, total_momentum: float = 0.0,
+                         coupling, coupling2,
                          neglect_recoil: bool = False) -> TwoPhotonLimit:
     """Two-factor Lorentzian product form of the long-time two-photon amplitude.
 
@@ -172,7 +171,7 @@ def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, c_p=1.0, *,
 
     With ``neglect_recoil`` the exact detunings ``beta - delta`` are replaced
     by their recoil-linearized (Doppler) forms
-    ``omega0 - c k' - (p/(2 mu) - P/M) p_phi' / hbar``; the two forms agree
+    ``omega0 - c k' - p p_phi' / (2 mu hbar)``; the two forms agree
     exactly whenever the recoil kicks vanish (transverse emission).
 
     For emission with nonzero kicks the product form differs from the true
@@ -183,16 +182,16 @@ def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, c_p=1.0, *,
     transverse emission.
     """
     g = params.gamma
-    delta = omega_two_photon(k, phi, k2, phi2, p, total_momentum, params) - params.omega0
+    delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
     if neglect_recoil:
-        doppler = p / (2.0 * params.mu) - total_momentum / params.cap_m
+        doppler = p / (2.0 * params.mu)
         q1 = recoil_momentum(k, phi, params)
         q2 = recoil_momentum(k2, phi2, params)
         det1 = params.omega0 - params.c * np.asarray(k2) - doppler * q2 / params.hbar
         det2 = params.omega0 - params.c * np.asarray(k) - doppler * q1 / params.hbar
     else:
-        beta1 = omega_one_photon(k, phi, p, total_momentum, params) - params.omega0
-        beta2 = omega_one_photon(k2, phi2, p, total_momentum, params) - params.omega0
+        beta1 = omega_one_photon(k, phi, p, params) - params.omega0
+        beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
         det1 = beta1 - delta
         det2 = beta2 - delta
     amp = -coupling * coupling2 * c_p / (
@@ -243,7 +242,6 @@ class AmplitudeState:
 
 
 def closed_form_state(grid: ModeGrid, p, t, params: ModelParams, c_p=1.0, *,
-                      total_momentum: float = 0.0,
                       include_two_photon: bool = True) -> AmplitudeState:
     """Evaluate every closed-form amplitude on a mode grid at one time.
 
@@ -254,16 +252,14 @@ def closed_form_state(grid: ModeGrid, p, t, params: ModelParams, c_p=1.0, *,
     _check_time(t)
     mk, mphi = grid.mode_k, grid.mode_phi
     g = grid.mode_coupling
-    a_val = amplitude_a(p, t, params, c_p, total_momentum=total_momentum)
-    b_vals = amplitude_b(mk, mphi, p, t, params, c_p,
-                         coupling=g, total_momentum=total_momentum)
+    a_val = amplitude_a(p, t, params, c_p)
+    b_vals = amplitude_b(mk, mphi, p, t, params, c_p, coupling=g)
     d_vals = None
     if include_two_photon:
         d_vals = amplitude_d(
             mk[:, None], mphi[:, None], mk[None, :], mphi[None, :],
             p, t, params, c_p,
             coupling=g[:, None], coupling2=g[None, :],
-            total_momentum=total_momentum,
         )
     return AmplitudeState(p=float(np.asarray(p, dtype=float)), t=t,
                           a_val=complex(a_val), b_vals=b_vals, d_vals=d_vals)

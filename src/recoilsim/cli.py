@@ -41,6 +41,7 @@ from .density import (
     scenario_sweep,
 )
 from .oracle import (
+    SAMPLE_COUNT,
     NormDriftFailure,
     OdeRun,
     StiffnessFailure,
@@ -342,14 +343,17 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
 
 def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
-    run = OdeRun(params=params, grid=_mode_grid(cfg, params),
-                 t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
-    need = memory_estimate(run)
+    m = cfg["modes"]
+    # Counted from the config, before the grid exists; a count below the
+    # grid's minimum is left to ModeGrid's own refusal.
+    need = memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigurationError(f"modes.n_k = {cfg['modes']['n_k']} needs about "
+        raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about "
                                  f"{need / 2**30:.3g} GiB for the amplitudes oracle, more "
                                  f"than the {have / 2**30:.3g} GiB of physical memory")
+    run = OdeRun(params=params, grid=_mode_grid(cfg, params),
+                 t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
     with np.errstate(all="ignore"):  # the decay check below fails a NaN
         trajectory = integrate_amplitudes(run)
         norms = trajectory.norms

@@ -17,7 +17,6 @@ times are naturally reported in units of the inverse decay rate ``1/gamma``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "ModeGrid",
     "MomentumAmplitude",
     "decay_rate",
-    "coupling_strength",
     "recoil_momentum",
     "omega_no_photon",
     "omega_one_photon",
@@ -134,30 +132,29 @@ def recoil_momentum(k, phi, params: ModelParams):
     return params.hbar * np.asarray(k) * np.sin(phi)
 
 
-def omega_no_photon(p, total_momentum, params: ModelParams):
+def omega_no_photon(p, params: ModelParams):
     """Frequency of the doubly-excited, zero-photon configuration.
 
-    Kinetic terms for the center of mass (``total_momentum``) and the
-    relative motion (``p``), plus the shared excitation energy ``omega0``.
+    The pair is at rest as a whole, so the kinetic term is the relative
+    motion's (``p``) alone, plus the shared excitation energy ``omega0``.
     """
     p = np.asarray(p, dtype=float)
-    kin = total_momentum**2 / (2.0 * params.cap_m) + p**2 / (2.0 * params.mu)
-    return kin / params.hbar + params.omega0
+    return p**2 / (2.0 * params.mu) / params.hbar + params.omega0
 
 
-def omega_one_photon(k, phi, p, total_momentum, params: ModelParams):
+def omega_one_photon(k, phi, p, params: ModelParams):
     """Frequency of the one-photon configuration (one atom decayed).
 
     The emitted photon carries ``c*k`` and has kicked the center of mass by
     the full recoil and the relative coordinate by half of it.
     """
     q = recoil_momentum(k, phi, params)
-    kin = (total_momentum - q) ** 2 / (2.0 * params.cap_m) \
+    kin = q**2 / (2.0 * params.cap_m) \
         + (np.asarray(p, dtype=float) - q / 2.0) ** 2 / (2.0 * params.mu)
     return kin / params.hbar + params.c * np.asarray(k)
 
 
-def omega_two_photon(k, phi, k2, phi2, p, total_momentum, params: ModelParams):
+def omega_two_photon(k, phi, k2, phi2, p, params: ModelParams):
     """Frequency of the two-photon configuration (both atoms decayed).
 
     The two kicks push the center of mass together but enter the relative
@@ -166,21 +163,9 @@ def omega_two_photon(k, phi, k2, phi2, p, total_momentum, params: ModelParams):
     """
     q1 = recoil_momentum(k, phi, params)
     q2 = recoil_momentum(k2, phi2, params)
-    kin = (total_momentum - q1 - q2) ** 2 / (2.0 * params.cap_m) \
+    kin = (q1 + q2) ** 2 / (2.0 * params.cap_m) \
         + (np.asarray(p, dtype=float) - q1 / 2.0 + q2 / 2.0) ** 2 / (2.0 * params.mu)
     return kin / params.hbar + params.c * (np.asarray(k) + np.asarray(k2)) - params.omega0
-
-
-def coupling_strength(k, coupling_ref: float, params: ModelParams):
-    """Per-mode coupling with the square-root frequency dependence.
-
-    ``coupling_ref`` is the value at the resonant wavenumber; modes away from
-    resonance scale as ``sqrt(k/k0)``.
-    """
-    k = np.asarray(k, dtype=float)
-    if np.any(k <= 0) or not _finite(k):
-        raise ConfigurationError("wavenumbers must be positive")
-    return coupling_ref * np.sqrt(k / params.k0)
 
 
 @dataclass(frozen=True)
@@ -272,10 +257,6 @@ class ModeGrid:
         if self.flat_coupling:
             return np.full(self.n_modes, self.coupling_ref)
         return self.coupling_ref * np.sqrt(self.mode_k / self.reference_k)
-
-    def with_coupling_scaled(self, factor: float) -> "ModeGrid":
-        """Same modes, coupling multiplied by ``factor`` (for scaling studies)."""
-        return dataclasses.replace(self, coupling_ref=self.coupling_ref * factor)
 
 
 @dataclass(frozen=True)

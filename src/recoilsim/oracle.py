@@ -54,6 +54,10 @@ __all__ = [
 
 MIN_BANDWIDTH_GAMMAS = 10.0
 COMPARISON_WINDOW_FRACTION = 0.8
+SAMPLE_COUNT = 51  # sample times of a run that gives none
+# Largest max|frequency| * T, in radians, a run may ask of DOP853: its step
+# count grows in proportion, about 28 right-hand sides per radian.
+MAX_REACH = 1e4
 
 
 class StiffnessFailure(RuntimeError):
@@ -68,25 +72,21 @@ class NormDriftFailure(RuntimeError):
 class OdeRun:
     """Frozen configuration of one brute-force integration.
 
-    ``keep_cross_term`` controls the feedback of the two-photon sector on the
-    one-photon sector.  Physically a photon pair {k, j} can refeed B_k by
-    reabsorbing photon j along two routes: the pair may have been created
-    from B_k itself (emit j, reabsorb j) or from B_j (emit k, reabsorb j,
-    exchanging which photon belongs to which decay).  With the flag on, both
-    routes are kept and the sector norm is conserved exactly.  With it off,
-    the exchange route -- second order in the coupling -- is dropped, which
-    is precisely the approximation the closed forms are built on.
+    The pair is at rest as a whole; ``p`` is its relative momentum.  The
+    two-photon sector holds one amplitude per unordered mode pair {k, j}, so
+    both routes by which the pair refeeds B_k are kept: the pair may have
+    been created from B_k itself (emit j, reabsorb j) or from B_j (emit k,
+    reabsorb j, exchanging which photon belongs to which decay).  The sector
+    norm is then conserved exactly.
     """
 
     params: ModelParams
     grid: ModeGrid
     p: float = 0.0
-    total_momentum: float = 0.0
     c_p: complex = 1.0 + 0.0j
     t_span: tuple[float, float] = (0.0, 1.0)
     sample_times: np.ndarray | None = None
     tol: float = 1e-10
-    keep_cross_term: bool = True
 
     def __post_init__(self):
         if not (1e-12 <= self.tol <= 1e-6):
@@ -110,20 +110,19 @@ class OdeRun:
                 raise ConfigurationError("sample_times must lie within t_span")
             st.setflags(write=False)
             object.__setattr__(self, "sample_times", st)
-        if self.keep_cross_term:
-            q = recoil_momentum(self.grid.mode_k, self.grid.mode_phi, self.params)
-            if self.p != 0.0 and np.ptp(q) != 0.0:
-                raise ConfigurationError(
-                    "the packed symmetric two-photon storage requires the "
-                    "two-photon frequencies to be exchange-symmetric: use "
-                    "p = 0, or a grid whose modes all carry the same recoil "
-                    "kick (e.g. a single angle at phi = 0)")
+        q = recoil_momentum(self.grid.mode_k, self.grid.mode_phi, self.params)
+        if self.p != 0.0 and np.ptp(q) != 0.0:
+            raise ConfigurationError(
+                "the packed symmetric two-photon storage requires the "
+                "two-photon frequencies to be exchange-symmetric: use "
+                "p = 0, or a grid whose modes all carry the same recoil "
+                "kick (e.g. a single angle at phi = 0)")
 
     @property
     def times(self) -> np.ndarray:
         if self.sample_times is not None:
             return self.sample_times
-        return np.linspace(self.t_span[0], self.t_span[1], 51)
+        return np.linspace(self.t_span[0], self.t_span[1], SAMPLE_COUNT)
 
 
 @dataclass(frozen=True)
@@ -131,10 +130,8 @@ class Trajectory:
     """Sampled solution of one :class:`OdeRun`.
 
     ``y`` holds the state [A, B_k, D] once per sample; ``a``, ``b`` and
-    ``d_data`` are views of it.  ``d_data`` is packed upper-triangle for
-    norm-conserving runs, or the ordered (first-emission-labeled) full
-    matrix when the exchange feedback was dropped; :meth:`state_at` expands
-    either into the observable ordered matrix.
+    ``d_data`` are views of it.  ``d_data`` is the packed upper triangle;
+    :meth:`state_at` expands it into the observable symmetric matrix.
     """
 
     run: OdeRun
@@ -175,10 +172,9 @@ class Trajectory:
         return COMPARISON_WINDOW_FRACTION * self.recurrence_time
 
     def state_at(self, i: int) -> AmplitudeState:
-        d = self.d_data[i][_pairs(self.n_modes, self.run.keep_cross_term)[2]]
         return AmplitudeState(p=self.run.p, t=float(self.times[i]),
                               a_val=complex(self.a[i]), b_vals=self.b[i],
-                              d_vals=d if self.run.keep_cross_term else d + d.T)
+                              d_vals=self.d_data[i][_pairs(self.n_modes)[2]])
 
     @cached_property
     def sector_populations(self) -> np.ndarray:
@@ -186,14 +182,9 @@ class Trajectory:
         (computed once, read-only)."""
         pop_a = np.abs(self.a) ** 2
         pop_b = 2.0 * np.add.reduce(np.abs(self.b) ** 2, axis=1)
-        rows, cols, index = _pairs(self.n_modes, self.run.keep_cross_term)
-        if self.run.keep_cross_term:
-            sq = np.abs(self.d_data) ** 2
-            pop_d = 2.0 * np.add.reduce(sq, axis=1) \
-                - np.add.reduce(sq[:, rows == cols], axis=1)
-        else:
-            pop_d = np.array([np.add.reduce(np.abs(e + e.T).ravel() ** 2)
-                              for e in self.d_data[:, index]])
+        rows, cols, _ = _pairs(self.n_modes)
+        sq = np.abs(self.d_data) ** 2
+        pop_d = 2.0 * np.add.reduce(sq, axis=1) - np.add.reduce(sq[:, rows == cols], axis=1)
         pops = np.column_stack([pop_a, pop_b, pop_d])
         pops.setflags(write=False)
         return pops
@@ -203,56 +194,55 @@ class Trajectory:
         return np.add.reduce(self.sector_populations, axis=1)
 
 
-def _pairs(n: int, packed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two-photon storage: modes ``(rows, cols)`` of the stored amplitudes
-    in order (the row-major upper triangle if packed, else all n x n pairs
-    row-major), and the (n, n) map from modes (k, j) to the stored index."""
-    rows, cols = np.triu_indices(n) if packed else np.divmod(np.arange(n * n), n)
-    index = np.empty((n, n), dtype=int)  # ordered: the row-major store wins
+    in order (the row-major upper triangle), and the symmetric (n, n) map
+    from modes (k, j) to the stored index."""
+    rows, cols = np.triu_indices(n)
+    index = np.empty((n, n), dtype=int)
     index[cols, rows] = index[rows, cols] = np.arange(rows.size)
     return rows, cols, index
 
 
-def _state_size(run: OdeRun) -> tuple[int, int]:
-    """``dim`` and generator ``nnz`` of the run's layout, counted, not built."""
-    n, packed = run.grid.n_modes, run.keep_cross_term
-    pairs = n * (n + 1) // 2 if packed else n * n
-    # Pair rows hold D, B_r and B_c, but no B_c on the packed diagonal or ordered.
-    return 1 + n + pairs, (1 + n) + n * (n + 2) + 3 * pairs - (n if packed else pairs)
+def _state_size(n: int) -> tuple[int, int]:
+    """``dim`` and generator ``nnz`` for ``n`` modes, counted, not built."""
+    pairs = n * (n + 1) // 2
+    # Pair rows hold D, B_r and B_c, but no B_c on the diagonal.
+    return 1 + n + pairs, (1 + n) + n * (n + 2) + 3 * pairs - n
 
 
-def memory_estimate(run: OdeRun) -> int:
-    """Bytes :func:`integrate_amplitudes` needs, roughly, found without
-    building anything: the generator's CSR arrays, ~30 state vectors of
-    scipy's DOP853 (stages, interpolant, work) and the stored samples."""
-    dim, nnz = _state_size(run)
+def memory_estimate(n_modes: int, samples: int) -> int:
+    """Bytes :func:`integrate_amplitudes` needs, roughly, for ``n_modes``
+    modes and ``samples`` sample times, found without building anything:
+    the generator's CSR arrays, ~30 state vectors of scipy's DOP853 (stages,
+    interpolant, work) and the stored samples."""
+    dim, nnz = _state_size(n_modes)
     index = 4 if nnz < 2**31 else 8
-    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (30 + run.times.size)
+    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (30 + samples)
 
 
 def amplitude_generator(run: OdeRun) -> sparse.csr_array:
     """The amplitude equations ``y' = L y`` as one CSR matrix ``L``.
 
     ``y`` is [A, B_k, D] in the rotating frame, D packed (row-major upper
-    triangle) or ordered (row-major n x n) per ``run.keep_cross_term``.  Rows
-    are written directly: A couples to A and every B_k; B_k to A, B_k and
-    the n pairs D_kj; pair {r, c} to itself, B_r and, by the exchange route,
-    B_c (merged into B_r on the packed diagonal, absent when ordered).
+    triangle).  Rows are written directly: A couples to A and every B_k; B_k
+    to A, B_k and the n pairs D_kj; pair {r, c} to itself, B_r and, by the
+    exchange route, B_c (merged into B_r on the diagonal).
     """
-    params, grid, packed = run.params, run.grid, run.keep_cross_term
+    params, grid = run.params, run.grid
     n, g, mk, mphi = grid.n_modes, grid.mode_coupling, grid.mode_k, grid.mode_phi
-    alpha = omega_no_photon(run.p, run.total_momentum, params) - params.omega0
-    beta = omega_one_photon(mk, mphi, run.p, run.total_momentum, params) - params.omega0
-    rows, cols, pair = _pairs(n, packed)
+    alpha = omega_no_photon(run.p, params) - params.omega0
+    beta = omega_one_photon(mk, mphi, run.p, params) - params.omega0
+    rows, cols, pair = _pairs(n)
     delta = omega_two_photon(mk[rows], mphi[rows], mk[cols], mphi[cols],
-                             run.p, run.total_momentum, params) - params.omega0
+                             run.p, params) - params.omega0
     off, dim = 1 + n, 1 + n + rows.size
     b_idx = np.column_stack([np.zeros(n, dtype=int), 1 + np.arange(n), off + pair])
     b_val = np.column_stack([g, beta, np.broadcast_to(g, (n, n))])
     d_idx = np.column_stack([1 + rows, 1 + cols, np.arange(off, dim)])
-    d_val = np.column_stack([g[cols] * (1 + (packed & (rows == cols))), g[rows], delta])
+    d_val = np.column_stack([g[cols] * (1 + (rows == cols)), g[rows], delta])
     d_keep = np.ones(d_idx.shape, dtype=bool)
-    d_keep[:, 1] = packed & (rows != cols)
+    d_keep[:, 1] = rows != cols
     indptr = np.concatenate(([0], off + (n + 2) * np.arange(n + 1),
                              off + (n + 2) * n + np.cumsum(d_keep.sum(axis=1))))
     indices = np.concatenate([np.arange(off), b_idx.ravel(), d_idx[d_keep]])
@@ -267,12 +257,21 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
 
     Explicit adaptive Runge-Kutta (8th order, relative tolerance ``run.tol``)
     on the complex state [A, B_k, D-sector] in the rotating frame.  Initial
-    condition A = C_p, everything else zero.  For norm-conserving runs the
-    conserved quantity |A|^2 + 2 sum|B|^2 + sum|D|^2 is monitored and a drift
-    beyond ``10 * tol`` raises :class:`NormDriftFailure`.  Deterministic:
-    each right-hand side is one sparse product, summed in a fixed order.
+    condition A = C_p, everything else zero.  The conserved quantity
+    |A|^2 + 2 sum|B|^2 + sum|D|^2 is monitored and a drift beyond
+    ``10 * tol`` raises :class:`NormDriftFailure`.  Deterministic: each
+    right-hand side is one sparse product, summed in a fixed order.
+
+    A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
+    (or is not a number) raises :class:`ConfigurationError` before any step.
     """
     gen = amplitude_generator(run)
+    reach = float(np.abs(gen.diagonal()).max()) * run.t_span[1]
+    if not reach <= MAX_REACH:
+        raise ConfigurationError(
+            f"the fastest frequency times t_span reaches {reach:.3g} rad, beyond "
+            f"the integrator's {MAX_REACH:g}: shorten the run, narrow the band "
+            "or lessen the recoil")
     y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[0] = run.c_p
     sol = solve_ivp(lambda t, y: gen @ y, run.t_span, y0, method="DOP853",
@@ -284,12 +283,11 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
 
     traj = Trajectory(run=run, times=sol.t, y=sol.y.T.copy(), nfev=sol.nfev)
     del sol  # its (dim, n_t) samples: keep only traj's copy through the checks
-    if run.keep_cross_term:
-        drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
-        if drift > 10.0 * run.tol:
-            raise NormDriftFailure(
-                f"sector norm drifted by {drift:.3e} (allowed {10.0 * run.tol:.3e}); "
-                "tighten tol or shorten the run")
+    drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
+    if drift > 10.0 * run.tol:
+        raise NormDriftFailure(
+            f"sector norm drifted by {drift:.3e} (allowed {10.0 * run.tol:.3e}); "
+            "tighten tol or shorten the run")
     return traj
 
 

@@ -1,6 +1,8 @@
 """Closed-form sector amplitudes: exact identities, golden limits, and a
 brute-force lineshape comparison on a narrow line."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from recoilsim.core import (
     ConfigurationError,
     ModeGrid,
     ModelParams,
-    coupling_strength,
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
@@ -33,9 +34,8 @@ def detuned_pair(params):
     grid = ModeGrid.build(params, n_k=401, bandwidth_gammas=50.0)
     k1 = params.k0 + 2.0 * params.gamma / params.c
     k2 = params.k0 - 2.0 * params.gamma / params.c
-    c1 = float(coupling_strength(k1, grid.coupling_ref, params))
-    c2 = float(coupling_strength(k2, grid.coupling_ref, params))
-    return grid, k1, k2, c1, c2
+    c2, c1 = dataclasses.replace(grid, k_values=[k2, k1]).mode_coupling
+    return grid, k1, k2, float(c1), float(c2)
 
 
 class TestNoPhotonAmplitude:
@@ -48,7 +48,7 @@ class TestNoPhotonAmplitude:
         assert abs(a) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
 
     def test_kinetic_phase_by_substitution(self):
-        # hbar = mu = 1, p = 2, P = 0  ->  alpha = p^2/2 = 2 exactly.
+        # hbar = mu = 1, p = 2  ->  alpha = p^2/2 = 2 exactly.
         unit = ModelParams(omega0=1.0, mu=1.0, gamma=1e-3)
         t = 0.7
         expected = 0.5 * np.exp(-(2.0j + 1e-3) * t)
@@ -138,9 +138,9 @@ class TestPoleTripleIdentity:
         k = params.k0 + 1.5 * params.gamma / params.c
         phi, p, t = 0.9, 0.3, 2.0 / params.gamma
         g = 2e-4
-        alpha = omega_no_photon(p, 0.0, params) - params.omega0
-        beta = omega_one_photon(k, phi, p, 0.0, params) - params.omega0
-        delta = omega_two_photon(k, phi, k, phi, p, 0.0, params) - params.omega0
+        alpha = omega_no_photon(p, params) - params.omega0
+        beta = omega_one_photon(k, phi, p, params) - params.omega0
+        delta = omega_two_photon(k, phi, k, phi, p, params) - params.omega0
         expected = -g * g * 2.0 * _pole_triple(alpha, beta, delta, params.gamma, t)
         got = amplitude_d(k, phi, k, phi, p, t, params, coupling=g, coupling2=g)
         assert got == pytest.approx(expected, rel=1e-14)

@@ -262,13 +262,19 @@ class TestRejectedInputs:
                        "center_over_lambda": -1e300}}),
         (["decoherence-factor"], {"decoherence": {"max_dx_over_lambda": 1e308}}),
         (["evolve"], {"params": {"gamma": 0.2}, "times": [2], "grid": {"points": 401}}),
-    ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning"])
+        # Beyond the ODE's reach: each ran without end.
+        (["oracle", "--which", "amplitudes"],
+         {"params": {"mu": 1e-300}, "modes": {"n_k": 4, "n_phi": 2}}),
+        (["oracle", "--which", "amplitudes"],
+         {"params": {"gamma": 1e-300}, "modes": {"n_k": 4, "bandwidth_gammas": 1e290}}),
+    ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning",
+            "amplitudes-recoil-reach", "amplitudes-band-reach"])
     def test_refusal_is_one_stderr_line_from_a_shell(self, tmp_path, argv, payload):
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "recoilsim", *argv, "--config",
              write_config(tmp_path, payload), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
         assert not any(out.iterdir())
@@ -300,12 +306,15 @@ class TestRejectedInputs:
          {"params": {"gamma": 5e-324}, "modes": {"n_k": 4, "bandwidth_gammas": 1.7e308}}),
         (["oracle", "--which", "amplitudes"],
          {"params": {"omega0": 6.3e-308, "gamma": 5e-324}, "modes": {"n_k": 4}}),
+        # Beyond numpy's array size: a ValueError traceback from np.linspace.
+        (["oracle", "--which", "amplitudes"], {"modes": {"n_k": 10**19}}),
     ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision",
             "times-flag-negative", "quadrature-packet-off-the-probe-grid",
             "quadrature-nan-tiny-mu", "quadrature-nan-tiny-gamma", "rate-nan-pole-sum",
             "quadrature-probe-grid-overflow", "quadrature-probe-grid-nan",
             "rate-coupling-overflow", "amplitudes-wavenumber-overflow",
-            "rate-half-gamma-underflow", "amplitudes-infinite-t-span"])
+            "rate-half-gamma-underflow", "amplitudes-infinite-t-span",
+            "amplitudes-grid-beyond-array-size"])
     def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
         out = tmp_path / "out"
         if payload is not None:
@@ -340,15 +349,33 @@ class TestRejectedInputs:
         assert err.startswith("number out of range") and err.count("\n") == 1
         assert not any(out.iterdir())
 
-    def test_oversized_mode_grid_is_refused_before_allocating(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"modes": {"n_k": 10**6}})
+    def test_oversized_mode_grid_is_refused_before_allocating(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the mode grid was built")
+
+        monkeypatch.setattr(cli.ModeGrid, "build", unbuilt)
+        cfg = write_config(tmp_path, {"modes": {"n_k": 10**12}})
         start = time.perf_counter()
         code = run_cli(["oracle", "--which", "amplitudes", "--config", cfg],
                        tmp_path / "out")
         assert time.perf_counter() - start < 0.5
         assert code == 1
-        assert "modes.n_k" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "modes.n_k" in err and err.count("\n") == 1
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("modes, message", [
+        ({"n_k": 1}, "n_k must be at least 2"),
+        ({"n_k": -10**6, "n_phi": -10**6}, "n_k must be at least 2"),
+        ({"n_k": 10**6, "n_phi": 0}, "n_phi must be at least 1"),
+    ])
+    def test_counts_below_the_minimum_get_the_grid_refusal(self, tmp_path, capsys,
+                                                          modes, message):
+        cfg = write_config(tmp_path, {"modes": modes})
+        assert run_cli(["oracle", "--which", "amplitudes", "--config", cfg],
+                       tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
         # Patched rather than allocated: whether a huge allocation fails at
@@ -444,16 +471,17 @@ def test_config_fuzz_ends_in_configuration_error_or_buildable(tmp_path, payload)
         assert np.isfinite(arrays(built)).all()
 
 
-# Caps on the sizes that set a run's cost.  One emission angle means no
-# recoil, so the amplitudes ODE's fastest frequency is the bandwidth and its
-# step count stays bounded whatever the params.
-_SMALL = {"grid": {"points": 41}, "decoherence": {"points": 40},
-          "modes": {"n_k": 8, "n_phi": 1, "bandwidth_gammas": 50.0}}
+# Caps on the sizes that set a run's cost, the mode count n_k * n_phi among
+# them.  Recoil and bandwidth stay free: the amplitudes ODE refuses a run
+# beyond its reach.
+_MODES = 8
+_SMALL = {"grid": {"points": 41}, "decoherence": {"points": 40}, "modes": {"n_k": _MODES}}
 
 
 def _small(payload):
     """``payload`` with each size in ``_SMALL`` set to its cap when absent
-    and held at most at it when a number."""
+    and held at most at it when a number, and an integer ``n_phi`` held so
+    that ``n_k * n_phi`` is at most ``_MODES``."""
     for key, caps in _SMALL.items():
         section = payload.setdefault(key, {})
         if isinstance(section, dict):
@@ -461,6 +489,9 @@ def _small(payload):
                 value = section.get(name, cap)
                 numeric = type(value) in (int, float) and abs(value) <= sys.float_info.max
                 section[name] = min(value, type(value)(cap)) if numeric else value
+    modes = payload["modes"]
+    if isinstance(modes, dict) and type(modes.get("n_phi")) is type(modes["n_k"]) is int:
+        modes["n_phi"] = min(modes["n_phi"], _MODES // max(modes["n_k"], 1))
     return payload
 
 
@@ -481,6 +512,12 @@ _FORMS = [["decoherence-factor"], ["evolve"], ["evolve", "--emission", "on"],
          payload={"params": {"gamma": 0.2}, "times": [2], "grid": {"points": 401}})
 @example(argv=["oracle", "--which", "amplitudes"],  # the step size overflows
          payload={"params": {"omega0": 3e-300, "gamma": 6.3e-308}, "modes": {"n_k": 4}})
+@example(argv=["oracle", "--which", "amplitudes"],  # recoil within reach
+         payload={"modes": {"n_k": 4, "n_phi": 2}})
+@example(argv=["oracle", "--which", "amplitudes"],  # beyond the ODE's reach
+         payload={"params": {"mu": 1e-300}, "modes": {"n_k": 4, "n_phi": 2}})
+@example(argv=["oracle", "--which", "amplitudes"],
+         payload={"params": {"gamma": 1e-300}, "modes": {"n_k": 4, "bandwidth_gammas": 1e290}})
 def test_main_fuzz_exits_with_a_code_and_one_line(tmp_path, argv, payload):
     """``main`` returns 0, 1, 2 or 3 and never raises.  A refusal is one
     stderr line with no warning before it; a success writes no NaN or inf."""

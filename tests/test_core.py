@@ -14,7 +14,6 @@ from recoilsim.core import (
     ModeGrid,
     ModelParams,
     MomentumAmplitude,
-    coupling_strength,
     decay_rate,
     omega_no_photon,
     omega_one_photon,
@@ -99,8 +98,9 @@ class TestDecayRate:
 
 class TestCoupling:
     def test_square_root_frequency_scaling(self):
-        g1 = coupling_strength(1.0, 0.05, UNIT)
-        g4 = coupling_strength(4.0, 0.05, UNIT)
+        grid = ModeGrid(k_values=np.array([1.0, 4.0]), phi_values=np.array([0.0]),
+                        coupling_ref=0.05, reference_k=UNIT.k0)
+        g1, g4 = grid.mode_coupling
         assert g4 / g1 == pytest.approx(2.0, rel=1e-14)
 
     def test_resonant_value_is_the_stored_reference(self, params):
@@ -110,67 +110,65 @@ class TestCoupling:
             grid.coupling_ref, rel=1e-14)
 
     def test_nonpositive_wavenumber_rejected(self):
-        with pytest.raises(ConfigurationError):
-            coupling_strength(0.0, 0.05, UNIT)
-        with pytest.raises(ConfigurationError):
-            coupling_strength(-1.0, 0.05, UNIT)
+        for k in ([0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ConfigurationError):
+                ModeGrid(k_values=np.array(k), phi_values=np.array([0.0]),
+                         coupling_ref=0.05, reference_k=UNIT.k0)
 
 
 class TestFrequencies:
     """Substitution oracles at hbar = mu = c = 1 (so M = 4)."""
 
     def test_no_photon_at_rest_is_resonance(self):
-        assert omega_no_photon(0.0, 0.0, UNIT) == UNIT.omega0
+        assert omega_no_photon(0.0, UNIT) == UNIT.omega0
 
     def test_no_photon_substitution(self):
-        # P^2/2M + p^2/2mu + omega0 = 0 + 1/2 + 1 = 1.5
-        assert omega_no_photon(1.0, 0.0, UNIT) == pytest.approx(1.5, rel=1e-15)
+        # p^2/2mu + omega0 = 1/2 + 1 = 1.5
+        assert omega_no_photon(1.0, UNIT) == pytest.approx(1.5, rel=1e-15)
 
     def test_no_photon_even_in_relative_momentum(self):
-        assert omega_no_photon(0.7, 0.2, UNIT) == omega_no_photon(-0.7, 0.2, UNIT)
+        assert omega_no_photon(0.7, UNIT) == omega_no_photon(-0.7, UNIT)
 
     def test_one_photon_no_kick_at_zero_angle(self):
         assert recoil_momentum(2.0, 0.0, UNIT) == 0.0
-        assert omega_one_photon(2.0, 0.0, 0.3, 0.1, UNIT) == pytest.approx(
-            0.1**2 / 8.0 + 0.3**2 / 2.0 + 2.0, rel=1e-15)
+        assert omega_one_photon(2.0, 0.0, 0.3, UNIT) == pytest.approx(
+            0.3**2 / 2.0 + 2.0, rel=1e-15)
 
     def test_one_photon_substitution(self):
         # k=1, phi=pi/2: kick = 1; (0-1)^2/8 + (0-1/2)^2/2 + 1 = 1.25
-        assert omega_one_photon(1.0, np.pi / 2.0, 0.0, 0.0, UNIT) == \
+        assert omega_one_photon(1.0, np.pi / 2.0, 0.0, UNIT) == \
             pytest.approx(1.25, rel=1e-15)
 
     def test_one_photon_supplementary_angles_agree(self):
         phi = 0.4
-        assert omega_one_photon(1.3, phi, 0.2, 0.1, UNIT) == pytest.approx(
-            omega_one_photon(1.3, np.pi - phi, 0.2, 0.1, UNIT), rel=1e-15)
+        assert omega_one_photon(1.3, phi, 0.2, UNIT) == pytest.approx(
+            omega_one_photon(1.3, np.pi - phi, 0.2, UNIT), rel=1e-15)
 
     def test_two_photon_no_recoil_is_sum_of_detunings(self):
-        assert omega_two_photon(1.2, 0.0, 1.3, 0.0, 0.0, 0.0, UNIT) == \
+        assert omega_two_photon(1.2, 0.0, 1.3, 0.0, 0.0, UNIT) == \
             pytest.approx(1.2 + 1.3 - 1.0, rel=1e-15)
 
     def test_two_photon_substitution(self):
         # k=k'=1, phi=pi/2, phi'=-pi/2: kicks +1, -1
         # (0-1+1)^2/8 + (0-1/2-1/2)^2/2 + 1+1-1 = 0.5 + 1 = 1.5
         assert omega_two_photon(1.0, np.pi / 2.0, 1.0, -np.pi / 2.0,
-                                0.0, 0.0, UNIT) == pytest.approx(1.5, rel=1e-15)
+                                0.0, UNIT) == pytest.approx(1.5, rel=1e-15)
 
     def test_two_photon_swap_with_momentum_flip_invariant(self):
-        a = omega_two_photon(1.1, 0.3, 0.9, 1.7, 0.25, 0.0, UNIT)
-        b = omega_two_photon(0.9, 1.7, 1.1, 0.3, -0.25, 0.0, UNIT)
+        a = omega_two_photon(1.1, 0.3, 0.9, 1.7, 0.25, UNIT)
+        b = omega_two_photon(0.9, 1.7, 1.1, 0.3, -0.25, UNIT)
         assert a == pytest.approx(b, rel=1e-14)
 
-    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-           st.floats(0.1, 3.0), st.floats(0.0, 6.28))
-    def test_one_photon_matches_explicit_recoil_polynomial(self, p, cap_p, k, phi):
+    @given(st.floats(-2.0, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 6.28))
+    def test_one_photon_matches_explicit_recoil_polynomial(self, p, k, phi):
         q = recoil_momentum(k, phi, UNIT)
-        recoil = (-2.0 * cap_p * q + q**2) / (2.0 * UNIT.cap_m) \
-            + (-p * q + q**2 / 4.0) / (2.0 * UNIT.mu)
-        base = cap_p**2 / (2.0 * UNIT.cap_m) + p**2 / (2.0 * UNIT.mu) + UNIT.c * k
-        assert omega_one_photon(k, phi, p, cap_p, UNIT) == \
+        recoil = q**2 / (2.0 * UNIT.cap_m) + (-p * q + q**2 / 4.0) / (2.0 * UNIT.mu)
+        base = p**2 / (2.0 * UNIT.mu) + UNIT.c * k
+        assert omega_one_photon(k, phi, p, UNIT) == \
             pytest.approx(base + recoil, rel=1e-12, abs=1e-12)
 
     def test_pure_functions_repeat_identically(self):
-        args = (1.3, 0.7, 0.2, 0.1, UNIT)
+        args = (1.3, 0.7, 0.2, UNIT)
         assert omega_one_photon(*args) == omega_one_photon(*args)
 
 
@@ -210,12 +208,6 @@ class TestModeGrid:
         grid = ModeGrid.build(params, n_k=5, bandwidth_gammas=25.0)
         with pytest.raises(ValueError):
             grid.k_values[0] = 0.0
-
-    def test_coupling_scaling_helper(self, params):
-        grid = ModeGrid.build(params, n_k=5, bandwidth_gammas=25.0)
-        half = grid.with_coupling_scaled(0.5)
-        assert half.coupling_ref == 0.5 * grid.coupling_ref
-        assert np.array_equal(half.k_values, grid.k_values)
 
 
 class TestMomentumAmplitude:

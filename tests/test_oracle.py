@@ -2,9 +2,10 @@
 
 The oracles earn their role by being dumb and conservative.  These tests pin
 the properties that make them trustworthy -- conserved norm, determinism,
-correct free limits, golden-rule calibration -- and the documented effect of
-the one modeling switch they expose (the two-photon exchange feedback).
+correct free limits, golden-rule calibration.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestFreeLimit:
     def test_zero_coupling_evolves_as_pure_phase(self, params, small_grid):
         # Kept short: the norm-drift gate allows only 10*tol of integrator
         # accumulation, which a multi-lifetime free run would exceed.
-        free = small_grid.with_coupling_scaled(0.0)
+        free = dataclasses.replace(small_grid, coupling_ref=0.0)
         p = 0.4
         t_final = 0.2 / params.gamma
         run = OdeRun(params=params, grid=free, p=p, t_span=(0.0, t_final),
@@ -165,62 +166,50 @@ def reference_rhs(run, y):
     params, grid = run.params, run.grid
     n, g = grid.n_modes, grid.mode_coupling
     mk, mphi = grid.mode_k, grid.mode_phi
-    p, big_p, w0 = run.p, run.total_momentum, params.omega0
+    p, w0 = run.p, params.omega0
     a, b, d = y[0], y[1:1 + n], y[1 + n:]
-    if run.keep_cross_term:
-        slot, index = {}, 0
-        for r in range(n):
-            for c in range(r, n):
-                slot[r, c] = slot[c, r] = index
-                index += 1
-    else:
-        slot = {(k, j): k * n + j for k in range(n) for j in range(n)}
+    slot, index = {}, 0
+    for r in range(n):
+        for c in range(r, n):
+            slot[r, c] = slot[c, r] = index
+            index += 1
     out = np.zeros_like(y)
-    out[0] = -1j * (omega_no_photon(p, big_p, params) - w0) * a
+    out[0] = -1j * (omega_no_photon(p, params) - w0) * a
     for k in range(n):
         out[0] += -2j * g[k] * b[k]
     for k in range(n):
-        beta = omega_one_photon(mk[k], mphi[k], p, big_p, params) - w0
+        beta = omega_one_photon(mk[k], mphi[k], p, params) - w0
         out[1 + k] = -1j * beta * b[k] - 1j * g[k] * a
         for j in range(n):
             out[1 + k] += -1j * g[j] * d[slot[k, j]]
     for k in range(n):
-        for j in range(n):
-            if run.keep_cross_term and j < k:
-                continue
+        for j in range(k, n):
             m = slot[k, j]
-            delta = omega_two_photon(mk[k], mphi[k], mk[j], mphi[j], p, big_p,
-                                     params) - w0
-            feed = g[j] * b[k]
-            if run.keep_cross_term:
-                feed += g[k] * b[j]     # the exchange route
+            delta = omega_two_photon(mk[k], mphi[k], mk[j], mphi[j], p, params) - w0
+            feed = g[j] * b[k] + g[k] * b[j]     # the second term: the exchange route
             out[1 + n + m] = -1j * delta * d[m] - 1j * feed
     return out
 
 
 class TestAmplitudeGenerator:
-    @pytest.mark.parametrize("n_k, n_phi, p, big_p, packed", [
-        (6, 1, 0.0, 0.0, True),
-        (2, 3, 0.0, 0.05, True),
-        (2, 3, 0.3, 0.0, False),
-        (7, 1, 0.2, 0.05, False),
-        (3, 2, -0.4, 0.0, False),
+    @pytest.mark.parametrize("n_k, n_phi, p", [
+        (6, 1, 0.0),
+        (2, 3, 0.0),
+        (7, 1, 0.2),
+        (3, 1, -0.4),
     ])
-    def test_matches_term_by_term_equations(self, params, n_k, n_phi, p, big_p,
-                                            packed):
+    def test_matches_term_by_term_equations(self, params, n_k, n_phi, p):
         grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=12.0, n_phi=n_phi)
-        run = OdeRun(params=params, grid=grid, p=p, total_momentum=big_p,
-                     t_span=(0.0, 1.0), keep_cross_term=packed)
+        run = OdeRun(params=params, grid=grid, p=p, t_span=(0.0, 1.0))
         gen = amplitude_generator(run)
         n = grid.n_modes
-        pairs = n * (n + 1) // 2 if packed else n * n
+        pairs = n * (n + 1) // 2
         assert gen.shape == (1 + n + pairs,) * 2
-        d_entries = 3 * pairs - n if packed else 2 * pairs
-        assert gen.nnz == (1 + n) + n * (n + 2) + d_entries
+        assert gen.nnz == (1 + n) + n * (n + 2) + 3 * pairs - n
         assert gen.indices.dtype == np.int32
         assert gen.indptr.dtype == np.int32
         # The pre-flight memory estimate counts the same layout unbuilt.
-        assert oracle._state_size(run) == (gen.shape[0], gen.nnz)
+        assert oracle._state_size(n) == (gen.shape[0], gen.nnz)
         rng = np.random.default_rng(7)
         for _ in range(3):
             y = np.array([1.0, 1j]) @ rng.standard_normal((2, 1 + n + pairs))
@@ -232,57 +221,46 @@ class TestMemoryEstimate:
     def test_counts_the_generator_solver_and_samples(self, params, small_grid):
         run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0))
         gen = amplitude_generator(run)
-        dim = gen.shape[0]
+        dim, n = gen.shape[0], small_grid.n_modes
         csr = gen.data.nbytes + gen.indices.nbytes + gen.indptr.nbytes
-        assert oracle.memory_estimate(run) == csr + 16 * dim * (30 + 51)
-        fewer = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0),
-                       sample_times=np.linspace(0.0, 1.0, 11))
-        assert oracle.memory_estimate(run) - oracle.memory_estimate(fewer) \
+        assert run.times.size == oracle.SAMPLE_COUNT == 51
+        assert oracle.memory_estimate(n, 51) == csr + 16 * dim * (30 + 51)
+        assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
             == 16 * dim * 40
 
-    def test_huge_grids_are_counted_without_building(self, params):
-        grid = ModeGrid.build(params, n_k=10**6, bandwidth_gammas=12.0)
-        run = OdeRun(params=params, grid=grid, t_span=(0.0, 1.0))
-        pairs = 10**6 * (10**6 + 1) // 2
-        assert oracle._state_size(run)[0] == 1 + 10**6 + pairs
-        assert oracle.memory_estimate(run) > 16 * 81 * pairs
+    def test_huge_grids_are_counted_without_building(self):
+        for n in (10**6, 10**12):
+            pairs = n * (n + 1) // 2
+            assert oracle._state_size(n)[0] == 1 + n + pairs
+            assert oracle.memory_estimate(n, 51) > 16 * 81 * pairs
 
 
-class TestExchangeFeedback:
-    def test_dropped_route_scales_as_coupling_squared(self, params):
-        """The cross-term switch removes a second-order-in-g feedback path;
-        halving g must shrink the on/off difference fourfold (exponent 2).
-        Four integrations at tight tolerance; runs ~20 s."""
-        grid = ModeGrid.build(params, n_k=48, bandwidth_gammas=12.0)
-        t_final = 4.0 / params.gamma
-        samples = np.linspace(0.0, t_final, 41)
+class TestReach:
+    """DOP853's step count follows the fastest frequency times T, so a run
+    beyond ``MAX_REACH`` radians is refused before the first step."""
 
-        def b_difference(scale):
-            g = grid.with_coupling_scaled(scale)
-            kw = dict(params=params, grid=g, t_span=(0.0, t_final),
-                      sample_times=samples, tol=1e-11)
-            on = integrate_amplitudes(OdeRun(keep_cross_term=True, **kw))
-            off = integrate_amplitudes(OdeRun(keep_cross_term=False, **kw))
-            return (np.linalg.norm((on.b - off.b).ravel())
-                    / np.linalg.norm(on.b.ravel()))
+    @pytest.fixture
+    def no_steps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp reached")
+        monkeypatch.setattr(oracle, "solve_ivp", refuse)
 
-        d_full = b_difference(1.0)
-        d_half = b_difference(0.5)
-        exponent = np.log(d_full / d_half) / np.log(2.0)
-        assert exponent == pytest.approx(2.0, abs=0.3)
+    def test_bound_is_on_the_fastest_frequency_times_t(self, params, small_grid,
+                                                       no_steps):
+        fastest = np.abs(amplitude_generator(
+            OdeRun(params=params, grid=small_grid)).diagonal()).max()
+        t_edge = oracle.MAX_REACH / fastest
+        with pytest.raises(AssertionError, match="solve_ivp reached"):
+            integrate_amplitudes(OdeRun(params=params, grid=small_grid,
+                                        t_span=(0.0, 0.999 * t_edge)))
+        with pytest.raises(ConfigurationError, match="rad"):
+            integrate_amplitudes(OdeRun(params=params, grid=small_grid,
+                                        t_span=(0.0, 1.001 * t_edge)))
 
-    def test_ordered_storage_shapes(self, params, small_grid):
-        run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0),
-                     sample_times=np.array([0.0, 1.0]), tol=1e-10,
-                     keep_cross_term=False)
-        traj = integrate_amplitudes(run)
-        n = small_grid.n_modes
-        assert traj.d_data.shape == (2, n * n)
-        state = traj.state_at(1)
-        assert state.d_vals.shape == (n, n)
-        assert np.array_equal(state.d_vals, state.d_vals.T)
-        assert np.allclose(traj.sector_populations[1], state.sector_norms,
-                           rtol=1e-12, atol=0.0)
+    def test_nan_frequency_is_refused(self, params, small_grid, no_steps):
+        run = OdeRun(params=params, grid=small_grid, p=np.nan, t_span=(0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="nan rad"):
+            integrate_amplitudes(run)
 
 
 class TestGoldenRuleRate:
@@ -317,7 +295,7 @@ class TestGoldenRuleRate:
 
     def test_zero_coupling_rate_is_zero_and_flagged(self, params):
         grid = ModeGrid.build(params, n_k=101, bandwidth_gammas=25.0)
-        check = ww_rate_check(grid.with_coupling_scaled(0.0), params)
+        check = ww_rate_check(dataclasses.replace(grid, coupling_ref=0.0), params)
         assert check.rate == 0.0
         assert check.flagged
 
