@@ -349,9 +349,13 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     need = memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about "
-                                 f"{need / 2**30:.3g} GiB for the amplitudes oracle, more "
-                                 f"than the {have / 2**30:.3g} GiB of physical memory")
+        # Decimal, not float: the exact count can pass the float range.  Imported
+        # here, as it is needed only to refuse.
+        from decimal import Decimal
+        gib = Decimal(need) / 2**30
+        raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about {gib:.3g} GiB for "
+                                 "the amplitudes oracle, more than the "
+                                 f"{have / 2**30:.3g} GiB of physical memory")
     run = OdeRun(params=params, grid=_mode_grid(cfg, params),
                  t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
     with np.errstate(all="ignore"):  # the decay check below fails a NaN

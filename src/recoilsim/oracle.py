@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .core import (
     ConfigurationError,
@@ -37,6 +35,9 @@ from .core import (
 )
 from .amplitudes import AmplitudeState
 from .density import psi_free
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "NormDriftFailure",
@@ -248,8 +249,16 @@ def amplitude_generator(run: OdeRun) -> sparse.csr_array:
     indices = np.concatenate([np.arange(off), b_idx.ravel(), d_idx[d_keep]])
     data = -1j * np.concatenate([[alpha], 2.0 * g, b_val.ravel(), d_val[d_keep]])
     itype = np.int32 if indptr[-1] < 2**31 else np.int64
+    from scipy import sparse  # here, not at the top: only this oracle needs scipy
     return sparse.csr_array((data, indices.astype(itype), indptr.astype(itype)),
                             shape=(dim, dim))
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call so that
+    importing this module does not load scipy."""
+    from scipy import integrate
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def integrate_amplitudes(run: OdeRun) -> Trajectory:

@@ -13,6 +13,7 @@ import pytest
 
 from recoilsim.cli import main
 from recoilsim.core import ModelParams, ModeGrid
+from recoilsim.density import ValidityWarning
 from recoilsim.oracle import OdeRun, integrate_amplitudes
 
 
@@ -55,13 +56,17 @@ def default_evolve_runs(tmp_path_factory):
     """The default-config evolve subcommand, run twice into separate dirs.
 
     Used by the CLI file-census tests and by acceptance criterion 7
-    (byte-reproducibility) without paying for extra runs.
+    (byte-reproducibility) without paying for extra runs.  The default times
+    gamma*t = 2 and 3 are marginal by design: each run must warn of both.
     """
-    first = tmp_path_factory.mktemp("evolve-default-1")
-    second = tmp_path_factory.mktemp("evolve-default-2")
-    assert run_cli(["evolve"], first) == 0
-    assert run_cli(["evolve"], second) == 0
-    return first, second
+    runs = tuple(tmp_path_factory.mktemp(f"evolve-default-{i}") for i in (1, 2))
+    for out in runs:
+        with pytest.warns(ValidityWarning) as record:
+            assert run_cli(["evolve"], out) == 0
+        messages = [str(w.message) for w in record]
+        for gt in (2, 3):
+            assert any(m.startswith(f"gamma*t = {gt} is marginal") for m in messages)
+    return runs
 
 
 @pytest.fixture(scope="session")

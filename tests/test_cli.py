@@ -355,15 +355,17 @@ class TestRejectedInputs:
             raise AssertionError("the mode grid was built")
 
         monkeypatch.setattr(cli.ModeGrid, "build", unbuilt)
-        cfg = write_config(tmp_path, {"modes": {"n_k": 10**12}})
-        start = time.perf_counter()
-        code = run_cli(["oracle", "--which", "amplitudes", "--config", cfg],
-                       tmp_path / "out")
-        assert time.perf_counter() - start < 0.5
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "modes.n_k" in err and err.count("\n") == 1
-        assert not any((tmp_path / "out").iterdir())
+        # 10**160 modes need more GiB than a float holds.
+        for n_k in (10**12, 10**160):
+            cfg = write_config(tmp_path, {"modes": {"n_k": n_k}})
+            start = time.perf_counter()
+            code = run_cli(["oracle", "--which", "amplitudes", "--config", cfg],
+                           tmp_path / "out")
+            assert time.perf_counter() - start < 0.5
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: modes.n_k") and err.count("\n") == 1
+            assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("modes, message", [
         ({"n_k": 1}, "n_k must be at least 2"),
@@ -631,3 +633,22 @@ class TestEntryPoint:
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_scipy_loads_only_for_the_amplitudes_oracle(self, tmp_path):
+        # scipy is most of the package's import time, and only the ODE needs it.
+        script = "\n".join([
+            "import json, sys",
+            "import recoilsim, recoilsim.cli",
+            "def scipy_modules():",
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            "seen = {'import': scipy_modules()}",
+            "for argv in (['decoherence-factor'], ['oracle', '--which', 'rate']):",
+            "    code = recoilsim.cli.main([*argv, '--out', sys.argv[1]])",
+            "    seen[' '.join(argv)] = [code, scipy_modules()]",
+            "print(json.dumps(seen))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import": [], "decoherence-factor": [0, []], "oracle --which rate": [0, []]}
