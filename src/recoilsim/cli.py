@@ -269,12 +269,23 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
 
 def _density_rows(dg, x_strings: list[str]):
     """One block of CSV lines per matrix row, built from the factors as it
-    is written; ``x_strings`` are the grid's formatted x values."""
+    is written; ``x_strings`` are the grid's formatted x values.
+
+    Each block is one ``%`` of a per-file template with the x columns baked
+    in; ``%.17g`` is ``_fmt``'s format.  ``abs`` is Python's, on the values
+    of ``tolist()``: the vectorized ``np.abs`` can differ in the last bit.
+    """
+    tails = [f",{xj},%.17g,%.17g,%.17g" for xj in x_strings]
     for i, xi in enumerate(x_strings):
-        row = dg.row(i)
-        yield "\n".join(
-            f"{xi},{xj},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
-            for xj, v in zip(x_strings, row))
+        template = xi + ("\n" + xi).join(tails)
+        yield template % tuple([part for v in dg.row(i).tolist()
+                                for part in (v.real, v.imag, abs(v))])
+
+
+def _write_density(job) -> None:
+    """Write one density CSV; ``job`` is ``(path, dg, x_strings)``."""
+    path, dg, x_strings = job
+    _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings))
 
 
 def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
@@ -311,13 +322,12 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
                                     flag, grid, params))
               for flag in flags]
 
-    entries = []
+    jobs, entries = [], []
     for flag, runs in sweeps:
         tag = "on" if flag else "off"
         for gt, stem, dg in zip(gamma_times, stems, runs):
             name = f"{stem}_{tag}.csv"
-            _write_csv(os.path.join(out_dir, name), DENSITY_HEADER,
-                       _density_rows(dg, x_strings))
+            jobs.append((os.path.join(out_dir, name), dg, x_strings))
             length = coherence_length(dg)
             entries.append({
                 "gamma_t": gt,
@@ -330,6 +340,26 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
                 "coherence_crossed": length.crossed,
                 "diag_width_over_lambda": dg.diag_width() / lam,
             })
+
+    # Formatting bounds the run, so each file gets its own process, up to
+    # the CPUs this process may use.  Forked workers inherit the loaded
+    # modules, where spawned ones would import numpy again (about 0.2 s
+    # each); the sweep's threads have ended by now.  Imported here, the
+    # pool costs the other subcommands nothing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        for future in [pool.submit(_write_density, job) for job in jobs]:
+            future.result()
+    except BrokenProcessPool:
+        raise OSError("a density writer process ended without finishing "
+                      "its file") from None
+    finally:
+        # After a failure, the writes no worker has taken yet never start.
+        pool.shutdown(cancel_futures=True)
 
     summary = {
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import run_cli
 from recoilsim import cli
 from recoilsim.cli import DEFAULTS, load_config, main
-from recoilsim.core import ConfigurationError
+from recoilsim.core import ConfigurationError, ModelParams
+from recoilsim.density import (DensityGrid, Scenario, SpatialGrid, ValidityWarning,
+                               scenario_sweep)
 from recoilsim.specfun import bessel_j0
 
 EVOLVE_HEADER = "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho"
@@ -251,6 +253,90 @@ class TestDiskPreflight:
         assert run_cli(["evolve", "--config", cfg], tmp_path / "second") == 0
         assert all((tmp_path / "second" / path.name).read_bytes() == path.read_bytes()
                    for path in csvs)
+
+
+def _reference_rows(dg, x_strings):
+    """The density CSV lines formatted one value at a time."""
+    for i, xi in enumerate(x_strings):
+        yield "\n".join(
+            f"{xi},{xj},{format(float(v.real), '.17g')},"
+            f"{format(float(v.imag), '.17g')},{format(float(abs(v)), '.17g')}"
+            for xj, v in zip(x_strings, dg.row(i)))
+
+
+def _writer_dies(_job):
+    os._exit(1)
+
+
+class TestDensityWriter:
+    """``evolve``'s CSV bytes, whatever the template and the worker count."""
+
+    PARAMS = ModelParams(omega0=1.0, mu=800.0, gamma=0.01)
+    GRID = SpatialGrid.linspace(-2.0 * PARAMS.wavelength, 2.0 * PARAMS.wavelength, 81)
+    X_STRINGS = [format(float(x), ".17g") for x in GRID.x_values / PARAMS.wavelength]
+
+    def _assert_matches_reference(self, dg):
+        rows = list(cli._density_rows(dg, self.X_STRINGS))
+        assert rows == list(_reference_rows(dg, self.X_STRINGS))
+        return "\n".join(rows)
+
+    @pytest.mark.parametrize("emission", [True, False])
+    @pytest.mark.parametrize("scenario", [
+        Scenario.single(width=PARAMS.wavelength / 2),
+        Scenario.superposition(center_offset=PARAMS.wavelength,
+                               width=PARAMS.wavelength / 2)])
+    def test_rows_match_per_value_formatting(self, scenario, emission):
+        times = [0.0, 5.0 / self.PARAMS.gamma]
+        if emission:
+            times = times[1:]  # the emission gate refuses t = 0
+        for dg in scenario_sweep(scenario, times, emission, self.GRID, self.PARAMS):
+            if not emission:
+                assert (dg.factor == 1.0).all()
+            self._assert_matches_reference(dg)
+
+    def test_real_diagonal_and_mirrored_negative_zeros(self):
+        psi = np.linspace(-1.0, 2.0, self.GRID.n).astype(complex)
+        dg = DensityGrid(grid=self.GRID, psi=psi, factor=np.ones(self.GRID.n),
+                         t=0.0, emission=False, norm_factor=0.5, params=self.PARAMS)
+        text = self._assert_matches_reference(dg)
+        n = self.GRID.n
+        imag = [line.split(",")[3] for line in text.split("\n")]
+        # A real psi: every imaginary part is a zero, +0 on the diagonal and
+        # -0 where a negative product is conjugated into the lower triangle.
+        assert all(imag[i * n + i] == "0" for i in range(n))
+        assert "-0" in {imag[i * n + j] for i in range(n) for j in range(i)}
+
+    def test_one_writer_and_the_default_pool_write_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {**TestDiskPreflight.CONFIG,
+                                      "times": [2.0, 3.0, 5.0]})
+        with pytest.warns(ValidityWarning):  # gamma*t = 2 and 3 are marginal
+            assert run_cli(["evolve", "--config", cfg], tmp_path / "pool") == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+        with pytest.warns(ValidityWarning):
+            assert run_cli(["evolve", "--config", cfg], tmp_path / "one") == 0
+        csvs = sorted(path.name for path in (tmp_path / "pool").glob("*.csv"))
+        assert len(csvs) == 6
+        assert all((tmp_path / "one" / name).read_bytes()
+                   == (tmp_path / "pool" / name).read_bytes() for name in csvs)
+
+    def test_a_writer_that_dies_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_write_density", _writer_dies)
+        cfg = write_config(tmp_path, TestDiskPreflight.CONFIG)
+        out = tmp_path / "out"
+        assert run_cli(["evolve", "--config", cfg], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not (out / "evolve_summary.json").exists()
+
+    def test_a_failed_write_exits_one_without_a_summary(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TestDiskPreflight.CONFIG)
+        out = tmp_path / "out"
+        (out / "density_gt5_on.csv").mkdir(parents=True)
+        assert run_cli(["evolve", "--config", cfg], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not (out / "evolve_summary.json").exists()
 
 
 class TestRejectedInputs:
