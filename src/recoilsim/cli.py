@@ -20,6 +20,7 @@ Exit codes: 0 success; 1 configuration or I/O error; 2 model-validity gate;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import itertools
 import json
@@ -39,6 +40,7 @@ from .density import (
     decoherence_factor,
     psi_free,
     scenario_sweep,
+    worker_count,
 )
 from .oracle import (
     SAMPLE_COUNT,
@@ -216,13 +218,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the strings in ``chunks`` to ``path``, each as it comes, via a
-    same-directory temp file + rename."""
-    directory = os.path.dirname(path) or "."
+def _new_temp(directory: str) -> str:
+    """Create an empty temp file in ``directory`` and return its name."""
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-recoilsim-")
+    os.close(fd)
+    return tmp
+
+
+def _atomic_write(path: str, chunks, tmp: str | None = None) -> None:
+    """Write the strings in ``chunks`` to ``path``, each as it comes, via a
+    same-directory temp file + rename: ``tmp``, from ``_new_temp``, if given."""
+    if tmp is None:
+        tmp = _new_temp(os.path.dirname(path) or ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         # mkstemp creates the file 0600; give it the mode open() would have.
@@ -231,17 +240,15 @@ def _atomic_write(path: str, chunks) -> None:
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, rows, tmp: str | None = None) -> None:
     """Write ``header`` and then each item of ``rows`` (one CSV line, or a
     block of lines), each ending in a newline."""
-    _atomic_write(path, (text + "\n" for text in itertools.chain([header], rows)))
+    _atomic_write(path, (text + "\n" for text in itertools.chain([header], rows)), tmp)
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +290,9 @@ def _density_rows(dg, x_strings: list[str]):
 
 
 def _write_density(job) -> None:
-    """Write one density CSV; ``job`` is ``(path, dg, x_strings)``."""
-    path, dg, x_strings = job
-    _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings))
+    """Write one density CSV; ``job`` is ``(tmp, path, dg, x_strings)``."""
+    tmp, path, dg, x_strings = job
+    _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings), tmp)
 
 
 def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
@@ -341,25 +348,33 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
                 "diag_width_over_lambda": dg.diag_width() / lam,
             })
 
-    # Formatting bounds the run, so each file gets its own process, up to
-    # the CPUs this process may use.  Forked workers inherit the loaded
-    # modules, where spawned ones would import numpy again (about 0.2 s
-    # each); the sweep's threads have ended by now.  Imported here, the
-    # pool costs the other subcommands nothing.
+    # Formatting bounds the run, so each file gets its own process, as
+    # worker_count allows.  Forked workers inherit the loaded modules, where
+    # spawned ones would import numpy again (about 0.2 s each); the sweep's
+    # threads have ended by now.  Imported here, the pool costs the other
+    # subcommands nothing.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(worker_count(len(jobs)), multiprocessing.get_context("fork"))
+    temps = []  # named here, as a writer that dies cannot remove its own
     try:
-        for future in [pool.submit(_write_density, job) for job in jobs]:
+        for job in jobs:
+            temps.append(_new_temp(out_dir))
+        for future in [pool.submit(_write_density, (tmp, *job))
+                       for tmp, job in zip(temps, jobs)]:
             future.result()
+        temps.clear()  # every one renamed
     except BrokenProcessPool:
         raise OSError("a density writer process ended without finishing "
                       "its file") from None
     finally:
-        # After a failure, the writes no worker has taken yet never start.
+        # After a failure, the writes no worker has taken yet never start,
+        # and once the running ones have ended no temp file is left.
         pool.shutdown(cancel_futures=True)
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
     summary = {
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -49,20 +49,13 @@ SOFT_TIME_GATE = 5.0   # gamma*t below this: warning
 
 
 def worker_count(n_jobs: int) -> int:
-    """Number of worker threads for ``n_jobs`` independent evaluations.
-
-    Bounded by the SIM_THREADS environment variable when set (values below 1
-    are treated as 1), otherwise by the CPU count.
-    """
-    limit = os.cpu_count() or 1
-    env = os.environ.get("SIM_THREADS")
-    if env is not None:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise ConfigurationError(f"SIM_THREADS must be an integer, got {env!r}")
-        limit = max(limit, 1)
-    return max(1, min(n_jobs, limit))
+    """Workers for ``n_jobs`` independent jobs: one per job, up to the CPUs
+    this process may run on, and never fewer than one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # not every platform can restrict a process to some CPUs
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_jobs, cpus))
 
 
 class ModelValidityError(ValueError):
@@ -337,8 +330,8 @@ def _check_times(times: list[float], emission: bool, params: ModelParams) -> Non
     public entry points, so ``stacklevel=3`` points at their caller.  The
     regime check comes first, so no warning precedes a refusal."""
     params.require_scenario_regime()
-    if min(times) < 0:
-        raise ConfigurationError("t must be non-negative")
+    if not all(0.0 <= t < np.inf for t in times):  # false for NaN too
+        raise ConfigurationError("t must be finite and non-negative")
     for t in times if emission else []:
         gt = params.gamma * t
         if gt < HARD_TIME_GATE:
@@ -442,8 +435,6 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
             f"grid extent {grid.extent:.4g} is below 6x the largest packet "
             f"spread {needed:.4g} at the final time")
     _check_times(times, emission, params)
-    if len(times) == 1:
-        return [_assemble_density(grid, times[0], scenario, emission, params)]
     # All inputs are immutable and every run is independent, so the sweep can
     # fan out over times (gates above already ran, in this thread, for all of
     # them); results come back in time order regardless.

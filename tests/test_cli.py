@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -268,6 +269,19 @@ def _writer_dies(_job):
     os._exit(1)
 
 
+_DENSITY_ROWS = cli._density_rows
+
+
+def _dies_mid_file(dg, x_strings):
+    """The density rows, but the gamma*t = 5 emission-on writer ends its
+    process after five of them."""
+    rows = _DENSITY_ROWS(dg, x_strings)
+    if dg.emission and dg.t == 5.0 / DEFAULTS["params"]["gamma"]:
+        yield from itertools.islice(rows, 5)
+        os._exit(1)
+    yield from rows
+
+
 class TestDensityWriter:
     """``evolve``'s CSV bytes, whatever the template and the worker count."""
 
@@ -328,6 +342,20 @@ class TestDensityWriter:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert not (out / "evolve_summary.json").exists()
+
+    def test_a_writer_that_dies_mid_file_leaves_no_temp_file(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_density_rows", _dies_mid_file)
+        cfg = write_config(tmp_path, {**TestDiskPreflight.CONFIG, "times": [5.0, 6.0]})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".tmp-recoilsim-other").write_text("another run's\n")
+        assert run_cli(["evolve", "--config", cfg], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert [path.name for path in out.glob(".tmp-recoilsim-*")] == [
+            ".tmp-recoilsim-other"]
+        assert (out / ".tmp-recoilsim-other").read_text() == "another run's\n"
 
     def test_a_failed_write_exits_one_without_a_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TestDiskPreflight.CONFIG)

@@ -1,5 +1,7 @@
 """Wave packets, the decoherence factor, density assembly, and sweeps."""
 
+import itertools
+import os
 import tracemalloc
 import warnings
 
@@ -294,8 +296,12 @@ class TestReducedDensity:
             reduced_density(grid, 0.5 / params.gamma, sc, True, params)
         with pytest.warns(ValidityWarning):
             reduced_density(grid, 2.0 / params.gamma, sc, True, params)
-        with pytest.raises(ConfigurationError):
-            reduced_density(grid, -1.0, sc, False, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any warning
+            for t, emission in itertools.product((-1.0, np.nan, np.inf),
+                                                 (True, False)):
+                with pytest.raises(ConfigurationError):
+                    reduced_density(grid, t, sc, emission, params)
 
     def test_no_gates_without_emission(self, params, grid):
         sc = Scenario.single(width=params.wavelength / 2.0)
@@ -465,6 +471,13 @@ class TestScenarioSweep:
             scenario_sweep(sc, [0.5 / g, 5.0 / g], True, sweep_grid, params)
         with pytest.raises(ConfigurationError):
             scenario_sweep(sc, [-1.0, 5.0 / g], False, sweep_grid, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any warning
+            for bad, emission in itertools.product(
+                    ([np.nan], [5.0 / g, np.nan], [np.inf], [5.0 / g, np.inf]),
+                    (True, False)):
+                with pytest.raises(ConfigurationError):
+                    scenario_sweep(sc, bad, emission, sweep_grid, params)
 
     def test_marginal_times_warn_deterministically(self, sc, sweep_grid, params):
         g = params.gamma
@@ -497,32 +510,33 @@ class TestScenarioSweep:
             self, sc, sweep_grid, params, monkeypatch):
         g = params.gamma
         times = [5.0 / g, 7.0 / g, 9.0 / g]
-        monkeypatch.setenv("SIM_THREADS", "1")
-        serial = scenario_sweep(sc, times, True, sweep_grid, params)
-        monkeypatch.setenv("SIM_THREADS", "4")
         threaded = scenario_sweep(sc, times, True, sweep_grid, params)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+        serial = scenario_sweep(sc, times, True, sweep_grid, params)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.rho, b.rho)
 
+    def test_one_time_equals_reduced_density(self, sc, sweep_grid, params):
+        t = 5.0 / params.gamma
+        [swept] = scenario_sweep(sc, [t], True, sweep_grid, params)
+        single = reduced_density(sweep_grid, t, sc, True, params)
+        for name in ("psi", "factor"):
+            assert np.array_equal(getattr(swept, name), getattr(single, name))
+        assert (swept.t, swept.norm_factor) == (single.t, single.norm_factor)
+        assert np.array_equal(swept.rho, single.rho)
+
 
 class TestWorkerCount:
-    def test_env_caps_the_pool(self, monkeypatch):
-        monkeypatch.setenv("SIM_THREADS", "3")
-        assert worker_count(8) == 3
-        assert worker_count(2) == 2
+    """One worker per job, up to the CPUs the process may run on."""
 
-    def test_subunit_values_clamp_to_one(self, monkeypatch):
-        monkeypatch.setenv("SIM_THREADS", "0")
-        assert worker_count(8) == 1
-        monkeypatch.setenv("SIM_THREADS", "-4")
-        assert worker_count(8) == 1
+    def test_one_cpu_gives_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+        assert [worker_count(n) for n in (0, 1, 2, 8)] == [1, 1, 1, 1]
 
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("SIM_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            worker_count(4)
+    def test_three_cpus_cap_the_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 2, 5})
+        assert [worker_count(n) for n in (1, 2, 3, 4, 8)] == [1, 2, 3, 3, 3]
 
-    def test_default_is_at_least_one(self, monkeypatch):
-        monkeypatch.delenv("SIM_THREADS", raising=False)
+    def test_default_is_at_least_one(self):
         assert 1 <= worker_count(4) <= 4
         assert worker_count(1) == 1
