@@ -325,13 +325,17 @@ def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     return _assemble_density(grid, t, scenario, emission, params)
 
 
+def _check_finite(times: list[float]) -> None:
+    if not all(0.0 <= t < np.inf for t in times):  # false for NaN too
+        raise ConfigurationError("t must be finite and non-negative")
+
+
 def _check_times(times: list[float], emission: bool, params: ModelParams) -> None:
     """The time checks of every density request.  Called directly by the
     public entry points, so ``stacklevel=3`` points at their caller.  The
     regime check comes first, so no warning precedes a refusal."""
     params.require_scenario_regime()
-    if not all(0.0 <= t < np.inf for t in times):  # false for NaN too
-        raise ConfigurationError("t must be finite and non-negative")
+    _check_finite(times)
     for t in times if emission else []:
         gt = params.gamma * t
         if gt < HARD_TIME_GATE:
@@ -415,9 +419,12 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
     The grid must resolve the Bessel oscillations (spacing <= lambda/20) and
     contain the packets at the final time (extent >= 6x the largest packet
     spread).  All times are gate-checked before any matrix is assembled, so
-    a validity failure produces no partial results.
+    a validity failure produces no partial results.  A time that is not
+    finite and non-negative is refused first, as :func:`reduced_density`
+    refuses it; the gamma*t gates come after the grid's.
     """
     times = [float(t) for t in times]
+    _check_finite(times)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigurationError("times must be strictly ascending")
     if not times:

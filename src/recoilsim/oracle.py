@@ -130,14 +130,16 @@ class OdeRun:
 class Trajectory:
     """Sampled solution of one :class:`OdeRun`.
 
-    ``y`` holds the state [A, B_k, D] once per sample; ``a``, ``b`` and
-    ``d_data`` are views of it.  ``d_data`` is the packed upper triangle;
-    :meth:`state_at` expands it into the observable symmetric matrix.
+    ``y`` holds the state [A, B_k, D] once per sample: it is the solver's
+    own (dim, n_t) sample array seen transposed, never copied, and ``a``,
+    ``b`` and ``d_data`` are views of it.  ``d_data`` is the packed upper
+    triangle; :meth:`state_at` expands it into the observable symmetric
+    matrix.
     """
 
     run: OdeRun
     times: np.ndarray
-    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex
+    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex: sol.y transposed
     nfev: int            # right-hand-side evaluations the integrator made
 
     def __post_init__(self):
@@ -180,13 +182,18 @@ class Trajectory:
     @cached_property
     def sector_populations(self) -> np.ndarray:
         """(n_t, 3) array of (|A|^2, 2 sum|B|^2, sum|D|^2) per sample
-        (computed once, read-only)."""
-        pop_a = np.abs(self.a) ** 2
-        pop_b = 2.0 * np.add.reduce(np.abs(self.b) ** 2, axis=1)
-        rows, cols, _ = _pairs(self.n_modes)
-        sq = np.abs(self.d_data) ** 2
-        pop_d = 2.0 * np.add.reduce(sq, axis=1) - np.add.reduce(sq[:, rows == cols], axis=1)
-        pops = np.column_stack([pop_a, pop_b, pop_d])
+        (computed once, read-only), one sample at a time: |y|^2 of all
+        samples at once would be a second array half the size of ``y``."""
+        n = self.n_modes
+        rows, cols, _ = _pairs(n)
+        # D_kk is stored once but counted twice below.  Its (n_t, n) gather is
+        # small, and numpy sums its rows in sequence, as the pinned CSV expects.
+        diag = np.add.reduce(np.abs(self.d_data[:, rows == cols]) ** 2, axis=1)
+        pops = np.empty((self.times.size, 3))
+        for i, sample in enumerate(self.y):
+            sq = np.abs(sample) ** 2
+            pops[i] = (sq[0], 2.0 * np.add.reduce(sq[1:1 + n]),
+                       2.0 * np.add.reduce(sq[1 + n:]) - diag[i])
         pops.setflags(write=False)
         return pops
 
@@ -213,13 +220,16 @@ def _state_size(n: int) -> tuple[int, int]:
 
 
 def memory_estimate(n_modes: int, samples: int) -> int:
-    """Bytes :func:`integrate_amplitudes` needs, roughly, for ``n_modes``
-    modes and ``samples`` sample times, found without building anything:
-    the generator's CSR arrays, ~30 state vectors of scipy's DOP853 (stages,
-    interpolant, work) and the stored samples."""
+    """Bytes by which :func:`integrate_amplitudes` grows the process at its
+    peak, for ``n_modes`` modes and ``samples`` sample times, counted without
+    building anything.  The peak is where ``solve_ivp`` stacks its samples,
+    so it holds the generator's CSR arrays, the samples twice (the per-step
+    pieces and their ``hstack``) and DOP853's state vectors: 16 stage and 7
+    interpolant rows and its working vectors, 27 live in all, which the
+    temporaries the allocator keeps bring to 38-45 in RSS.  64 are counted."""
     dim, nnz = _state_size(n_modes)
     index = 4 if nnz < 2**31 else 8
-    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (30 + samples)
+    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (64 + 2 * samples)
 
 
 def amplitude_generator(run: OdeRun) -> sparse.csr_array:
@@ -268,8 +278,10 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     on the complex state [A, B_k, D-sector] in the rotating frame.  Initial
     condition A = C_p, everything else zero.  The conserved quantity
     |A|^2 + 2 sum|B|^2 + sum|D|^2 is monitored and a drift beyond
-    ``10 * tol`` raises :class:`NormDriftFailure`.  Deterministic: each
-    right-hand side is one sparse product, summed in a fixed order.
+    ``10 * tol`` raises :class:`NormDriftFailure`.  Reruns are bit-identical
+    at a fixed BLAS thread count: each right-hand side is one sparse product
+    in a fixed order, but DOP853 sums its stages through BLAS, and another
+    thread count may move the last bit.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is not a number) raises :class:`ConfigurationError` before any step.
@@ -290,8 +302,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
         raise StiffnessFailure(
             f"integrator step size underflowed near t = {reached:.6g}: {sol.message}")
 
-    traj = Trajectory(run=run, times=sol.t, y=sol.y.T.copy(), nfev=sol.nfev)
-    del sol  # its (dim, n_t) samples: keep only traj's copy through the checks
+    traj = Trajectory(run=run, times=sol.t, y=sol.y.T, nfev=sol.nfev)
     drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
     if drift > 10.0 * run.tol:
         raise NormDriftFailure(

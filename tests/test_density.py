@@ -479,6 +479,26 @@ class TestScenarioSweep:
                 with pytest.raises(ConfigurationError):
                     scenario_sweep(sc, bad, emission, sweep_grid, params)
 
+    def test_bad_times_are_refused_as_reduced_density_refuses_them(
+            self, sc, sweep_grid, lam, params):
+        # The time check runs before the grid gates, so an infinite time is
+        # not refused as a packet spread the grid cannot hold.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, emission in itertools.product((np.nan, np.inf, -np.inf, -1.0),
+                                                 (True, False)):
+                messages = []
+                for call in (lambda: scenario_sweep(sc, [t], emission, sweep_grid, params),
+                             lambda: reduced_density(sweep_grid, t, sc, emission, params)):
+                    with pytest.raises(ConfigurationError) as refused:
+                        call()
+                    messages.append(str(refused.value))
+                assert messages == ["t must be finite and non-negative"] * 2
+            # A marginal gamma*t still warns only after the grid gates pass.
+            coarse = SpatialGrid.linspace(-8.0 * lam, 8.0 * lam, 81)
+            with pytest.raises(ConfigurationError, match="spacing"):
+                scenario_sweep(sc, [2.0 / params.gamma], True, coarse, params)
+
     def test_marginal_times_warn_deterministically(self, sc, sweep_grid, params):
         g = params.gamma
         with pytest.warns(ValidityWarning):

@@ -6,6 +6,8 @@ correct free limits, golden-rule calibration.
 """
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,17 +117,38 @@ class TestConservationAndDeterminism:
         assert np.array_equal(again.d_data, small_traj.d_data)
         assert again.nfev == small_traj.nfev > 0
 
-    def test_samples_are_stored_once(self, small_traj):
-        # a, b and d_data are read-only views of the one sampled state array,
-        # and the populations are computed on first use only.
-        y = small_traj.y
-        assert y.shape == (small_traj.times.size, 1 + 24 + 24 * 25 // 2)
-        for view in (small_traj.a, small_traj.b, small_traj.d_data):
-            assert view.base is y and not view.flags.writeable
-        assert np.array_equal(small_traj.d_data[:, -1], y[:, -1])
-        pops = small_traj.sector_populations
-        assert small_traj.sector_populations is pops
+    def test_samples_are_stored_once(self, small_traj, monkeypatch):
+        # y is the solver's own sample array, transposed and not copied; a, b
+        # and d_data are read-only views of that memory, and the populations
+        # are computed on first use only.
+        solve, solved = oracle.solve_ivp, []
+
+        def spy(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+        monkeypatch.setattr(oracle, "solve_ivp", spy)
+        traj = integrate_amplitudes(small_traj.run)
+        y = traj.y
+        assert y.shape == (traj.times.size, 1 + 24 + 24 * 25 // 2)
+        assert y.base is solved[0].y and not y.flags.writeable
+        for view in (traj.a, traj.b, traj.d_data):
+            assert view.base is y.base and not view.flags.writeable
+        assert np.array_equal(traj.d_data[:, -1], y[:, -1])
+        pops = traj.sector_populations
+        assert traj.sector_populations is pops
         assert not pops.flags.writeable
+
+    def test_populations_match_the_whole_array_sums(self, small_traj):
+        # Summed one sample at a time, bit for bit as over all samples at once
+        # (the diagonal pairs in sequence, as a fancy index lays them out).
+        n = small_traj.n_modes
+        rows, cols, _ = oracle._pairs(n)
+        sq = np.abs(np.ascontiguousarray(small_traj.y)) ** 2
+        d = sq[:, 1 + n:]
+        expected = np.column_stack([
+            sq[:, 0], 2.0 * np.add.reduce(sq[:, 1:1 + n], axis=1),
+            2.0 * np.add.reduce(d, axis=1) - np.add.reduce(d[:, rows == cols], axis=1)])
+        assert np.array_equal(small_traj.sector_populations, expected)
 
     def test_packed_and_expanded_sector_norms_agree(self, small_traj):
         # sector_populations works on the packed storage; state_at expands to
@@ -224,9 +247,41 @@ class TestMemoryEstimate:
         dim, n = gen.shape[0], small_grid.n_modes
         csr = gen.data.nbytes + gen.indices.nbytes + gen.indptr.nbytes
         assert run.times.size == oracle.SAMPLE_COUNT == 51
-        assert oracle.memory_estimate(n, 51) == csr + 16 * dim * (30 + 51)
+        # 64 solver vectors, and the samples twice: solve_ivp's pieces and
+        # their stack.
+        assert oracle.memory_estimate(n, 51) == csr + 16 * dim * (64 + 2 * 51)
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
-            == 16 * dim * 40
+            == 16 * dim * 2 * 40
+
+    def test_bounds_the_measured_peak(self):
+        # The process's peak-RSS growth over a run, in a fresh interpreter.
+        # The baseline follows the imports and a tiny run, which load the
+        # solver's modules and BLAS's buffers: those do not grow with the grid.
+        # The peak is VmHWM, not ru_maxrss: a child's ru_maxrss keeps its
+        # parent's peak across exec, and this test's parent may be larger.
+        script = "\n".join([
+            "from recoilsim.core import ModelParams, ModeGrid",
+            "from recoilsim.oracle import OdeRun, integrate_amplitudes, memory_estimate",
+            "params = ModelParams(omega0=1.0, mu=10.0, gamma=0.01)",
+            "def run(n_k):",
+            "    grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=50.0)",
+            "    return OdeRun(params=params, grid=grid,",
+            "                  t_span=(0.0, 0.3 / params.gamma), tol=1e-10)",
+            "integrate_amplitudes(run(4)).norms",
+            "big = run(200)",
+            "def peak():",
+            "    with open('/proc/self/status') as status:",
+            "        return 1024 * next(int(line.split()[1]) for line in status",
+            "                           if line.startswith('VmHWM:'))",
+            "base = peak()",
+            "integrate_amplitudes(big).norms",
+            "print(peak() - base, memory_estimate(200, big.times.size))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        growth, estimate = map(int, proc.stdout.split())
+        assert growth <= estimate <= 1.5 * growth
 
     def test_huge_grids_are_counted_without_building(self):
         for n in (10**6, 10**12):
