@@ -46,7 +46,6 @@ from .oracle import (
     SAMPLE_COUNT,
     NormDriftFailure,
     OdeRun,
-    StiffnessFailure,
     density_quadrature,
     integrate_amplitudes,
     max_decay_error,
@@ -386,12 +385,23 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
     return 0
 
 
+def _resident_bytes() -> int:
+    """The process's resident size now (0 where ``/proc`` does not say)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return 0
+
+
 def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
     m = cfg["modes"]
-    # Counted from the config, before the grid exists; a count below the
-    # grid's minimum is left to ModeGrid's own refusal.
-    need = memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
+    # Counted from the config, before the grid exists, on top of what the
+    # process already holds; a count below the grid's minimum is left to
+    # ModeGrid's own refusal.
+    need = (memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
+            + _resident_bytes())
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         # Decimal, not float: the exact count can pass the float range.  Imported
@@ -399,8 +409,8 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
         from decimal import Decimal
         gib = Decimal(need) / 2**30
         raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about {gib:.3g} GiB for "
-                                 "the amplitudes oracle, more than the "
-                                 f"{have / 2**30:.3g} GiB of physical memory")
+                                 "the amplitudes oracle and what the process holds, "
+                                 f"more than the {have / 2**30:.3g} GiB of physical memory")
     run = OdeRun(params=params, grid=_mode_grid(cfg, params),
                  t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
     with np.errstate(all="ignore"):  # the decay check below fails a NaN
@@ -570,7 +580,7 @@ def main(argv=None) -> int:
     except ModelValidityError as exc:
         print(f"validity gate: {exc}", file=sys.stderr)
         return 2
-    except (OracleToleranceError, NormDriftFailure, StiffnessFailure) as exc:
+    except (OracleToleranceError, NormDriftFailure) as exc:
         print(f"oracle tolerance breach: {exc}", file=sys.stderr)
         return 3
 

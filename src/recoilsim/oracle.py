@@ -2,15 +2,15 @@
 
 Two independent routes live here:
 
-* :func:`integrate_amplitudes` -- direct adaptive Runge-Kutta integration of
-  the coupled three-sector amplitude equations on a discrete mode grid, with
-  no Markovian dressing anywhere.  Its trajectories are what the closed
-  forms get compared against.
+* :func:`integrate_amplitudes` -- direct Chebyshev propagation of the
+  coupled three-sector amplitude equations on a discrete mode grid, with no
+  Markovian dressing anywhere.  Its trajectories are what the closed forms
+  get compared against.
 * :func:`density_quadrature` -- direct two-angle quadrature of the traced
   density-matrix integrand before the Bessel-function reduction, used to
   bound the error of the J0^2 factorization.
 
-Both are deliberately dumb: accuracy comes from tolerances and grid
+Both are deliberately dumb: accuracy comes from series length and grid
 resolution, never from reusing the closed-form algebra they are meant to
 check.  A discrete bath refeeds the atoms after the recurrence time
 ``2 pi / (c dk)``; comparisons are only meaningful before ~0.8 of it.
@@ -43,7 +43,6 @@ __all__ = [
     "NormDriftFailure",
     "OdeRun",
     "RateCheck",
-    "StiffnessFailure",
     "Trajectory",
     "amplitude_generator",
     "density_quadrature",
@@ -56,13 +55,9 @@ __all__ = [
 MIN_BANDWIDTH_GAMMAS = 10.0
 COMPARISON_WINDOW_FRACTION = 0.8
 SAMPLE_COUNT = 51  # sample times of a run that gives none
-# Largest max|frequency| * T, in radians, a run may ask of DOP853: its step
-# count grows in proportion, about 28 right-hand sides per radian.
+# Largest max|frequency| * T, in radians, a run may ask of the oracle: its
+# products number about the Gershgorin half-width of iL times T, near that.
 MAX_REACH = 1e4
-
-
-class StiffnessFailure(RuntimeError):
-    """The adaptive integrator underflowed its step size."""
 
 
 class NormDriftFailure(RuntimeError):
@@ -78,7 +73,8 @@ class OdeRun:
     both routes by which the pair refeeds B_k are kept: the pair may have
     been created from B_k itself (emit j, reabsorb j) or from B_j (emit k,
     reabsorb j, exchanging which photon belongs to which decay).  The sector
-    norm is then conserved exactly.
+    norm is then conserved exactly, and ``tol`` bounds its drift at
+    ``10 * tol``.
     """
 
     params: ModelParams
@@ -140,7 +136,7 @@ class Trajectory:
     run: OdeRun
     times: np.ndarray
     y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex: sol.y transposed
-    nfev: int            # right-hand-side evaluations the integrator made
+    nfev: int            # products with the generator the propagator made
 
     def __post_init__(self):
         for name in ("times", "y"):
@@ -222,14 +218,13 @@ def _state_size(n: int) -> tuple[int, int]:
 def memory_estimate(n_modes: int, samples: int) -> int:
     """Bytes by which :func:`integrate_amplitudes` grows the process at its
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
-    building anything.  The peak is where ``solve_ivp`` stacks its samples,
-    so it holds the generator's CSR arrays, the samples twice (the per-step
-    pieces and their ``hstack``) and DOP853's state vectors: 16 stage and 7
-    interpolant rows and its working vectors, 27 live in all, which the
-    temporaries the allocator keeps bring to 38-45 in RSS.  64 are counted."""
+    building anything: the generator's CSR arrays, the propagator's block
+    buffer of 64 terms (``_chebyshev.BLOCK``), 12 vectors for the recurrence
+    and the allocator's slack, and the samples twice (the propagator's own
+    and ``solve_ivp``'s ``hstack``), though the block is freed before that."""
     dim, nnz = _state_size(n_modes)
     index = 4 if nnz < 2**31 else 8
-    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (64 + 2 * samples)
+    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (64 + 2 * samples + 12)
 
 
 def amplitude_generator(run: OdeRun) -> sparse.csr_array:
@@ -271,43 +266,48 @@ def solve_ivp(*args, **kwargs):
     return integrate.solve_ivp(*args, **kwargs)
 
 
-def integrate_amplitudes(run: OdeRun) -> Trajectory:
-    """Integrate the coupled amplitude equations on the discrete grid.
+def _spectrum(gen: sparse.csr_array) -> tuple[float, float]:
+    """Gershgorin interval of the real ``H = iL``: the union of its row discs."""
+    centre = (1j * gen.diagonal()).real
+    radius = abs(gen) @ np.ones(gen.shape[0]) - np.abs(centre)
+    return float((centre - radius).min()), float((centre + radius).max())
 
-    Explicit adaptive Runge-Kutta (8th order, relative tolerance ``run.tol``)
-    on the complex state [A, B_k, D-sector] in the rotating frame.  Initial
-    condition A = C_p, everything else zero.  The conserved quantity
-    |A|^2 + 2 sum|B|^2 + sum|D|^2 is monitored and a drift beyond
-    ``10 * tol`` raises :class:`NormDriftFailure`.  Reruns are bit-identical
-    at a fixed BLAS thread count: each right-hand side is one sparse product
-    in a fixed order, but DOP853 sums its stages through BLAS, and another
-    thread count may move the last bit.
+
+def integrate_amplitudes(run: OdeRun) -> Trajectory:
+    """Propagate the coupled amplitude equations on the discrete grid.
+
+    ``H = iL`` is real, so ``y(t) = exp(-iHt) y0``: one Chebyshev recurrence
+    over the Gershgorin interval of ``H`` gives every sample time
+    (``_chebyshev.Chebyshev``, a ``solve_ivp`` method that sees only the
+    right-hand side and the interval), and ``nfev`` is its product count,
+    fixed before the first product.  Initial condition A = C_p, everything
+    else zero.  A drift of |A|^2 + 2 sum|B|^2 + sum|D|^2 not within
+    ``10 * tol`` (NaN included) raises :class:`NormDriftFailure`.  Reruns
+    are bit-identical at a fixed BLAS thread count: each product is one
+    sparse product in a fixed order, and the terms are summed through BLAS
+    in blocks of a fixed size.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
-    (or is not a number) raises :class:`ConfigurationError` before any step.
+    (or is not a number) raises :class:`ConfigurationError` before any product.
     """
     gen = amplitude_generator(run)
     reach = float(np.abs(gen.diagonal()).max()) * run.t_span[1]
     if not reach <= MAX_REACH:
         raise ConfigurationError(
             f"the fastest frequency times t_span reaches {reach:.3g} rad, beyond "
-            f"the integrator's {MAX_REACH:g}: shorten the run, narrow the band "
+            f"the propagator's {MAX_REACH:g}: shorten the run, narrow the band "
             "or lessen the recoil")
+    from ._chebyshev import Chebyshev  # here, not at the top: it loads scipy
     y0 = np.zeros(gen.shape[0], dtype=complex)
     y0[0] = run.c_p
-    sol = solve_ivp(lambda t, y: gen @ y, run.t_span, y0, method="DOP853",
-                    t_eval=run.times, rtol=run.tol, atol=run.tol * 1e-3)
-    if sol.status == -1:  # solve_ivp's only failing status
-        reached = sol.t[-1] if sol.t.size else run.t_span[0]
-        raise StiffnessFailure(
-            f"integrator step size underflowed near t = {reached:.6g}: {sol.message}")
-
+    sol = solve_ivp(lambda t, y: gen @ y, run.t_span, y0, method=Chebyshev,
+                    t_eval=run.times, spectrum=_spectrum(gen), samples=run.times)
     traj = Trajectory(run=run, times=sol.t, y=sol.y.T, nfev=sol.nfev)
     drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
-    if drift > 10.0 * run.tol:
+    if not drift <= 10.0 * run.tol:
         raise NormDriftFailure(
             f"sector norm drifted by {drift:.3e} (allowed {10.0 * run.tol:.3e}); "
-            "tighten tol or shorten the run")
+            "shorten the run")
     return traj
 
 

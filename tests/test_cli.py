@@ -481,6 +481,29 @@ class TestRejectedInputs:
             assert err.startswith("config error: modes.n_k") and err.count("\n") == 1
             assert not any((tmp_path / "out").iterdir())
 
+    def test_refusal_counts_what_the_process_holds(self, tmp_path, capsys, monkeypatch):
+        # The run fits exactly when the estimate plus the resident size is the
+        # machine's memory, and is refused one byte above.
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the mode grid was built")
+
+        monkeypatch.setattr(cli.ModeGrid, "build", unbuilt)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        cfg = write_config(tmp_path, {"modes": {"n_k": 40}})
+        held = have - cli.memory_estimate(40, cli.SAMPLE_COUNT)
+        argv = ["oracle", "--which", "amplitudes", "--config", cfg]
+        monkeypatch.setattr(cli, "_resident_bytes", lambda: held)
+        with pytest.raises(AssertionError, match="the mode grid was built"):
+            run_cli(argv, tmp_path / "out")
+        monkeypatch.setattr(cli, "_resident_bytes", lambda: held + 1)
+        assert run_cli(argv, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: modes.n_k = 40") and err.count("\n") == 1
+
+    def test_resident_size_is_read_from_the_process(self):
+        resident = cli._resident_bytes()
+        assert 10 * 2**20 < resident < 2**40
+
     @pytest.mark.parametrize("modes, message", [
         ({"n_k": 1}, "n_k must be at least 2"),
         ({"n_k": -10**6, "n_phi": -10**6}, "n_k must be at least 2"),

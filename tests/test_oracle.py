@@ -21,7 +21,7 @@ from recoilsim.core import (
     omega_two_photon,
 )
 from recoilsim.density import GaussianPacket, Scenario, decoherence_factor, psi_free
-from recoilsim import oracle
+from recoilsim import _chebyshev, oracle
 from recoilsim.oracle import (
     OdeRun,
     amplitude_generator,
@@ -240,6 +240,63 @@ class TestAmplitudeGenerator:
             assert np.max(np.abs(gen @ y - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestChebyshevPropagator:
+    """The propagator against the dense matrix exponential on tiny problems."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.6])
+    def test_matches_the_dense_exponential(self, params, p):
+        # Uneven sample times, the first above 0; p = 0.6 moves the interval's
+        # centre by p^2 / 2 mu, off the middle of the spectrum.
+        from scipy.linalg import expm
+        grid = ModeGrid.build(params, n_k=6, bandwidth_gammas=12.0)
+        g = params.gamma
+        times = np.array([0.3, 0.35, 1.1, 1.9, 2.0]) / g
+        run = OdeRun(params=params, grid=grid, p=p, c_p=0.6 + 0.8j,
+                     t_span=(0.0, 2.0 / g), sample_times=times)
+        gen = amplitude_generator(run)
+        lo, hi = oracle._spectrum(gen)
+        if p:
+            assert (lo + hi) / (hi - lo) > 0.05
+        traj = integrate_amplitudes(run)
+        y0 = np.zeros(gen.shape[0], dtype=complex)
+        y0[0] = run.c_p
+        exact = np.array([expm(gen.toarray() * t) @ y0 for t in times])
+        assert np.max(np.abs(traj.y - exact)) <= 1e-12
+
+    def test_dense_output_propagates_other_times_again(self):
+        from scipy.linalg import expm
+        h = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.2], [0.0, 0.2, 2.0]])
+        spectrum = (-1.0, 2.2)  # Gershgorin's: -0.5 - 0.5 and 2.0 + 0.2
+        y0 = np.array([1.0, 0.5j, -0.25])
+        samples = np.array([1.0, 2.5, 4.0])
+        sol = oracle.solve_ivp(lambda t, y: -1j * (h @ y), (0.0, 5.0), y0,
+                               method=_chebyshev.Chebyshev, t_eval=samples,
+                               dense_output=True, spectrum=spectrum, samples=samples)
+        for t, y in zip(samples, sol.y.T):
+            assert np.max(np.abs(y - expm(-1j * h * t) @ y0)) <= 1e-12
+        again = sol.sol([0.7, 3.3])
+        assert again.shape == (3, 2)
+        for t, y in zip([0.7, 3.3], again.T):
+            assert np.max(np.abs(y - expm(-1j * h * t) @ y0)) <= 1e-12
+        assert np.max(np.abs(sol.sol(5.0) - expm(-5j * h) @ y0)) <= 1e-12
+
+    def test_zero_width_interval_is_exact_without_warnings(self):
+        # H = 2: the interval has no width, so the series is its first term.
+        # pytest turns any RuntimeWarning (a division by the width) into an error.
+        y0 = np.array([0.6 + 0.8j])
+        times = np.array([0.5, 3.0])
+        sol = oracle.solve_ivp(lambda t, y: -2j * y, (0.0, 3.0), y0,
+                               method=_chebyshev.Chebyshev, t_eval=times,
+                               spectrum=(2.0, 2.0), samples=times)
+        assert np.allclose(sol.y[0], y0[0] * np.exp(-2j * times), rtol=1e-15, atol=0.0)
+        assert sol.nfev == _chebyshev.term_count((2.0, 2.0), 3.0) == 30
+
+    def test_product_count_is_known_before_the_first_product(self, small_traj):
+        run = small_traj.run
+        spectrum = oracle._spectrum(amplitude_generator(run))
+        assert small_traj.nfev == _chebyshev.term_count(spectrum, run.t_span[1])
+
+
 class TestMemoryEstimate:
     def test_counts_the_generator_solver_and_samples(self, params, small_grid):
         run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0))
@@ -247,9 +304,10 @@ class TestMemoryEstimate:
         dim, n = gen.shape[0], small_grid.n_modes
         csr = gen.data.nbytes + gen.indices.nbytes + gen.indptr.nbytes
         assert run.times.size == oracle.SAMPLE_COUNT == 51
-        # 64 solver vectors, and the samples twice: solve_ivp's pieces and
-        # their stack.
-        assert oracle.memory_estimate(n, 51) == csr + 16 * dim * (64 + 2 * 51)
+        # The block buffer, 12 recurrence and slack vectors, and the samples
+        # twice: the propagator's and solve_ivp's hstack of them.
+        assert oracle.memory_estimate(n, 51) == \
+            csr + 16 * dim * (_chebyshev.BLOCK + 12 + 2 * 51)
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
             == 16 * dim * 2 * 40
 
@@ -291,8 +349,9 @@ class TestMemoryEstimate:
 
 
 class TestReach:
-    """DOP853's step count follows the fastest frequency times T, so a run
-    beyond ``MAX_REACH`` radians is refused before the first step."""
+    """The propagator's product count follows the Gershgorin half-width times
+    T, about the fastest frequency times T, so a run beyond ``MAX_REACH``
+    radians of the latter is refused before the first product."""
 
     @pytest.fixture
     def no_steps(self, monkeypatch):
