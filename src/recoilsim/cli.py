@@ -394,6 +394,17 @@ def _resident_bytes() -> int:
         return 0
 
 
+def _available_bytes() -> int:
+    """Memory available now: ``MemAvailable`` from ``/proc/meminfo``, or the
+    machine's physical memory where that file does not say."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            return 1024 * next(int(line.split()[1]) for line in meminfo
+                               if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration, ValueError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
     m = cfg["modes"]
@@ -402,7 +413,7 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     # ModeGrid's own refusal.
     need = (memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
             + _resident_bytes())
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _available_bytes()
     if need > have:
         # Decimal, not float: the exact count can pass the float range.  Imported
         # here, as it is needed only to refuse.
@@ -410,7 +421,7 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
         gib = Decimal(need) / 2**30
         raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about {gib:.3g} GiB for "
                                  "the amplitudes oracle and what the process holds, "
-                                 f"more than the {have / 2**30:.3g} GiB of physical memory")
+                                 f"more than the {have / 2**30:.3g} GiB of available memory")
     run = OdeRun(params=params, grid=_mode_grid(cfg, params),
                  t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
     with np.errstate(all="ignore"):  # the decay check below fails a NaN

@@ -58,6 +58,9 @@ SAMPLE_COUNT = 51  # sample times of a run that gives none
 # Largest max|frequency| * T, in radians, a run may ask of the oracle: its
 # products number about the Gershgorin half-width of iL times T, near that.
 MAX_REACH = 1e4
+BLOCK = 64          # terms per block sum, terms[block].T @ coef[:, block].T
+CHUNK = 2048        # columns per piece of an update
+NEGLIGIBLE = 1e-20  # |J_k| below which a sample's remaining terms are skipped
 
 
 class NormDriftFailure(RuntimeError):
@@ -126,17 +129,16 @@ class OdeRun:
 class Trajectory:
     """Sampled solution of one :class:`OdeRun`.
 
-    ``y`` holds the state [A, B_k, D] once per sample: it is the solver's
-    own (dim, n_t) sample array seen transposed, never copied, and ``a``,
-    ``b`` and ``d_data`` are views of it.  ``d_data`` is the packed upper
-    triangle; :meth:`state_at` expands it into the observable symmetric
-    matrix.
+    ``y`` holds the state [A, B_k, D] once per sample: it is the array that
+    :func:`solve_ivp` returns, never copied, and ``a``, ``b`` and ``d_data``
+    are views of it.  ``d_data`` is the packed upper triangle;
+    :meth:`state_at` expands it into the observable symmetric matrix.
     """
 
     run: OdeRun
     times: np.ndarray
-    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex: sol.y transposed
-    nfev: int            # products with the generator the propagator made
+    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex, solve_ivp's own
+    nfev: int            # products with H the propagator made
 
     def __post_init__(self):
         for name in ("times", "y"):
@@ -218,13 +220,15 @@ def _state_size(n: int) -> tuple[int, int]:
 def memory_estimate(n_modes: int, samples: int) -> int:
     """Bytes by which :func:`integrate_amplitudes` grows the process at its
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
-    building anything: the generator's CSR arrays, the propagator's block
-    buffer of 64 terms (``_chebyshev.BLOCK``), 12 vectors for the recurrence
-    and the allocator's slack, and the samples twice (the propagator's own
-    and ``solve_ivp``'s ``hstack``), though the block is freed before that."""
+    building anything.  The peak is in :func:`solve_ivp`, after the complex
+    ``L`` has made way for the real ``H``: ``H``'s CSR arrays, the float64
+    block of ``BLOCK`` terms, the complex samples once (the real block sums
+    add into them), one ``CHUNK``-column piece of a block sum, and 24 vectors
+    for the recurrence and what the allocator keeps from building ``L``."""
     dim, nnz = _state_size(n_modes)
     index = 4 if nnz < 2**31 else 8
-    return (16 + index) * nnz + index * (dim + 1) + 16 * dim * (64 + 2 * samples + 12)
+    return ((8 + index) * nnz + index * (dim + 1) + 8 * dim * (BLOCK + 24 + 2 * samples)
+            + 16 * samples * min(CHUNK, dim))
 
 
 def amplitude_generator(run: OdeRun) -> sparse.csr_array:
@@ -259,50 +263,120 @@ def amplitude_generator(run: OdeRun) -> sparse.csr_array:
                             shape=(dim, dim))
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call so that
-    importing this module does not load scipy."""
-    from scipy import integrate
-    return integrate.solve_ivp(*args, **kwargs)
+def term_count(spectrum: tuple[float, float], span: float) -> int:
+    """Products with ``H`` that reach ``span``: ``R + 10 R^(1/3) + 30``
+    rounded up, ``R`` the interval's half-width times ``span``."""
+    reach = 0.5 * (spectrum[1] - spectrum[0]) * abs(span)
+    return int(np.ceil(reach + 10.0 * np.cbrt(reach) + 30.0))
 
 
-def _spectrum(gen: sparse.csr_array) -> tuple[float, float]:
-    """Gershgorin interval of the real ``H = iL``: the union of its row discs."""
-    centre = (1j * gen.diagonal()).real
-    radius = abs(gen) @ np.ones(gen.shape[0]) - np.abs(centre)
+def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
+    """``weight * exp(-iH (t - t0)) y0`` at each ``t`` of ``t_eval``, as the
+    rows of an ``(n_t, dim)`` complex array, for a real ``H`` with its
+    spectrum in ``spectrum = (c - r, c + r)``, a real ``y0`` and ``t0 =
+    t_span[0]`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967):
+
+        exp(-iHt) = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k((H - c) / r).
+
+    One real three-term recurrence gives every ``phi_k = T_k((H - c) / r) y0``,
+    each for one call of ``fun(t, x) = H x``: ``term_count(spectrum, max|t -
+    t0|)`` calls, so any sample, even one a rounding past ``t_span[1]``, is
+    reached.  ``weight``, ``e^{-ict}`` and ``(-i)^k`` go into the ``J_k``
+    coefficients, whose real and imaginary rows sum ``BLOCK`` terms at a time
+    and ``CHUNK`` columns at a time in one real product, so the order of every
+    sum is fixed; a sample whose remaining ``|J_k|`` are all below
+    ``NEGLIGIBLE`` takes no further part.  The samples are the columns of one
+    ``(dim, n_t)`` array, returned transposed: the real block sums add into
+    its real and imaginary parts in place.
+    """
+    from scipy.special import jv  # here, not at the top: only this oracle needs scipy
+    t0, (lo, hi) = t_span[0], spectrum
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # Zero width: H = c, and the terms of T_k(0) y0 that scale 0 gives are exact.
+    scale = 1.0 / half if half > 0 else 0.0
+    dt = np.asarray(t_eval, dtype=float) - t0
+    terms = term_count(spectrum, np.abs(dt).max())
+    k = np.arange(terms + 1)
+    bessel = jv(k, half * dt[:, None])
+    coef = (np.where(k > 0, 2.0, 1.0) * bessel * np.array([1, -1j, -1, 1j])[k % 4]
+            * (weight * np.exp(-1j * center * dt))[:, None])
+    coef = np.stack([coef.real, coef.imag], axis=1)  # (n_t, 2, terms + 1)
+    live = np.abs(bessel) > NEGLIGIBLE
+    last = terms - np.argmax(live[:, ::-1], axis=1)  # a sample's last live term
+
+    dim = y0.size
+    out = np.zeros((dim, dt.size), dtype=complex)
+    sums = out.view(float)  # (dim, 2 n_t): each sample's real and imaginary parts
+    block = np.empty((min(BLOCK, terms + 1), dim))
+    shift = np.empty(dim)
+    block[0] = y0
+    for j in range(terms + 1):
+        if j > 0:  # phi_j = a (fun(phi_{j-1}) - c phi_{j-1}) - phi_{j-2}
+            a = scale if j == 1 else 2.0 * scale
+            phi, row = block[(j - 1) % BLOCK], block[j % BLOCK]
+            np.multiply(fun(t0, phi), a, out=row)
+            if center:
+                np.multiply(phi, a * center, out=shift)
+                row -= shift
+            if j > 1:
+                row -= block[(j - 2) % BLOCK]
+        if j % BLOCK == BLOCK - 1 or j == terms:
+            start = j - j % BLOCK
+            rows = last >= start
+            if rows.any():
+                first = int(np.argmax(rows))
+                c = coef[first:, :, start:j + 1].reshape(-1, j + 1 - start).T
+                terms_in = block[:j + 1 - start]
+                for col in range(0, dim, CHUNK):
+                    sums[col:col + CHUNK, 2 * first:] += terms_in[:, col:col + CHUNK].T @ c
+    return out.T
+
+
+def _hamiltonian(run: OdeRun) -> sparse.csr_array:
+    """The real ``H = iL`` of :func:`amplitude_generator`'s ``L``, whose entries
+    are ``-1j`` times real numbers, as a CSR with contiguous float64 data (a
+    strided ``.real`` view would be copied on every product)."""
+    h = amplitude_generator(run)
+    h.data = np.negative(h.data.imag)
+    return h
+
+
+def _spectrum(h: sparse.csr_array) -> tuple[float, float]:
+    """Gershgorin interval of the real ``H``: the union of its row discs."""
+    centre = h.diagonal()
+    radius = abs(h) @ np.ones(h.shape[0]) - np.abs(centre)
     return float((centre - radius).min()), float((centre + radius).max())
 
 
 def integrate_amplitudes(run: OdeRun) -> Trajectory:
     """Propagate the coupled amplitude equations on the discrete grid.
 
-    ``H = iL`` is real, so ``y(t) = exp(-iHt) y0``: one Chebyshev recurrence
-    over the Gershgorin interval of ``H`` gives every sample time
-    (``_chebyshev.Chebyshev``, a ``solve_ivp`` method that sees only the
-    right-hand side and the interval), and ``nfev`` is its product count,
-    fixed before the first product.  Initial condition A = C_p, everything
-    else zero.  A drift of |A|^2 + 2 sum|B|^2 + sum|D|^2 not within
-    ``10 * tol`` (NaN included) raises :class:`NormDriftFailure`.  Reruns
-    are bit-identical at a fixed BLAS thread count: each product is one
-    sparse product in a fixed order, and the terms are summed through BLAS
-    in blocks of a fixed size.
+    ``H = iL`` is real, so ``y(t) = exp(-iHt) y0``: one real Chebyshev
+    recurrence from ``e_0`` over the Gershgorin interval of ``H`` gives every
+    sample time (:func:`solve_ivp`, which sees only the products with ``H``
+    and the interval), with ``C_p`` folded into its coefficients, and
+    ``nfev`` is its product count, fixed before the first product.  Initial
+    condition A = C_p, everything else zero.  A drift of |A|^2 + 2 sum|B|^2 +
+    sum|D|^2 not within ``10 * tol`` (NaN included) raises
+    :class:`NormDriftFailure`.  Reruns are bit-identical at a fixed BLAS
+    thread count: each product is one sparse product in a fixed order, and
+    the terms are summed through BLAS in blocks of a fixed size.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is not a number) raises :class:`ConfigurationError` before any product.
     """
-    gen = amplitude_generator(run)
-    reach = float(np.abs(gen.diagonal()).max()) * run.t_span[1]
+    h = _hamiltonian(run)
+    reach = float(np.abs(h.diagonal()).max()) * run.t_span[1]
     if not reach <= MAX_REACH:
         raise ConfigurationError(
             f"the fastest frequency times t_span reaches {reach:.3g} rad, beyond "
             f"the propagator's {MAX_REACH:g}: shorten the run, narrow the band "
             "or lessen the recoil")
-    from ._chebyshev import Chebyshev  # here, not at the top: it loads scipy
-    y0 = np.zeros(gen.shape[0], dtype=complex)
-    y0[0] = run.c_p
-    sol = solve_ivp(lambda t, y: gen @ y, run.t_span, y0, method=Chebyshev,
-                    t_eval=run.times, spectrum=_spectrum(gen), samples=run.times)
-    traj = Trajectory(run=run, times=sol.t, y=sol.y.T, nfev=sol.nfev)
+    spectrum, times, e0 = _spectrum(h), run.times, np.zeros(h.shape[0])
+    e0[0] = 1.0
+    y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times,
+                  spectrum=spectrum, weight=run.c_p)
+    traj = Trajectory(run=run, times=times, y=y, nfev=term_count(spectrum, times[-1]))
     drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
     if not drift <= 10.0 * run.tol:
         raise NormDriftFailure(

@@ -483,12 +483,13 @@ class TestRejectedInputs:
 
     def test_refusal_counts_what_the_process_holds(self, tmp_path, capsys, monkeypatch):
         # The run fits exactly when the estimate plus the resident size is the
-        # machine's memory, and is refused one byte above.
+        # available memory, and is refused one byte above.
         def unbuilt(*args, **kwargs):
             raise AssertionError("the mode grid was built")
 
         monkeypatch.setattr(cli.ModeGrid, "build", unbuilt)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = 3 * 2**30
+        monkeypatch.setattr(cli, "_available_bytes", lambda: have)
         cfg = write_config(tmp_path, {"modes": {"n_k": 40}})
         held = have - cli.memory_estimate(40, cli.SAMPLE_COUNT)
         argv = ["oracle", "--which", "amplitudes", "--config", cfg]
@@ -499,10 +500,29 @@ class TestRejectedInputs:
         assert run_cli(argv, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: modes.n_k = 40") and err.count("\n") == 1
+        assert "than the 3 GiB of available memory" in err
 
     def test_resident_size_is_read_from_the_process(self):
         resident = cli._resident_bytes()
         assert 10 * 2**20 < resident < 2**40
+
+    def test_available_memory_is_read_from_meminfo(self, monkeypatch):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < cli._available_bytes() <= physical
+
+        def meminfo(text):
+            def fake_open(path):
+                assert path == "/proc/meminfo"
+                if text is None:
+                    raise FileNotFoundError(path)
+                return io.StringIO(text)
+            monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        meminfo("MemTotal:       8000000 kB\nMemAvailable:    1234567 kB\n")
+        assert cli._available_bytes() == 1234567 * 1024
+        # Without the file, or without the line, physical memory is the bound.
+        for text in (None, "MemTotal:       8000000 kB\n"):
+            meminfo(text)
+            assert cli._available_bytes() == physical
 
     @pytest.mark.parametrize("modes, message", [
         ({"n_k": 1}, "n_k must be at least 2"),

@@ -21,7 +21,7 @@ from recoilsim.core import (
     omega_two_photon,
 )
 from recoilsim.density import GaussianPacket, Scenario, decoherence_factor, psi_free
-from recoilsim import _chebyshev, oracle
+from recoilsim import oracle
 from recoilsim.oracle import (
     OdeRun,
     amplitude_generator,
@@ -118,9 +118,9 @@ class TestConservationAndDeterminism:
         assert again.nfev == small_traj.nfev > 0
 
     def test_samples_are_stored_once(self, small_traj, monkeypatch):
-        # y is the solver's own sample array, transposed and not copied; a, b
-        # and d_data are read-only views of that memory, and the populations
-        # are computed on first use only.
+        # y is the propagator's own sample array, not a copy; a, b and d_data
+        # are read-only views of that memory, and the populations are
+        # computed on first use only.
         solve, solved = oracle.solve_ivp, []
 
         def spy(*args, **kwargs):
@@ -130,7 +130,7 @@ class TestConservationAndDeterminism:
         traj = integrate_amplitudes(small_traj.run)
         y = traj.y
         assert y.shape == (traj.times.size, 1 + 24 + 24 * 25 // 2)
-        assert y.base is solved[0].y and not y.flags.writeable
+        assert y is solved[0] and not y.flags.writeable
         for view in (traj.a, traj.b, traj.d_data):
             assert view.base is y.base and not view.flags.writeable
         assert np.array_equal(traj.d_data[:, -1], y[:, -1])
@@ -254,7 +254,7 @@ class TestChebyshevPropagator:
         run = OdeRun(params=params, grid=grid, p=p, c_p=0.6 + 0.8j,
                      t_span=(0.0, 2.0 / g), sample_times=times)
         gen = amplitude_generator(run)
-        lo, hi = oracle._spectrum(gen)
+        lo, hi = oracle._spectrum(oracle._hamiltonian(run))
         if p:
             assert (lo + hi) / (hi - lo) > 0.05
         traj = integrate_amplitudes(run)
@@ -263,54 +263,93 @@ class TestChebyshevPropagator:
         exact = np.array([expm(gen.toarray() * t) @ y0 for t in times])
         assert np.max(np.abs(traj.y - exact)) <= 1e-12
 
-    def test_dense_output_propagates_other_times_again(self):
+    def test_a_small_real_matrix_at_any_sample(self):
+        # Samples past t_span's end and from a start other than 0 are summed
+        # like any other; the weight multiplies every state.
         from scipy.linalg import expm
         h = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.2], [0.0, 0.2, 2.0]])
         spectrum = (-1.0, 2.2)  # Gershgorin's: -0.5 - 0.5 and 2.0 + 0.2
-        y0 = np.array([1.0, 0.5j, -0.25])
-        samples = np.array([1.0, 2.5, 4.0])
-        sol = oracle.solve_ivp(lambda t, y: -1j * (h @ y), (0.0, 5.0), y0,
-                               method=_chebyshev.Chebyshev, t_eval=samples,
-                               dense_output=True, spectrum=spectrum, samples=samples)
-        for t, y in zip(samples, sol.y.T):
-            assert np.max(np.abs(y - expm(-1j * h * t) @ y0)) <= 1e-12
-        again = sol.sol([0.7, 3.3])
-        assert again.shape == (3, 2)
-        for t, y in zip([0.7, 3.3], again.T):
-            assert np.max(np.abs(y - expm(-1j * h * t) @ y0)) <= 1e-12
-        assert np.max(np.abs(sol.sol(5.0) - expm(-5j * h) @ y0)) <= 1e-12
+        y0 = np.array([1.0, 0.5, -0.25])
+        times = np.array([1.0, 2.5, 4.0, 6.0])
+        y = oracle.solve_ivp(lambda t, x: h @ x, (0.5, 5.0), y0, t_eval=times,
+                             spectrum=spectrum, weight=0.6 - 0.8j)
+        assert y.shape == (4, 3) and y.dtype == complex
+        for t, state in zip(times, y):
+            exact = (0.6 - 0.8j) * expm(-1j * h * (t - 0.5)) @ y0
+            assert np.max(np.abs(state - exact)) <= 1e-12
 
     def test_zero_width_interval_is_exact_without_warnings(self):
         # H = 2: the interval has no width, so the series is its first term.
         # pytest turns any RuntimeWarning (a division by the width) into an error.
-        y0 = np.array([0.6 + 0.8j])
-        times = np.array([0.5, 3.0])
-        sol = oracle.solve_ivp(lambda t, y: -2j * y, (0.0, 3.0), y0,
-                               method=_chebyshev.Chebyshev, t_eval=times,
-                               spectrum=(2.0, 2.0), samples=times)
-        assert np.allclose(sol.y[0], y0[0] * np.exp(-2j * times), rtol=1e-15, atol=0.0)
-        assert sol.nfev == _chebyshev.term_count((2.0, 2.0), 3.0) == 30
+        times, calls = np.array([0.5, 3.0]), []
+
+        def fun(t, x):
+            calls.append(t)
+            return 2.0 * x
+        y = oracle.solve_ivp(fun, (0.0, 3.0), np.array([1.0]), t_eval=times,
+                             spectrum=(2.0, 2.0), weight=0.6 + 0.8j)
+        assert np.allclose(y[:, 0], (0.6 + 0.8j) * np.exp(-2j * times),
+                           rtol=1e-15, atol=0.0)
+        assert len(calls) == oracle.term_count((2.0, 2.0), 3.0) == 30
 
     def test_product_count_is_known_before_the_first_product(self, small_traj):
         run = small_traj.run
-        spectrum = oracle._spectrum(amplitude_generator(run))
-        assert small_traj.nfev == _chebyshev.term_count(spectrum, run.t_span[1])
+        spectrum = oracle._spectrum(oracle._hamiltonian(run))
+        assert small_traj.nfev == oracle.term_count(spectrum, run.t_span[1])
+
+    def test_a_sample_a_rounding_past_the_span_is_reached(self, params, small_grid):
+        # OdeRun admits sample times up to T (1 + 1e-12); the product count
+        # follows the last sample, and the norm-drift check still holds.
+        t1 = 2.0 / params.gamma
+        run = OdeRun(params=params, grid=small_grid, t_span=(0.0, t1),
+                     sample_times=np.array([0.0, t1 * (1.0 + 1e-13)]), tol=1e-10)
+        traj = integrate_amplitudes(run)
+        assert traj.times[-1] > t1
+        assert np.max(np.abs(traj.norms - 1.0)) <= 10.0 * run.tol
+        spectrum = oracle._spectrum(oracle._hamiltonian(run))
+        assert traj.nfev == oracle.term_count(spectrum, traj.times[-1])
+
+    def test_hamiltonian_is_real_contiguous_and_i_times_the_generator(self, params,
+                                                                   small_grid):
+        run = OdeRun(params=params, grid=small_grid, p=0.3, t_span=(0.0, 1.0))
+        h, gen = oracle._hamiltonian(run), amplitude_generator(run)
+        assert h.dtype == np.float64 and h.data.flags.c_contiguous
+        assert np.array_equal(h.toarray(), (1j * gen.toarray()).real)
+        assert np.array_equal(h.indices, gen.indices)
+        assert np.array_equal(h.indptr, gen.indptr)
+
+    def test_loads_no_scipy_integrate(self):
+        # scipy.integrate would cost its import time on every oracle run.
+        script = "\n".join([
+            "import sys",
+            "from recoilsim.core import ModelParams, ModeGrid",
+            "from recoilsim.oracle import OdeRun, integrate_amplitudes",
+            "params = ModelParams(omega0=1.0, mu=10.0, gamma=0.01)",
+            "grid = ModeGrid.build(params, n_k=6, bandwidth_gammas=12.0)",
+            "integrate_amplitudes(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.')"
+            " and m.split('.')[1] == 'integrate'))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMemoryEstimate:
     def test_counts_the_generator_solver_and_samples(self, params, small_grid):
         run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0))
-        gen = amplitude_generator(run)
-        dim, n = gen.shape[0], small_grid.n_modes
-        csr = gen.data.nbytes + gen.indices.nbytes + gen.indptr.nbytes
+        h = oracle._hamiltonian(run)
+        dim, n = h.shape[0], small_grid.n_modes
+        csr = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        piece = min(oracle.CHUNK, dim)
         assert run.times.size == oracle.SAMPLE_COUNT == 51
-        # The block buffer, 12 recurrence and slack vectors, and the samples
-        # twice: the propagator's and solve_ivp's hstack of them.
+        # The real H, the float64 block, 24 recurrence and slack vectors, the
+        # complex samples once and one piece of a block sum.
         assert oracle.memory_estimate(n, 51) == \
-            csr + 16 * dim * (_chebyshev.BLOCK + 12 + 2 * 51)
+            csr + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 16 * 51 * piece
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
-            == 16 * dim * 2 * 40
-
+            == 40 * 16 * (dim + piece)
     def test_bounds_the_measured_peak(self):
         # The process's peak-RSS growth over a run, in a fresh interpreter.
         # The baseline follows the imports and a tiny run, which load the
