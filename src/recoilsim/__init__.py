@@ -12,10 +12,10 @@ The package has three layers:
 * closed-form theory -- photon-emission amplitudes for the zero-, one-, and
   two-photon sectors (:mod:`~recoilsim.amplitudes`) and the traced reduced
   density matrix built on them (:mod:`~recoilsim.density`);
-* brute force -- direct ODE integration of the coupled amplitude equations
-  on a discretized field and direct angular quadrature of the pre-reduction
-  density integral (:mod:`~recoilsim.oracle`), used to validate every closed
-  form;
+* brute force -- direct Chebyshev propagation of the coupled amplitude
+  equations on a discretized field and direct angular quadrature of the
+  pre-reduction density integral (:mod:`~recoilsim.oracle`), used to
+  validate every closed form;
 * plumbing -- model parameters and mode grids (:mod:`~recoilsim.core`), an
   in-repo Bessel J0 (:mod:`~recoilsim.specfun`), and a CLI
   (:mod:`~recoilsim.cli`).

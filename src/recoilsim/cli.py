@@ -10,8 +10,8 @@ Three subcommands cover the package's outputs:
   brute-force validators and fail loudly if its tolerance is breached.
 
 Configuration is a JSON document overlaid onto built-in defaults (the
-single-packet narrowing scenario); every file is written atomically and all
-floats are serialized with 17 significant digits so reruns are byte-identical.
+single-packet narrowing scenario).  A run whose writing fails replaces no
+file; floats have 17 significant digits, so reruns are byte-identical.
 
 Exit codes: 0 success; 1 configuration or I/O error; 2 model-validity gate;
 3 oracle tolerance breach.
@@ -104,13 +104,16 @@ class OracleToleranceError(RuntimeError):
 def _typed(value, like, where: str):
     """``value`` checked against ``like``, its value in the schema: a float
     admits any finite number, returned as a float, an int any integer but a
-    bool, and anything else only its own type."""
+    bool up to the most complex values one array can hold, and anything else
+    only its own type."""
     if isinstance(like, float) and type(value) in (int, float):
         if abs(value) <= sys.float_info.max:  # false for NaN, ±Inf, huge ints
             return float(value)
         raise ConfigurationError(f"{where} must be a finite number")
     if type(value) is not type(like):
         raise ConfigurationError(f"{where} must be {_TYPE_NAMES[type(like)]}")
+    if type(value) is int and value > sys.maxsize // 16:  # 16 bytes per element
+        raise ConfigurationError(f"{where} must be at most {sys.maxsize // 16}")
     return value
 
 
@@ -217,37 +220,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _new_temp(directory: str) -> str:
-    """Create an empty temp file in ``directory`` and return its name."""
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-recoilsim-")
-    os.close(fd)
-    return tmp
-
-
-def _atomic_write(path: str, chunks, tmp: str | None = None) -> None:
-    """Write the strings in ``chunks`` to ``path``, each as it comes, via a
-    same-directory temp file + rename: ``tmp``, from ``_new_temp``, if given."""
-    if tmp is None:
-        tmp = _new_temp(os.path.dirname(path) or ".")
+@contextlib.contextmanager
+def _publish(paths: list[str]):
+    """Yield one temp file name beside each of ``paths``, for the block to
+    write.  If the block ends without error, rename each temp onto its path,
+    in order; whatever fails, no temp file is left behind."""
+    temps = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-recoilsim-")
+            os.close(fd)
+            temps.append(tmp)
+        yield list(temps)
         # mkstemp creates the file 0600; give it the mode open() would have.
         umask = os.umask(0o077)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        for path in paths:
+            os.chmod(temps[0], 0o666 & ~umask)
+            os.replace(temps.pop(0), path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
-def _write_csv(path: str, header: str, rows, tmp: str | None = None) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
     """Write ``header`` and then each item of ``rows`` (one CSV line, or a
-    block of lines), each ending in a newline."""
-    _atomic_write(path, (text + "\n" for text in itertools.chain([header], rows)), tmp)
+    block of lines) to ``path``, each ending in a newline, as it comes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for text in itertools.chain([header], rows):
+            fh.write(text + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +269,9 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
                                  "leaves the float range")
     f_values = bessel_j0(z) ** 2
     path = os.path.join(out_dir, "decoherence_factor.csv")
-    _write_csv(path, "dx_over_lambda,F",
-               (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(dx, f_values)))
+    with _publish([path]) as [tmp]:
+        _write_csv(tmp, "dx_over_lambda,F",
+                   (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(dx, f_values)))
     print(f"wrote {path} ({n} rows)")
     return 0
 
@@ -289,9 +292,9 @@ def _density_rows(dg, x_strings: list[str]):
 
 
 def _write_density(job) -> None:
-    """Write one density CSV; ``job`` is ``(tmp, path, dg, x_strings)``."""
-    tmp, path, dg, x_strings = job
-    _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings), tmp)
+    """Write one density CSV; ``job`` is ``(path, dg, x_strings)``."""
+    path, dg, x_strings = job
+    _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings))
 
 
 def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
@@ -328,18 +331,16 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
                                     flag, grid, params))
               for flag in flags]
 
-    jobs, entries = [], []
+    entries = []
     for flag, runs in sweeps:
         tag = "on" if flag else "off"
         for gt, stem, dg in zip(gamma_times, stems, runs):
-            name = f"{stem}_{tag}.csv"
-            jobs.append((os.path.join(out_dir, name), dg, x_strings))
             length = coherence_length(dg)
             entries.append({
                 "gamma_t": gt,
                 "time": gt / params.gamma,
                 "emission": flag,
-                "file": name,
+                "file": f"{stem}_{tag}.csv",
                 "trace": dg.trace(),
                 "purity": dg.purity(),
                 "coherence_length_over_lambda": length.length / lam,
@@ -355,32 +356,28 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    pool = ProcessPoolExecutor(worker_count(len(jobs)), multiprocessing.get_context("fork"))
-    temps = []  # named here, as a writer that dies cannot remove its own
-    try:
-        for job in jobs:
-            temps.append(_new_temp(out_dir))
-        for future in [pool.submit(_write_density, (tmp, *job))
-                       for tmp, job in zip(temps, jobs)]:
-            future.result()
-        temps.clear()  # every one renamed
-    except BrokenProcessPool:
-        raise OSError("a density writer process ended without finishing "
-                      "its file") from None
-    finally:
-        # After a failure, the writes no worker has taken yet never start,
-        # and once the running ones have ended no temp file is left.
-        pool.shutdown(cancel_futures=True)
-        for tmp in temps:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-    summary = {
-        "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "runs": entries,
-    }
+    densities = [dg for _, runs in sweeps for dg in runs]
+    paths = [os.path.join(out_dir, entry["file"]) for entry in entries]
     path = os.path.join(out_dir, "evolve_summary.json")
-    _atomic_write(path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+    # The summary is renamed last: it never names a file left unpublished.
+    with _publish([*paths, path]) as temps:
+        pool = ProcessPoolExecutor(worker_count(len(densities)),
+                                   multiprocessing.get_context("fork"))
+        try:
+            for future in [pool.submit(_write_density, (tmp, dg, x_strings))
+                           for tmp, dg in zip(temps, densities)]:
+                future.result()
+        except BrokenProcessPool:
+            raise OSError("a density writer process ended without finishing "
+                          "its file") from None
+        finally:
+            # After a failure, the writes no worker has taken yet never
+            # start, and the running ones end before their temps go.
+            pool.shutdown(cancel_futures=True)
+        summary = {"generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                   "runs": entries}
+        with open(temps[-1], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(entries)} density files + {path}")
     return 0
 
@@ -437,7 +434,8 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
         in zip(trajectory.times, trajectory.a, norms, populations)
     )
     path = os.path.join(out_dir, "oracle_amplitudes.csv")
-    _write_csv(path, "t,re_a,im_a,norm,pop_a,pop_b,pop_d", rows)
+    with _publish([path]) as [tmp]:
+        _write_csv(tmp, "t,re_a,im_a,norm,pop_a,pop_b,pop_d", rows)
     print(f"wrote {path}")
     print(f"max |A|^2 decay deviation (within recurrence window): {decay:.3e}")
     print(f"max sector-norm drift: {drift:.3e}")
@@ -476,8 +474,9 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
         for i in range(xs.size) for j in range(xs.size)
     )
     path = os.path.join(out_dir, "oracle_quadrature.csv")
-    _write_csv(path, "x_over_lambda,xp_over_lambda,re_quad,im_quad,"
-                     "re_fact,im_fact,abs_diff", rows)
+    with _publish([path]) as [tmp]:
+        _write_csv(tmp, "x_over_lambda,xp_over_lambda,re_quad,im_quad,"
+                        "re_fact,im_fact,abs_diff", rows)
     relative = float(np.abs(quad - factorized).max()) / scale
     print(f"wrote {path}")
     print(f"max |quadrature - factorized| / max|factorized|: {relative:.3e}")
@@ -495,9 +494,10 @@ def _oracle_rate(cfg: dict, out_dir: str) -> int:
                                  "finite positive number")
     relative = abs(check.rate / check.expected - 1.0)
     path = os.path.join(out_dir, "oracle_rate.csv")
-    _write_csv(path, "rate,expected,relative_error,flagged",
-               [f"{_fmt(check.rate)},{_fmt(check.expected)},"
-                f"{_fmt(relative)},{str(check.flagged).lower()}"])
+    with _publish([path]) as [tmp]:
+        _write_csv(tmp, "rate,expected,relative_error,flagged",
+                   [f"{_fmt(check.rate)},{_fmt(check.expected)},"
+                    f"{_fmt(relative)},{str(check.flagged).lower()}"])
     print(f"wrote {path}")
     print(f"pole-sum rate relative error: {relative:.3e}")
     # Flagged means a deficit over 10 %, always beyond this tolerance.

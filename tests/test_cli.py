@@ -1,11 +1,13 @@
 """Command-line interface: config handling, files, formats, exit codes."""
 
 import contextlib
+import filecmp
 import io
 import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -357,6 +359,26 @@ class TestDensityWriter:
             ".tmp-recoilsim-other"]
         assert (out / ".tmp-recoilsim-other").read_text() == "another run's\n"
 
+    def test_a_failed_rerun_replaces_no_earlier_file(self, tmp_path, monkeypatch,
+                                                      default_evolve_runs):
+        earlier = default_evolve_runs[0]
+        out = tmp_path / "out"
+        shutil.copytree(earlier, out)
+        names = sorted(path.name for path in out.iterdir())
+        assert len(names) == 7
+        cfg = write_config(tmp_path, {"scenario": {"kind": "single",
+                                                   "width_over_lambda": 0.6}})
+        for name, fault in [("_write_density", _writer_dies),
+                            ("_density_rows", _dies_mid_file)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, fault)
+                with pytest.warns(ValidityWarning):
+                    assert run_cli(["evolve", "--config", cfg], out) == 1
+            # The same names, so no temp file either, and the same bytes.
+            assert sorted(path.name for path in out.iterdir()) == names
+            assert all(filecmp.cmp(out / name, earlier / name, shallow=False)
+                       for name in names)
+
     def test_a_failed_write_exits_one_without_a_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TestDiskPreflight.CONFIG)
         out = tmp_path / "out"
@@ -381,8 +403,9 @@ class TestRejectedInputs:
          {"params": {"mu": 1e-300}, "modes": {"n_k": 4, "n_phi": 2}}),
         (["oracle", "--which", "amplitudes"],
          {"params": {"gamma": 1e-300}, "modes": {"n_k": 4, "bandwidth_gammas": 1e290}}),
+        (["evolve"], {"grid": {"points": 2**62}}),
     ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning",
-            "amplitudes-recoil-reach", "amplitudes-band-reach"])
+            "amplitudes-recoil-reach", "amplitudes-band-reach", "evolve-grid-points-2**62"])
     def test_refusal_is_one_stderr_line_from_a_shell(self, tmp_path, argv, payload):
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -391,7 +414,7 @@ class TestRejectedInputs:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
-        assert not any(out.iterdir())
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("argv, payload", [
         (["evolve", "--times", "nan"], None),
@@ -422,13 +445,19 @@ class TestRejectedInputs:
          {"params": {"omega0": 6.3e-308, "gamma": 5e-324}, "modes": {"n_k": 4}}),
         # Beyond numpy's array size: a ValueError traceback from np.linspace.
         (["oracle", "--which", "amplitudes"], {"modes": {"n_k": 10**19}}),
+        # Counts no complex array can hold: each ended in a ValueError traceback.
+        (["evolve"], {"grid": {"points": 2**62}}),
+        (["decoherence-factor"], {"decoherence": {"points": 10**19}}),
+        (["oracle", "--which", "rate"], {"modes": {"n_k": 2**60}}),
+        (["oracle", "--which", "rate"], {"modes": {"n_phi": sys.maxsize // 16 + 1}}),
     ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision",
             "times-flag-negative", "quadrature-packet-off-the-probe-grid",
             "quadrature-nan-tiny-mu", "quadrature-nan-tiny-gamma", "rate-nan-pole-sum",
             "quadrature-probe-grid-overflow", "quadrature-probe-grid-nan",
             "rate-coupling-overflow", "amplitudes-wavenumber-overflow",
             "rate-half-gamma-underflow", "amplitudes-infinite-t-span",
-            "amplitudes-grid-beyond-array-size"])
+            "amplitudes-grid-beyond-array-size", "evolve-grid-points-2**62",
+            "decoherence-points-10**19", "rate-n_k-2**60", "rate-n_phi-past-the-bound"])
     def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
         out = tmp_path / "out"
         if payload is not None:
@@ -565,13 +594,17 @@ def _mostly(valid, odd=_ODD):
     return st.integers(0, 7).flatmap(lambda i: valid if i else odd)
 
 
+# Counts past the bound load_config refuses before anything is allocated.
+_HUGE_COUNTS = st.sampled_from([sys.maxsize // 16 + 1, 2**62, 10**19, 10**300])
+
+
 def _like(default):
     """Values of the type of ``default``; counts stay small, so no run of the
-    builders allocates much."""
+    builders allocates much, or pass the bound ``load_config`` refuses."""
     if isinstance(default, bool):
         return st.booleans()
     if isinstance(default, int):
-        return st.integers(-3, 40)
+        return _mostly(st.integers(-3, 40), _HUGE_COUNTS)
     if isinstance(default, float):
         return (st.floats(allow_nan=False, allow_infinity=False)
                 | st.integers(-9, 9) | st.sampled_from(_EXTREMES))
@@ -610,6 +643,7 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
 @example(payload={"scenario": {"kind": "superposition", "width_over_lambda": 1e-200,
                                "center_offset_over_lambda": 1.0}})
 @example(payload={"grid": {"min_over_lambda": -1e308, "max_over_lambda": 1e308}})
+@example(payload={"grid": {"points": 2**62}})
 def test_config_fuzz_ends_in_configuration_error_or_buildable(tmp_path, payload):
     """Every config is refused with a ConfigurationError or builds the
     objects the subcommands need, each either finite or refused with a
@@ -698,15 +732,22 @@ def test_main_fuzz_exits_with_a_code_and_one_line(tmp_path, argv, payload):
             assert not re.search("nan|inf", path.read_text(), re.I), path.name
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o027])
-def test_output_files_follow_the_umask(tmp_path, umask):
+@pytest.mark.parametrize("argv, umask", [
+    (["decoherence-factor"], 0o022), (["decoherence-factor"], 0o027),
+    (["evolve"], 0o022), (["evolve"], 0o027),
+], ids=["18", "23", "evolve-18", "evolve-23"])
+def test_output_files_follow_the_umask(tmp_path, argv, umask):
+    cfg = write_config(tmp_path, TestDiskPreflight.CONFIG)
+    out = tmp_path / "out"
     previous = os.umask(umask)
     try:
-        assert run_cli(["decoherence-factor"], tmp_path) == 0
+        assert run_cli([*argv, "--config", cfg], out) == 0
     finally:
         os.umask(previous)
-    mode = (tmp_path / "decoherence_factor.csv").stat().st_mode & 0o777
-    assert mode == 0o666 & ~umask
+    # evolve's density files come from its forked writers.
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert len(modes) == (1 if argv == ["decoherence-factor"] else 3)
+    assert set(modes.values()) == {0o666 & ~umask}
 
 
 class TestOracleCommand:
