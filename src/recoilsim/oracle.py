@@ -56,7 +56,8 @@ MIN_BANDWIDTH_GAMMAS = 10.0
 COMPARISON_WINDOW_FRACTION = 0.8
 SAMPLE_COUNT = 51  # sample times of a run that gives none
 # Largest max|frequency| * T, in radians, a run may ask of the oracle: its
-# products number about the Gershgorin half-width of iL times T, near that.
+# products number about the half-width of iL's weighted Weyl interval times T,
+# at most max|frequency| * T plus a coupling term that does not grow with n_k.
 MAX_REACH = 1e4
 BLOCK = 64          # terms per block sum, terms[block].T @ coef[:, block].T
 CHUNK = 2048        # columns per piece of an update
@@ -342,23 +343,38 @@ def _hamiltonian(run: OdeRun) -> sparse.csr_array:
 
 
 def _spectrum(h: sparse.csr_array) -> tuple[float, float]:
-    """Gershgorin interval of the real ``H``: the union of its row discs."""
+    """Weyl interval of the real ``H`` (Horn & Johnson, Matrix Analysis, 4.3).
+
+    ``S = W^(1/2) H W^(-1/2)``, ``W`` the weights of
+    :attr:`Trajectory.sector_populations`, is symmetric, so ``H``'s spectrum
+    lies within ``b`` of its diagonal's range: the norm of the A-B star, the
+    root of its squares, plus that of the B-D block ``M``, at most the root of
+    the largest row sum of ``|M| |M|^T``.  At a fixed bandwidth ``b`` does not
+    grow with the mode count."""
+    n = int(h.indptr[1]) - 1  # the A row holds A, then every B_k
+    rows, cols, _ = _pairs(n)
+    # S's A-B entries are H's A row over sqrt 2, its B-D entries H's times
+    # sqrt(2 / w), the pair's weight w being 2, or 1 on the diagonal.
+    m = abs(h[1:1 + n, 1 + n:])
+    m.data *= np.sqrt(2.0 / (2.0 - (rows == cols)))[m.indices]
+    b = (np.sqrt(0.5 * np.add.reduce(h.data[1:1 + n] ** 2))
+         + np.sqrt((m @ (m.T @ np.ones(n))).max()))
     centre = h.diagonal()
-    radius = abs(h) @ np.ones(h.shape[0]) - np.abs(centre)
-    return float((centre - radius).min()), float((centre + radius).max())
+    return float(centre.min() - b), float(centre.max() + b)
 
 
 def integrate_amplitudes(run: OdeRun) -> Trajectory:
     """Propagate the coupled amplitude equations on the discrete grid.
 
     ``H = iL`` is real, so ``y(t) = exp(-iHt) y0``: one real Chebyshev
-    recurrence from ``e_0`` over the Gershgorin interval of ``H`` gives every
-    sample time (:func:`solve_ivp`, which sees only the products with ``H``
-    and the interval), with ``C_p`` folded into its coefficients, and
-    ``nfev`` is its product count, fixed before the first product.  Initial
-    condition A = C_p, everything else zero.  A drift of |A|^2 + 2 sum|B|^2 +
-    sum|D|^2 not within ``10 * tol`` (NaN included) raises
-    :class:`NormDriftFailure`.  Reruns are bit-identical at a fixed BLAS
+    recurrence from ``e_0`` over the weighted Weyl interval of ``H``
+    (:func:`_spectrum`) gives every sample time (:func:`solve_ivp`, which sees
+    only the products with ``H`` and the interval), with ``C_p`` folded into
+    its coefficients, and ``nfev`` is its product count, fixed before the
+    first product; at a fixed bandwidth and ``T`` it does not grow with the
+    mode count.  Initial condition A = C_p, everything else zero.  A drift of
+    |A|^2 + 2 sum|B|^2 + sum|D|^2 not within ``10 * tol`` (NaN included)
+    raises :class:`NormDriftFailure`.  Reruns are bit-identical at a fixed BLAS
     thread count: each product is one sparse product in a fixed order, and
     the terms are summed through BLAS in blocks of a fixed size.
 

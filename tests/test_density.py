@@ -378,14 +378,18 @@ class TestReducedDensity:
 
 class TestCoherenceLength:
     def test_pure_packet_gives_the_gaussian_coherence_width(self, params):
-        # Without emission the center-normalized profile is exp(-dx^2/8 sigma^2),
-        # crossing e^{-1} at 2*sqrt(2)*sigma.
+        # Without emission the center-normalized profile f is exp(-dx^2/8 sigma^2),
+        # crossing e^{-1} at sqrt(8) sigma.  Interpolating linearly between
+        # samples h = 2 * spacing apart in dx moves the crossing by at most
+        # (h^2 / 8) |f''| / |f'| = sqrt(2) h^2 / (32 sigma) to leading order,
+        # h^2 / (64 sigma^2) = 2.5e-5 of it at h = sigma / 25 here; a threshold
+        # 1e-3 off would move it by 5e-4.
         lam = params.wavelength
         sc = Scenario.single(width=lam / 2.0)
-        grid = SpatialGrid.linspace(-4.0 * lam, 4.0 * lam, 321)
+        grid = SpatialGrid.linspace(-4.0 * lam, 4.0 * lam, 801)
         res = coherence_length(reduced_density(grid, 0.0, sc, False, params))
         assert res.crossed
-        assert res.length == pytest.approx(2.0 * np.sqrt(2.0) * lam / 2.0, rel=0.01)
+        assert res.length == pytest.approx(np.sqrt(8.0) * lam / 2.0, rel=1e-4)
 
     def test_pure_packet_coherence_grows_with_time(self, params):
         lam = params.wavelength

@@ -297,6 +297,31 @@ class TestChebyshevPropagator:
         spectrum = oracle._spectrum(oracle._hamiltonian(run))
         assert small_traj.nfev == oracle.term_count(spectrum, run.t_span[1])
 
+    @pytest.mark.parametrize("n_k, n_phi, p, bandwidth", [
+        (6, 1, 0.0, 12.0),
+        (3, 3, 0.0, 12.0),
+        (7, 1, 0.3, 12.0),  # one angle at phi = 0: every mode carries one kick
+        (5, 2, 0.0, oracle.MIN_BANDWIDTH_GAMMAS),
+    ])
+    def test_interval_encloses_the_spectrum(self, params, n_k, n_phi, p, bandwidth):
+        # H is similar to a symmetric matrix, so its spectrum is real.
+        grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=bandwidth, n_phi=n_phi)
+        h = oracle._hamiltonian(OdeRun(params=params, grid=grid, p=p, t_span=(0.0, 1.0)))
+        lo, hi = oracle._spectrum(h)
+        eig = np.linalg.eigvals(h.toarray())
+        assert np.abs(eig.imag).max() <= 1e-12
+        assert lo <= eig.real.min() and eig.real.max() <= hi
+
+    def test_product_count_does_not_grow_with_the_mode_count(self, params):
+        # At the default band and span, twice the modes carry couplings 1/sqrt(2)
+        # as strong, and the interval, so the product count, stays put.
+        def count(n_k):
+            grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=50.0)
+            run = OdeRun(params=params, grid=grid, t_span=(0.0, 5.0 / params.gamma))
+            return oracle.term_count(oracle._spectrum(oracle._hamiltonian(run)),
+                                     run.t_span[1])
+        assert count(800) == count(400)
+
     def test_a_sample_a_rounding_past_the_span_is_reached(self, params, small_grid):
         # OdeRun admits sample times up to T (1 + 1e-12); the product count
         # follows the last sample, and the norm-drift check still holds.
@@ -388,9 +413,10 @@ class TestMemoryEstimate:
 
 
 class TestReach:
-    """The propagator's product count follows the Gershgorin half-width times
-    T, about the fastest frequency times T, so a run beyond ``MAX_REACH``
-    radians of the latter is refused before the first product."""
+    """The propagator's product count follows the half-width of the weighted
+    Weyl interval times T, at most the fastest frequency times T plus a
+    coupling term that does not grow with the mode count, so a run beyond
+    ``MAX_REACH`` radians of the former is refused before the first product."""
 
     @pytest.fixture
     def no_steps(self, monkeypatch):
@@ -505,3 +531,27 @@ class TestDensityQuadrature:
                 if abs(off) > 1e-8:
                     worst = max(worst, abs(on - off) / abs(off))
         assert worst <= 0.02
+
+    def test_recoil_offset_adds_its_square_to_the_second_moment(self, params):
+        """On the diagonal the phase weights are 1, so the quadrature is the
+        density averaged over shifts s (sin phi + sin phi'): its second moment
+        in x grows by s^2 E[(sin phi + sin phi')^2] = s^2 exactly, as the
+        rectangle rule is exact for that average at n_phi >= 3."""
+        lam = params.wavelength
+        width = lam / 2.0
+        sc = Scenario.single(width=width)
+        # Each photon changes the relative momentum by half of its own
+        # hbar omega0 / c along sin(phi), and x moves at p / mu: s = width here.
+        kick = params.hbar * params.omega0 / params.c
+        t = 2.0 * params.mu * width / kick
+        s = kick / 2.0 * t / params.mu
+        # The densities are sums of Gaussians of spread 1.05 width, which the
+        # rectangle rule integrates to rounding at this step (0.53 width).
+        xs = np.linspace(-8.0 * lam, 8.0 * lam, 61)
+
+        def second_moment(offset):
+            rho = [density_quadrature(x, x, t, sc, params, n_phi=128,
+                                      include_offset=offset).real for x in xs]
+            return np.add.reduce(xs**2 * np.array(rho)) * (xs[1] - xs[0])
+        assert second_moment(True) - second_moment(False) == pytest.approx(
+            s * s, rel=1e-10)
