@@ -128,7 +128,8 @@ def _section(value, schema: dict, where: str) -> dict:
 
 
 def _times(values, where: str) -> list[float]:
-    times = [_typed(v, 0.0, f"{where} entry") for v in values]
+    # + 0.0 makes -0.0 the 0.0 that file names and the summary print as "0".
+    times = [_typed(v, 0.0, f"{where} entry") + 0.0 for v in values]
     if any(t < 0 for t in times):
         raise ConfigurationError(f"{where} must be >= 0, got {min(times):g}")
     return times

@@ -319,7 +319,8 @@ def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     With ``emission`` the Bessel-squared factor multiplies every coherence;
     without it F is identically one and the state stays pure.  The emission
     form presumes both atoms have long since decayed: below ``gamma t = 1``
-    it is refused outright, below ``gamma t = 5`` a warning is issued.
+    it is refused outright, below ``gamma t = 5`` a warning is issued.  A
+    packet that leaves the grid no finite density is refused.
     """
     _check_times([t], emission, params)
     return _assemble_density(grid, t, scenario, emission, params)
@@ -356,7 +357,14 @@ def _assemble_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     offsets = np.arange(grid.n) * grid.spacing
     factor = decoherence_factor(offsets, 0.0, params) if emission else np.ones(grid.n)
     # F(0) = 1 exactly, so emission leaves the diagonal and the norm as they are.
-    norm = 1.0 / (float(np.add.reduce((psi * psi.conj()).real)) * grid.spacing)
+    mass = float(np.add.reduce((psi * psi.conj()).real)) * grid.spacing
+    if not 0.0 < mass < np.inf or not 1.0 / mass < np.inf:  # also NaN
+        lam = params.wavelength
+        raise ConfigurationError(
+            "the packet has no finite density on the density grid "
+            f"{grid.x_values[0] / lam:g} <= x <= {grid.x_values[-1] / lam:g} lambda "
+            f"at gamma*t = {params.gamma * t:.3g}")
+    norm = 1.0 / mass
     return DensityGrid(grid=grid, psi=psi, factor=factor, t=float(t),
                        emission=bool(emission), norm_factor=norm, params=params)
 
@@ -417,11 +425,14 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
     """Density matrices at several times, with up-front validation.
 
     The grid must resolve the Bessel oscillations (spacing <= lambda/20) and
-    contain the packets at the final time (extent >= 6x the largest packet
-    spread).  All times are gate-checked before any matrix is assembled, so
-    a validity failure produces no partial results.  A time that is not
-    finite and non-negative is refused first, as :func:`reduced_density`
-    refuses it; the gamma*t gates come after the grid's.
+    span at least 6x the largest packet spread at the final time; where the
+    packets sit is not checked, but one that leaves the grid no finite
+    density is refused when its matrix is assembled, as by
+    :func:`reduced_density`.  All times are gate-checked before any matrix is
+    assembled, so a validity failure produces no partial results.  A time
+    that is not finite and non-negative is refused first, as
+    :func:`reduced_density` refuses it; the gamma*t gates come after the
+    grid's.
     """
     times = [float(t) for t in times]
     _check_finite(times)

@@ -56,7 +56,7 @@ MIN_BANDWIDTH_GAMMAS = 10.0
 COMPARISON_WINDOW_FRACTION = 0.8
 SAMPLE_COUNT = 51  # sample times of a run that gives none
 # Largest max|frequency| * T, in radians, a run may ask of the oracle: its
-# products number about the half-width of iL's weighted Weyl interval times T,
+# products number about the half-width of H's weighted Weyl interval times T,
 # at most max|frequency| * T plus a coupling term that does not grow with n_k.
 MAX_REACH = 1e4
 BLOCK = 64          # terms per block sum, terms[block].T @ coef[:, block].T
@@ -139,7 +139,6 @@ class Trajectory:
     run: OdeRun
     times: np.ndarray
     y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex, solve_ivp's own
-    nfev: int            # products with H the propagator made
 
     def __post_init__(self):
         for name in ("times", "y"):
@@ -221,11 +220,11 @@ def _state_size(n: int) -> tuple[int, int]:
 def memory_estimate(n_modes: int, samples: int) -> int:
     """Bytes by which :func:`integrate_amplitudes` grows the process at its
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
-    building anything.  The peak is in :func:`solve_ivp`, after the complex
-    ``L`` has made way for the real ``H``: ``H``'s CSR arrays, the float64
-    block of ``BLOCK`` terms, the complex samples once (the real block sums
-    add into them), one ``CHUNK``-column piece of a block sum, and 24 vectors
-    for the recurrence and what the allocator keeps from building ``L``."""
+    building anything.  The peak is in :func:`solve_ivp`: ``H``'s CSR arrays,
+    the float64 block of ``BLOCK`` terms, the complex samples once (the real
+    block sums add into them), one ``CHUNK``-column piece of a block sum, and
+    24 vectors for the recurrence and what the allocator keeps from building
+    ``H``."""
     dim, nnz = _state_size(n_modes)
     index = 4 if nnz < 2**31 else 8
     return ((8 + index) * nnz + index * (dim + 1) + 8 * dim * (BLOCK + 24 + 2 * samples)
@@ -233,7 +232,7 @@ def memory_estimate(n_modes: int, samples: int) -> int:
 
 
 def amplitude_generator(run: OdeRun) -> sparse.csr_array:
-    """The amplitude equations ``y' = L y`` as one CSR matrix ``L``.
+    """The amplitude equations ``i y' = H y`` as one real CSR matrix ``H``.
 
     ``y`` is [A, B_k, D] in the rotating frame, D packed (row-major upper
     triangle).  Rows are written directly: A couples to A and every B_k; B_k
@@ -257,7 +256,7 @@ def amplitude_generator(run: OdeRun) -> sparse.csr_array:
     indptr = np.concatenate(([0], off + (n + 2) * np.arange(n + 1),
                              off + (n + 2) * n + np.cumsum(d_keep.sum(axis=1))))
     indices = np.concatenate([np.arange(off), b_idx.ravel(), d_idx[d_keep]])
-    data = -1j * np.concatenate([[alpha], 2.0 * g, b_val.ravel(), d_val[d_keep]])
+    data = np.concatenate([[alpha], 2.0 * g, b_val.ravel(), d_val[d_keep]])
     itype = np.int32 if indptr[-1] < 2**31 else np.int64
     from scipy import sparse  # here, not at the top: only this oracle needs scipy
     return sparse.csr_array((data, indices.astype(itype), indptr.astype(itype)),
@@ -333,15 +332,6 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
     return out.T
 
 
-def _hamiltonian(run: OdeRun) -> sparse.csr_array:
-    """The real ``H = iL`` of :func:`amplitude_generator`'s ``L``, whose entries
-    are ``-1j`` times real numbers, as a CSR with contiguous float64 data (a
-    strided ``.real`` view would be copied on every product)."""
-    h = amplitude_generator(run)
-    h.data = np.negative(h.data.imag)
-    return h
-
-
 def _spectrum(h: sparse.csr_array) -> tuple[float, float]:
     """Weyl interval of the real ``H`` (Horn & Johnson, Matrix Analysis, 4.3).
 
@@ -366,13 +356,14 @@ def _spectrum(h: sparse.csr_array) -> tuple[float, float]:
 def integrate_amplitudes(run: OdeRun) -> Trajectory:
     """Propagate the coupled amplitude equations on the discrete grid.
 
-    ``H = iL`` is real, so ``y(t) = exp(-iHt) y0``: one real Chebyshev
-    recurrence from ``e_0`` over the weighted Weyl interval of ``H``
-    (:func:`_spectrum`) gives every sample time (:func:`solve_ivp`, which sees
-    only the products with ``H`` and the interval), with ``C_p`` folded into
-    its coefficients, and ``nfev`` is its product count, fixed before the
-    first product; at a fixed bandwidth and ``T`` it does not grow with the
-    mode count.  Initial condition A = C_p, everything else zero.  A drift of
+    The generator ``H`` (:func:`amplitude_generator`) is real, so ``y(t) =
+    exp(-iHt) y0``: one real Chebyshev recurrence from ``e_0`` over the
+    weighted Weyl interval of ``H`` (:func:`_spectrum`) gives every sample time
+    (:func:`solve_ivp`, which sees only the products with ``H`` and the
+    interval), with ``C_p`` folded into its coefficients.  Its product count,
+    :func:`term_count`, is fixed before the first product; at a fixed
+    bandwidth and ``T`` it does not grow with the mode count.  Initial
+    condition A = C_p, everything else zero.  A drift of
     |A|^2 + 2 sum|B|^2 + sum|D|^2 not within ``10 * tol`` (NaN included)
     raises :class:`NormDriftFailure`.  Reruns are bit-identical at a fixed BLAS
     thread count: each product is one sparse product in a fixed order, and
@@ -381,7 +372,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is not a number) raises :class:`ConfigurationError` before any product.
     """
-    h = _hamiltonian(run)
+    h = amplitude_generator(run)
     reach = float(np.abs(h.diagonal()).max()) * run.t_span[1]
     if not reach <= MAX_REACH:
         raise ConfigurationError(
@@ -392,7 +383,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     e0[0] = 1.0
     y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times,
                   spectrum=spectrum, weight=run.c_p)
-    traj = Trajectory(run=run, times=times, y=y, nfev=term_count(spectrum, times[-1]))
+    traj = Trajectory(run=run, times=times, y=y)
     drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
     if not drift <= 10.0 * run.tol:
         raise NormDriftFailure(

@@ -191,6 +191,19 @@ class TestEvolveCommand:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["density_gt5_on.csv", "evolve_summary.json"]
 
+    @pytest.mark.parametrize("flag, payload", [
+        (["--times=-0"], None), ([], {"times": [-0.0]})], ids=["flag", "config"])
+    def test_negative_zero_time_is_zero(self, tmp_path, flag, payload):
+        argv = ["evolve", "--emission", "off", *flag]
+        if payload is not None:
+            argv += ["--config", write_config(tmp_path, payload)]
+        out = tmp_path / "out"
+        assert run_cli(argv, out) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["density_gt0_off.csv", "evolve_summary.json"]
+        [run] = json.loads((out / "evolve_summary.json").read_text())["runs"]
+        assert run["gamma_t"] == 0.0 and not np.signbit(run["gamma_t"])
+
     def test_empty_times_writes_only_the_summary(self, tmp_path):
         assert run_cli(["evolve", "--times", ""], tmp_path) == 0
         names = [p.name for p in tmp_path.iterdir()]
@@ -404,8 +417,16 @@ class TestRejectedInputs:
         (["oracle", "--which", "amplitudes"],
          {"params": {"gamma": 1e-300}, "modes": {"n_k": 4, "bandwidth_gammas": 1e290}}),
         (["evolve"], {"grid": {"points": 2**62}}),
+        # A packet off the grid: NaN files with exit 0, or a ZeroDivisionError.
+        (["evolve", "--emission", "off", "--times", "5"],
+         {"scenario": {"kind": "single", "width_over_lambda": 0.5,
+                       "center_over_lambda": 60.0}}),
+        (["evolve", "--emission", "off", "--times", "5"],
+         {"scenario": {"kind": "single", "width_over_lambda": 0.5,
+                       "center_over_lambda": 100.0}}),
     ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning",
-            "amplitudes-recoil-reach", "amplitudes-band-reach", "evolve-grid-points-2**62"])
+            "amplitudes-recoil-reach", "amplitudes-band-reach", "evolve-grid-points-2**62",
+            "evolve-packet-off-grid-60", "evolve-packet-off-grid-100"])
     def test_refusal_is_one_stderr_line_from_a_shell(self, tmp_path, argv, payload):
         out = tmp_path / "out"
         proc = subprocess.run(

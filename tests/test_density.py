@@ -469,6 +469,18 @@ class TestScenarioSweep:
         with pytest.raises(ConfigurationError):
             scenario_sweep(sc, [100.0 / params.gamma], False, small, params)
 
+    def test_a_packet_off_the_grid_is_refused(self, lam, sweep_grid, params):
+        # The grid spans the packet's spread, but not where it sits: 60 lambda
+        # out its density underflows to a few subnormals (the norm overflows),
+        # 100 lambda out to none.  Each gave NaN or a ZeroDivisionError.
+        t = 5.0 / params.gamma
+        for center, emission in itertools.product((60.0, 100.0), (True, False)):
+            off = Scenario.single(width=lam / 2.0, center=center * lam)
+            for call in (lambda: scenario_sweep(off, [t], emission, sweep_grid, params),
+                         lambda: reduced_density(sweep_grid, t, off, emission, params)):
+                with pytest.raises(ConfigurationError, match="no finite density"):
+                    call()
+
     def test_gates_run_before_any_assembly(self, sc, sweep_grid, params):
         g = params.gamma
         with pytest.raises(ModelValidityError):
