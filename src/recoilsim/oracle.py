@@ -59,7 +59,7 @@ SAMPLE_COUNT = 51  # sample times of a run that gives none
 # products number about the half-width of H's weighted Weyl interval times T,
 # at most max|frequency| * T plus a coupling term that does not grow with n_k.
 MAX_REACH = 1e4
-BLOCK = 64          # terms per block sum, terms[block].T @ coef[:, block].T
+BLOCK = 64          # terms per block sum, its even and its odd half apart
 CHUNK = 2048        # columns per piece of an update
 NEGLIGIBLE = 1e-20  # |J_k| below which a sample's remaining terms are skipped
 
@@ -222,7 +222,8 @@ def memory_estimate(n_modes: int, samples: int) -> int:
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
     building anything.  The peak is in :func:`solve_ivp`: ``H``'s CSR arrays,
     the float64 block of ``BLOCK`` terms, the complex samples once (the real
-    block sums add into them), one ``CHUNK``-column piece of a block sum, and
+    block sums add into them), one ``CHUNK``-column piece of them (the copy
+    that interleaves the even and odd sums, twice a block sum's piece), and
     24 vectors for the recurrence and what the allocator keeps from building
     ``H``."""
     dim, nnz = _state_size(n_modes)
@@ -270,6 +271,30 @@ def term_count(spectrum: tuple[float, float], span: float) -> int:
     return int(np.ceil(reach + 10.0 * np.cbrt(reach) + 30.0))
 
 
+def _bessel(x: np.ndarray, order: int) -> np.ndarray:
+    """``J_k(x)`` for ``k = 0..order``, one column per argument, by Miller's
+    backward recurrence (Gautschi, SIAM Rev. 9 (1967) 24).
+
+    ``J_{k-1} = (2k / x) J_k - J_{k+1}`` runs down from ``J_{n+1} = 0`` at an
+    ``n`` past both ``order`` and the largest ``|x|``, where ``J_n`` is far
+    below rounding.  It is carried as the ratios ``J_k / J_{k-1} = x / (2k - x
+    J_{k+1} / J_k)``, which rescale each sample at every step, so nothing
+    overflows or divides by ``x``; ``x = 0`` gives exactly ``delta_k0``, and a
+    negative ``x`` negates every ratio, so ``J_k(-x) = (-1)^k J_k(x)`` bit for
+    bit.  Their running products ``J_k / J_0`` are normalised by ``J_0 + 2 sum
+    J_2k = 1``."""
+    x = np.asarray(x, dtype=float)
+    # n exceeds max(order, |x|) by the margin term_count adds to a reach.
+    n = term_count((-1.0, 1.0), max(order, float(np.abs(x).max())))
+    ratio = np.empty((n + 1, x.size))
+    ratio[0] = 1.0
+    below = np.zeros(x.size)
+    for k in range(n, 0, -1):
+        below = ratio[k] = x / (2.0 * k - x * below)
+    np.cumprod(ratio, axis=0, out=ratio)
+    return ratio[:order + 1] / (1.0 + 2.0 * np.add.reduce(ratio[2::2], axis=0))
+
+
 def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
     """``weight * exp(-iH (t - t0)) y0`` at each ``t`` of ``t_eval``, as the
     rows of an ``(n_t, dim)`` complex array, for a real ``H`` with its
@@ -280,55 +305,74 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
 
     One real three-term recurrence gives every ``phi_k = T_k((H - c) / r) y0``,
     each for one call of ``fun(t, x) = H x``: ``term_count(spectrum, max|t -
-    t0|)`` calls, so any sample, even one a rounding past ``t_span[1]``, is
-    reached.  ``weight``, ``e^{-ict}`` and ``(-i)^k`` go into the ``J_k``
-    coefficients, whose real and imaginary rows sum ``BLOCK`` terms at a time
-    and ``CHUNK`` columns at a time in one real product, so the order of every
-    sum is fixed; a sample whose remaining ``|J_k|`` are all below
-    ``NEGLIGIBLE`` takes no further part.  The samples are the columns of one
-    ``(dim, n_t)`` array, returned transposed: the real block sums add into
-    its real and imaginary parts in place.
+    t0|)`` calls, so any sample, before ``t0`` or even a rounding past
+    ``t_span[1]``, is reached.  ``(-i)^k`` is real for even ``k`` and
+    imaginary for odd ``k``, so a sample is ``weight e^{-ict} (E + iO)``, with
+    ``E`` and ``O`` real sums of the even and the odd terms, their
+    coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  The
+    even and odd terms of a block of ``BLOCK`` fill its two halves, and each
+    half is summed into its own plane of each ``CHUNK`` rows of the samples
+    by one real product, so the order of every sum is fixed; a sample whose
+    remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no further part.
+    The samples are the columns of one ``(dim, n_t)`` complex array, returned
+    transposed: at the end each chunk's two planes are interleaved into ``E +
+    iO`` through one chunk-sized copy and multiplied by their phases.
     """
-    from scipy.special import jv  # here, not at the top: only this oracle needs scipy
     t0, (lo, hi) = t_span[0], spectrum
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # Zero width: H = c, and the terms of T_k(0) y0 that scale 0 gives are exact.
     scale = 1.0 / half if half > 0 else 0.0
     dt = np.asarray(t_eval, dtype=float) - t0
     terms = term_count(spectrum, np.abs(dt).max())
-    k = np.arange(terms + 1)
-    bessel = jv(k, half * dt[:, None])
-    coef = (np.where(k > 0, 2.0, 1.0) * bessel * np.array([1, -1j, -1, 1j])[k % 4]
-            * (weight * np.exp(-1j * center * dt))[:, None])
-    coef = np.stack([coef.real, coef.imag], axis=1)  # (n_t, 2, terms + 1)
-    live = np.abs(bessel) > NEGLIGIBLE
-    last = terms - np.argmax(live[:, ::-1], axis=1)  # a sample's last live term
+    k = np.arange(terms + 1)[:, None]
+    bessel = _bessel(half * dt, terms)
+    # (2 - delta_k0) (-i)^k J_k is i^(k % 2) times this real coefficient.
+    coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4] * bessel
+    last = terms - np.argmax(np.abs(bessel[::-1]) > NEGLIGIBLE, axis=0)
 
-    dim = y0.size
-    out = np.zeros((dim, dt.size), dtype=complex)
-    sums = out.view(float)  # (dim, 2 n_t): each sample's real and imaginary parts
-    block = np.empty((min(BLOCK, terms + 1), dim))
+    dim, n_t = y0.size, dt.size
+    out = np.zeros((dim, n_t), dtype=complex)
+    flat = out.view(float).reshape(-1)
+    chunks = [(col, flat[2 * n_t * col:2 * n_t * min(col + CHUNK, dim)].reshape(2, -1, n_t))
+              for col in range(0, dim, CHUNK)]  # each chunk's E and O planes
+    rows = min(BLOCK, terms + 1)
+    first_odd = (rows + 1) // 2
+    block = np.empty((rows, dim))
     shift = np.empty(dim)
+
+    def at(j):  # phi_j's row of the block
+        return (j % BLOCK) // 2 + (j % 2) * first_odd
+
     block[0] = y0
     for j in range(terms + 1):
         if j > 0:  # phi_j = a (fun(phi_{j-1}) - c phi_{j-1}) - phi_{j-2}
             a = scale if j == 1 else 2.0 * scale
-            phi, row = block[(j - 1) % BLOCK], block[j % BLOCK]
+            phi, row = block[at(j - 1)], block[at(j)]
             np.multiply(fun(t0, phi), a, out=row)
             if center:
                 np.multiply(phi, a * center, out=shift)
                 row -= shift
             if j > 1:
-                row -= block[(j - 2) % BLOCK]
+                row -= block[at(j - 2)]
         if j % BLOCK == BLOCK - 1 or j == terms:
             start = j - j % BLOCK
-            rows = last >= start
-            if rows.any():
-                first = int(np.argmax(rows))
-                c = coef[first:, :, start:j + 1].reshape(-1, j + 1 - start).T
-                terms_in = block[:j + 1 - start]
-                for col in range(0, dim, CHUNK):
-                    sums[col:col + CHUNK, 2 * first:] += terms_in[:, col:col + CHUNK].T @ c
+            live = last >= start
+            if live.any():
+                first = int(np.argmax(live))
+                evens, odds = coef[start:j + 1:2, first:], coef[start + 1:j + 1:2, first:]
+                halves = ((block[:len(evens)], evens),
+                          (block[first_odd:first_odd + len(odds)], odds))
+                for col, planes in chunks:
+                    for plane, (terms_in, c) in zip(planes, halves):
+                        plane[:, first:] += terms_in[:, col:col + CHUNK].T @ c
+    phase = weight * np.exp(-1j * center * dt)
+    copy = np.empty((2, min(CHUNK, dim), n_t))
+    for col, planes in chunks:
+        even_odd = copy[:, :planes.shape[1]]
+        np.copyto(even_odd, planes)
+        samples = out[col:col + CHUNK]
+        samples.real, samples.imag = even_odd
+        samples *= phase
     return out.T
 
 

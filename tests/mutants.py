@@ -1,0 +1,117 @@
+"""Mutation pass: every listed one-line mutant must fail its tests.
+
+Each mutant is ``(file, old line, new line, test modules)``: in a fresh copy
+of ``src/``, ``tests/`` and ``pyproject.toml``, the one line of ``file`` that
+reads ``old line`` (indentation aside) becomes ``new line``, at the same
+indentation, and the test modules run with ``pytest -x`` against the copy.
+A mutant is killed when pytest reports a failure (exit code 1).
+
+Run from anywhere::
+
+    python tests/mutants.py
+
+It exits 1 if any mutant survives, or if one cannot be applied or tested
+(its line is missing or not unique, or pytest exits with another code), and
+0 when every mutant is killed.  Standard library and pytest only; the file
+is not named ``test_*`` so the test suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    # The density quadrature's recoil shift, a percent too long.
+    ("src/recoilsim/oracle.py",
+     "s_off = params.hbar * params.omega0 * t / (2.0 * params.mu * params.c)",
+     "s_off = 1.01 * params.hbar * params.omega0 * t / (2.0 * params.mu * params.c)",
+     ["tests/test_oracle.py"]),
+    # The coherence length's 1/e threshold, a tenth of a permille high.
+    ("src/recoilsim/density.py",
+     "threshold = float(np.exp(-1.0))",
+     "threshold = 1.001 * float(np.exp(-1.0))",
+     ["tests/test_density.py"]),
+    # Miller's normalisation J0 + 2 sum J_2k = 1 without its 2.
+    ("src/recoilsim/oracle.py",
+     "return ratio[:order + 1] / (1.0 + 2.0 * np.add.reduce(ratio[2::2], axis=0))",
+     "return ratio[:order + 1] / (1.0 + np.add.reduce(ratio[2::2], axis=0))",
+     ["tests/test_oracle.py"]),
+    # The signs of the odd Chebyshev terms flipped.
+    ("src/recoilsim/oracle.py",
+     "coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4] * bessel",
+     "coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, 1.0, -1.0, -1.0])[k % 4] * bessel",
+     ["tests/test_oracle.py"]),
+    # The centre's phase turning the wrong way.
+    ("src/recoilsim/oracle.py",
+     "phase = weight * np.exp(-1j * center * dt)",
+     "phase = weight * np.exp(+1j * center * dt)",
+     ["tests/test_oracle.py"]),
+]
+
+
+def mutate(text: str, old: str, new: str) -> str:
+    """``text`` with its one line reading ``old`` replaced by ``new``."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == old.strip()]
+    if len(hits) != 1:
+        raise ValueError(f"{len(hits)} lines read {old!r}")
+    line = lines[hits[0]]
+    indent = line[:len(line) - len(line.lstrip())]
+    lines[hits[0]] = indent + new.strip() + "\n"
+    return "".join(lines)
+
+
+def run(path: str, old: str, new: str, modules: list[str]) -> str:
+    """``killed``, ``SURVIVED`` or ``ERROR: ...`` for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="recoilsim-mutant-") as tmp:
+        copy = Path(tmp).resolve()
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        target = copy / path
+        try:
+            target.write_text(mutate(target.read_text(), old, new))
+        except ValueError as err:
+            return f"ERROR: {path}: {err}"
+        # The copy's package comes first on the path, ahead of any installed
+        # one, and no bytecode is cached between mutants.
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run(
+            [sys.executable, "-c", "import recoilsim; print(recoilsim.__file__)"],
+            cwd=copy, env=env, capture_output=True, text=True)
+        if not where.stdout.startswith(str(copy)):
+            return f"ERROR: recoilsim imports from {where.stdout.strip() or where.stderr}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *modules],
+            cwd=copy, env=env, capture_output=True, text=True)
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exit {proc.returncode}: {proc.stdout[-500:]}{proc.stderr[-500:]}"
+
+
+def main() -> int:
+    failed = 0
+    for path, old, new, modules in MUTANTS:
+        start = time.perf_counter()
+        verdict = run(path, old, new, modules)
+        failed += verdict != "killed"
+        seconds = time.perf_counter() - start
+        print(f"{verdict:8s} {seconds:5.1f} s  {path}: {new.strip()}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -854,20 +854,26 @@ class TestEntryPoint:
         capsys.readouterr()
 
     def test_scipy_loads_only_for_the_amplitudes_oracle(self, tmp_path):
-        # scipy is most of the package's import time, and only the ODE needs it.
+        # scipy is most of the package's import time, and only the amplitudes
+        # oracle needs it.  evolve and the quadrature oracle run on a small grid.
+        small = write_config(tmp_path, TestDiskPreflight.CONFIG)
         script = "\n".join([
             "import json, sys",
             "import recoilsim, recoilsim.cli",
             "def scipy_modules():",
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']",
             "seen = {'import': scipy_modules()}",
-            "for argv in (['decoherence-factor'], ['oracle', '--which', 'rate']):",
-            "    code = recoilsim.cli.main([*argv, '--out', sys.argv[1]])",
+            "small = ['--config', sys.argv[2]]",
+            "for argv, config in ((['decoherence-factor'], []),",
+            "                     (['oracle', '--which', 'rate'], []), (['evolve'], small),",
+            "                     (['oracle', '--which', 'quadrature'], small)):",
+            "    code = recoilsim.cli.main([*argv, *config, '--out', sys.argv[1]])",
             "    seen[' '.join(argv)] = [code, scipy_modules()]",
             "print(json.dumps(seen))",
         ])
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), small],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "import": [], "decoherence-factor": [0, []], "oracle --which rate": [0, []]}
+            "import": [], "decoherence-factor": [0, []], "oracle --which rate": [0, []],
+            "evolve": [0, []], "oracle --which quadrature": [0, []]}

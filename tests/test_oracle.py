@@ -279,16 +279,16 @@ class TestChebyshevPropagator:
         assert np.max(np.abs(traj.y - exact)) <= 1e-12
 
     def test_a_small_real_matrix_at_any_sample(self):
-        # Samples past t_span's end and from a start other than 0 are summed
-        # like any other; the weight multiplies every state.
+        # Samples before t_span's start, past its end and from a start other
+        # than 0 are summed like any other; the weight multiplies every state.
         from scipy.linalg import expm
         h = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.2], [0.0, 0.2, 2.0]])
         spectrum = (-1.0, 2.2)  # Gershgorin's: -0.5 - 0.5 and 2.0 + 0.2
         y0 = np.array([1.0, 0.5, -0.25])
-        times = np.array([1.0, 2.5, 4.0, 6.0])
+        times = np.array([-1.5, 1.0, 2.5, 4.0, 6.0])
         y = oracle.solve_ivp(lambda t, x: h @ x, (0.5, 5.0), y0, t_eval=times,
                              spectrum=spectrum, weight=0.6 - 0.8j)
-        assert y.shape == (4, 3) and y.dtype == complex
+        assert y.shape == (5, 3) and y.dtype == complex
         for t, state in zip(times, y):
             exact = (0.6 - 0.8j) * expm(-1j * h * (t - 0.5)) @ y0
             assert np.max(np.abs(state - exact)) <= 1e-12
@@ -353,7 +353,8 @@ class TestChebyshevPropagator:
         assert products == oracle.term_count(spectrum, traj.times[-1])
 
     def test_loads_no_scipy_integrate(self):
-        # scipy.integrate would cost its import time on every oracle run.
+        # scipy.integrate and scipy.special would cost their import time on
+        # every oracle run: of scipy's public subpackages, only sparse loads.
         script = "\n".join([
             "import sys",
             "from recoilsim.core import ModelParams, ModeGrid",
@@ -363,11 +364,57 @@ class TestChebyshevPropagator:
             "integrate_amplitudes(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))",
             "print(sorted(m for m in sys.modules if m.startswith('scipy.')"
             " and m.split('.')[1] == 'integrate'))",
+            "print(sorted(m for m, module in sys.modules.items()",
+            "             if m.startswith('scipy.') and m.count('.') == 1",
+            "             and not m.split('.')[1].startswith('_')",
+            "             and hasattr(module, '__path__')))",
         ])
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
+
+
+class TestBesselCoefficients:
+    """The propagator's ``J_k`` table against scipy's ``jv``, which only this
+    test imports, at the orders the longest run allowed asks for."""
+
+    # 558 is about the default run's reach, its half-width 1.116 times 5 / gamma.
+    ARGUMENTS = np.array([0.0, 1e-3, 1.0, 37.5, 558.0, oracle.MAX_REACH])
+    ORDER = oracle.term_count((-1.0, 1.0), oracle.MAX_REACH)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return oracle._bessel(self.ARGUMENTS, self.ORDER)
+
+    def test_matches_scipy(self, table):
+        # Against 40-digit mpmath the table is within 1.6e-16 at each of these
+        # arguments, so the difference is jv's own error: 1.4e-14 up to 558 and
+        # 9e-14 at 1e4.  The bounds are about twice those.
+        from scipy.special import jv
+        k = np.arange(self.ORDER + 1)[:, None]
+        assert table.shape == (self.ORDER + 1, self.ARGUMENTS.size)
+        diff = np.abs(table - jv(k, self.ARGUMENTS)).max(axis=0)
+        assert np.all(diff <= np.where(self.ARGUMENTS <= 558.0, 3e-14, 2e-13))
+
+    def test_squares_sum_to_one(self, table):
+        # sum (2 - delta_k0) J_k^2 = 1, to a random walk of rounding over the
+        # terms, sqrt(K) eps = 2.3e-14.  jv misses it by 5.8e-14 at 558.
+        weights = np.where(np.arange(self.ORDER + 1) > 0, 2.0, 1.0)[:, None]
+        miss = np.abs(np.add.reduce(weights * table**2, axis=0) - 1.0)
+        assert np.all(miss <= np.sqrt(self.ORDER) * np.finfo(float).eps)
+
+    def test_negative_arguments_by_parity(self, table):
+        flipped = oracle._bessel(-self.ARGUMENTS, self.ORDER)
+        signs = np.where(np.arange(self.ORDER + 1) % 2, -1.0, 1.0)[:, None]
+        assert np.array_equal(flipped, signs * table)
+
+    def test_zero_is_exactly_the_first_order(self, table):
+        # pytest turns any RuntimeWarning (a division by x) into an error.
+        expected = np.zeros(self.ORDER + 1)
+        expected[0] = 1.0
+        assert np.array_equal(table[:, 0], expected)
+        assert np.array_equal(oracle._bessel(np.zeros(1), 30)[:, 0], expected[:31])
 
 
 class TestMemoryEstimate:
@@ -379,7 +426,7 @@ class TestMemoryEstimate:
         piece = min(oracle.CHUNK, dim)
         assert run.times.size == oracle.SAMPLE_COUNT == 51
         # The real H, the float64 block, 24 recurrence and slack vectors, the
-        # complex samples once and one piece of a block sum.
+        # complex samples once and one piece of them.
         assert oracle.memory_estimate(n, 51) == \
             csr + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 16 * 51 * piece
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
