@@ -28,6 +28,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -558,6 +559,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  Each warning it raises
+    shows on stderr as one ``warning: <message>`` line, not Python's two,
+    whose second is a line of source; the format is restored on return."""
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        return _main(argv)
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

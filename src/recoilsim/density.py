@@ -46,6 +46,7 @@ __all__ = [
 # Emission-on density matrices presume both atoms have decayed.
 HARD_TIME_GATE = 1.0   # gamma*t below this: hard error
 SOFT_TIME_GATE = 5.0   # gamma*t below this: warning
+MIN_GRID_MASS = 0.99   # share of the packet the density grid must hold
 
 
 def worker_count(n_jobs: int) -> int:
@@ -320,7 +321,8 @@ def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     without it F is identically one and the state stays pure.  The emission
     form presumes both atoms have long since decayed: below ``gamma t = 1``
     it is refused outright, below ``gamma t = 5`` a warning is issued.  A
-    packet that leaves the grid no finite density is refused.
+    packet of which the grid holds less than ``MIN_GRID_MASS`` (by the
+    grid's quadrature) is refused rather than renormalised.
     """
     _check_times([t], emission, params)
     return _assemble_density(grid, t, scenario, emission, params)
@@ -358,12 +360,15 @@ def _assemble_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     factor = decoherence_factor(offsets, 0.0, params) if emission else np.ones(grid.n)
     # F(0) = 1 exactly, so emission leaves the diagonal and the norm as they are.
     mass = float(np.add.reduce((psi * psi.conj()).real)) * grid.spacing
-    if not 0.0 < mass < np.inf or not 1.0 / mass < np.inf:  # also NaN
+    if not MIN_GRID_MASS <= mass < np.inf:  # also NaN
         lam = params.wavelength
-        raise ConfigurationError(
-            "the packet has no finite density on the density grid "
-            f"{grid.x_values[0] / lam:g} <= x <= {grid.x_values[-1] / lam:g} lambda "
-            f"at gamma*t = {params.gamma * t:.3g}")
+        where = (f"the density grid {grid.x_values[0] / lam:g} <= x <= "
+                 f"{grid.x_values[-1] / lam:g} lambda")
+        when = f"at gamma*t = {params.gamma * t:.3g}"
+        if 0.0 < mass < MIN_GRID_MASS and 1.0 / mass < np.inf:
+            raise ConfigurationError(f"{where} holds only {mass:.3g} of the packet "
+                                     f"{when} (at least {MIN_GRID_MASS:g} is needed)")
+        raise ConfigurationError(f"the packet has no finite density on {where} {when}")
     norm = 1.0 / mass
     return DensityGrid(grid=grid, psi=psi, factor=factor, t=float(t),
                        emission=bool(emission), norm_factor=norm, params=params)
@@ -425,10 +430,10 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
     """Density matrices at several times, with up-front validation.
 
     The grid must resolve the Bessel oscillations (spacing <= lambda/20) and
-    span at least 6x the largest packet spread at the final time; where the
-    packets sit is not checked, but one that leaves the grid no finite
-    density is refused when its matrix is assembled, as by
-    :func:`reduced_density`.  All times are gate-checked before any matrix is
+    span at least 6x the largest packet spread at the final time.  Where the
+    packets sit is checked when each matrix is assembled, as by
+    :func:`reduced_density`: a grid that holds less than ``MIN_GRID_MASS`` of
+    the packet is refused.  All times are gate-checked before any matrix is
     assembled, so a validity failure produces no partial results.  A time
     that is not finite and non-negative is refused first, as
     :func:`reduced_density` refuses it; the gamma*t gates come after the

@@ -60,7 +60,12 @@ SAMPLE_COUNT = 51  # sample times of a run that gives none
 # at most max|frequency| * T plus a coupling term that does not grow with n_k.
 MAX_REACH = 1e4
 BLOCK = 64          # terms per block sum, its even and its odd half apart
-CHUNK = 2048        # columns per piece of an update
+# Columns per piece of an update.  OpenBLAS runs a GEMM of m n k <= 2**18
+# multiply-adds on one thread (interface/gemm.c: SMP_THRESHOLD_MIN 65536 times
+# GEMM_MULTITHREAD_THRESHOLD 4).  A block sum of CHUNK columns, BLOCK / 2
+# terms and SAMPLE_COUNT samples stays within it, so no second thread wakes
+# to spin through the sparse products that follow.
+CHUNK = 2**18 // ((BLOCK // 2) * SAMPLE_COUNT)  # 160
 NEGLIGIBLE = 1e-20  # |J_k| below which a sample's remaining terms are skipped
 
 
@@ -223,9 +228,9 @@ def memory_estimate(n_modes: int, samples: int) -> int:
     building anything.  The peak is in :func:`solve_ivp`: ``H``'s CSR arrays,
     the float64 block of ``BLOCK`` terms, the complex samples once (the real
     block sums add into them), one ``CHUNK``-column piece of them (the copy
-    that interleaves the even and odd sums, twice a block sum's piece), and
-    24 vectors for the recurrence and what the allocator keeps from building
-    ``H``."""
+    that interleaves the even and odd sums, twice a block sum's piece: 130 kB
+    at ``SAMPLE_COUNT`` samples), and 24 vectors for the recurrence and what
+    the allocator keeps from building ``H``."""
     dim, nnz = _state_size(n_modes)
     index = 4 if nnz < 2**31 else 8
     return ((8 + index) * nnz + index * (dim + 1) + 8 * dim * (BLOCK + 24 + 2 * samples)
@@ -314,6 +319,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
     half is summed into its own plane of each ``CHUNK`` rows of the samples
     by one real product, so the order of every sum is fixed; a sample whose
     remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no further part.
+    Up to ``SAMPLE_COUNT`` samples, each such product is small enough for
+    OpenBLAS to run on one thread; with many more it may use more again.
     The samples are the columns of one ``(dim, n_t)`` complex array, returned
     transposed: at the end each chunk's two planes are interleaved into ``E +
     iO`` through one chunk-sized copy and multiplied by their phases.
@@ -409,9 +416,11 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     bandwidth and ``T`` it does not grow with the mode count.  Initial
     condition A = C_p, everything else zero.  A drift of
     |A|^2 + 2 sum|B|^2 + sum|D|^2 not within ``10 * tol`` (NaN included)
-    raises :class:`NormDriftFailure`.  Reruns are bit-identical at a fixed BLAS
-    thread count: each product is one sparse product in a fixed order, and
-    the terms are summed through BLAS in blocks of a fixed size.
+    raises :class:`NormDriftFailure`.  Reruns are bit-identical: each product
+    is one sparse product in a fixed order, and the terms are summed through
+    BLAS in blocks of a fixed size, each block sum on one OpenBLAS thread
+    whatever the thread count when there are at most ``SAMPLE_COUNT``
+    samples.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is not a number) raises :class:`ConfigurationError` before any product.

@@ -54,6 +54,12 @@ MUTANTS = [
      "phase = weight * np.exp(-1j * center * dt)",
      "phase = weight * np.exp(+1j * center * dt)",
      ["tests/test_oracle.py"]),
+    # The Weyl bound's B-D block scaled by sqrt(1 / w), not sqrt(2 / w): the
+    # interval still encloses the spectrum, but the product count falls.
+    ("src/recoilsim/oracle.py",
+     "m.data *= np.sqrt(2.0 / (2.0 - (rows == cols)))[m.indices]",
+     "m.data *= np.sqrt(1.0 / (2.0 - (rows == cols)))[m.indices]",
+     ["tests/test_oracle.py"]),
 ]
 
 

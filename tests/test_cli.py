@@ -204,6 +204,22 @@ class TestEvolveCommand:
         [run] = json.loads((out / "evolve_summary.json").read_text())["runs"]
         assert run["gamma_t"] == 0.0 and not np.signbit(run["gamma_t"])
 
+    def test_each_warning_is_one_stderr_line_from_a_shell(self, tmp_path):
+        # Python's own format adds a second line, a line of cli.py's source.
+        proc = subprocess.run([sys.executable, "-m", "recoilsim", "evolve",
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"warning: gamma*t = {gt} is marginal for the emission-traced density "
+            "matrix (recommended gamma*t >= 5.0)" for gt in (2, 3)]
+
+    def test_main_restores_the_warning_format(self, tmp_path):
+        before = warnings.formatwarning
+        with pytest.warns(ValidityWarning):
+            assert run_cli(["evolve", "--times", "2", "--emission", "on"], tmp_path) == 0
+        assert warnings.formatwarning is before
+
     def test_empty_times_writes_only_the_summary(self, tmp_path):
         assert run_cli(["evolve", "--times", ""], tmp_path) == 0
         names = [p.name for p in tmp_path.iterdir()]
@@ -301,7 +317,8 @@ class TestDensityWriter:
     """``evolve``'s CSV bytes, whatever the template and the worker count."""
 
     PARAMS = ModelParams(omega0=1.0, mu=800.0, gamma=0.01)
-    GRID = SpatialGrid.linspace(-2.0 * PARAMS.wavelength, 2.0 * PARAMS.wavelength, 81)
+    # Wide enough to hold 99 % of the superposition (a 2-lambda grid held 98 %).
+    GRID = SpatialGrid.linspace(-3.0 * PARAMS.wavelength, 3.0 * PARAMS.wavelength, 121)
     X_STRINGS = [format(float(x), ".17g") for x in GRID.x_values / PARAMS.wavelength]
 
     def _assert_matches_reference(self, dg):
@@ -424,9 +441,14 @@ class TestRejectedInputs:
         (["evolve", "--emission", "off", "--times", "5"],
          {"scenario": {"kind": "single", "width_over_lambda": 0.5,
                        "center_over_lambda": 100.0}}),
+        # A packet mostly off the grid: renormalised to trace 1, with exit 0.
+        (["evolve", "--emission", "off", "--times", "5"],
+         {"scenario": {"kind": "single", "width_over_lambda": 0.5,
+                       "center_over_lambda": 40.0}}),
     ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning",
             "amplitudes-recoil-reach", "amplitudes-band-reach", "evolve-grid-points-2**62",
-            "evolve-packet-off-grid-60", "evolve-packet-off-grid-100"])
+            "evolve-packet-off-grid-60", "evolve-packet-off-grid-100",
+            "evolve-packet-off-grid-40"])
     def test_refusal_is_one_stderr_line_from_a_shell(self, tmp_path, argv, payload):
         out = tmp_path / "out"
         proc = subprocess.run(

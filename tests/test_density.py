@@ -348,7 +348,10 @@ class TestReducedDensity:
 
     @pytest.mark.parametrize("points, span, emission", [
         (9, 2.0, True), (64, 3.0, False), (201, 5.0, True)])
-    def test_purity_matches_the_dense_sum(self, params, points, span, emission):
+    def test_purity_matches_the_dense_sum(self, points, span, emission):
+        # A heavy pair, so that at gamma*t = 5 even the 2-lambda grid holds
+        # the packets (the standard pair spreads them to 1.6 lambda).
+        params = ModelParams(omega0=1.0, mu=800.0, gamma=0.01)
         lam = params.wavelength
         grid = SpatialGrid.linspace(-span * lam, span * lam, points)
         sc = Scenario.superposition(center_offset=0.7 * lam, width=0.4 * lam)
@@ -420,10 +423,15 @@ class TestCoherenceLength:
         assert res == CoherenceLength(length=coarse.extent, crossed=False)
 
     def test_unreached_crossing_returns_the_sentinel(self, params):
+        # Built from its factors: reduced_density refuses a grid this narrow,
+        # which holds 71 % of the packet.
         lam = params.wavelength
         sc = Scenario.single(width=lam / 2.0)
         narrow = SpatialGrid.linspace(-0.5 * lam, 0.5 * lam, 21)
-        res = coherence_length(reduced_density(narrow, 0.0, sc, False, params))
+        dg = DensityGrid(grid=narrow, psi=psi_free(narrow.x_values, 0.0, sc, params),
+                         factor=np.ones(narrow.n), t=0.0, emission=False,
+                         norm_factor=1.0, params=params)
+        res = coherence_length(dg)
         assert not res.crossed
         assert res.length == narrow.extent
 
@@ -480,6 +488,27 @@ class TestScenarioSweep:
                          lambda: reduced_density(sweep_grid, t, off, emission, params)):
                 with pytest.raises(ConfigurationError, match="no finite density"):
                     call()
+
+    @pytest.mark.parametrize("center, held", [(5.0, "0.987"), (40.0, "2.97e-122")])
+    def test_a_packet_partly_off_the_grid_is_refused(self, lam, sweep_grid, params,
+                                                     center, held):
+        # Once renormalised to trace 1 over what was left of it: at 40 lambda
+        # a 0.056-lambda sliver of a packet 1.36 lambda wide.
+        t = 5.0 / params.gamma
+        off = Scenario.single(width=lam / 2.0, center=center * lam)
+        message = (rf"the density grid -8 <= x <= 8 lambda holds only {held} of "
+                   r"the packet at gamma\*t = 5 \(at least 0.99 is needed\)")
+        for emission in (True, False):
+            with pytest.raises(ConfigurationError, match=message):
+                scenario_sweep(off, [t], emission, sweep_grid, params)
+            with pytest.raises(ConfigurationError, match=message):
+                reduced_density(sweep_grid, t, off, emission, params)
+
+    def test_a_packet_the_grid_holds_is_accepted(self, lam, sweep_grid, params):
+        # 4.5 lambda out, the grid still holds 99.5 % of the packet.
+        off = Scenario.single(width=lam / 2.0, center=4.5 * lam)
+        dg = reduced_density(sweep_grid, 5.0 / params.gamma, off, False, params)
+        assert dg.trace() == pytest.approx(1.0, rel=1e-14)
 
     def test_gates_run_before_any_assembly(self, sc, sweep_grid, params):
         g = params.gamma

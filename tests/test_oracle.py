@@ -337,7 +337,8 @@ class TestChebyshevPropagator:
             run = OdeRun(params=params, grid=grid, t_span=(0.0, 5.0 / params.gamma))
             return oracle.term_count(oracle._spectrum(amplitude_generator(run)),
                                      run.t_span[1])
-        assert count(800) == count(400)
+        # 671 is the default run's product count, as the docs cite it.
+        assert count(800) == count(400) == 671
 
     def test_a_sample_a_rounding_past_the_span_is_reached(self, params, small_grid,
                                                           monkeypatch):
@@ -351,6 +352,21 @@ class TestChebyshevPropagator:
         assert np.max(np.abs(traj.norms - 1.0)) <= 10.0 * run.tol
         spectrum = oracle._spectrum(amplitude_generator(run))
         assert products == oracle.term_count(spectrum, traj.times[-1])
+
+    def test_block_sums_stay_on_one_blas_thread(self):
+        # OpenBLAS runs a GEMM of m n k <= 65536 * 4 = 2**18 on one thread
+        # (interface/gemm.c); a block sum is CHUNK by BLOCK / 2 by the samples.
+        assert oracle.CHUNK * (oracle.BLOCK // 2) * oracle.SAMPLE_COUNT <= 2**18
+        assert (oracle.CHUNK + 1) * (oracle.BLOCK // 2) * oracle.SAMPLE_COUNT > 2**18
+
+    def test_a_ragged_last_chunk_sums_like_the_rest(self, small_traj, monkeypatch):
+        # 7 does not divide dim = 325, so the last piece of every update is
+        # partial, as the default's is at 400 modes (80 601 = 503 * 160 + 121).
+        dim = small_traj.y.shape[1]
+        assert dim % 7 and dim > 7
+        monkeypatch.setattr(oracle, "CHUNK", 7)
+        again = integrate_amplitudes(small_traj.run)
+        assert np.allclose(again.y, small_traj.y, rtol=0.0, atol=1e-15)
 
     def test_loads_no_scipy_integrate(self):
         # scipy.integrate and scipy.special would cost their import time on
