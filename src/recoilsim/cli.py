@@ -78,13 +78,11 @@ DEFAULTS = {
               "flat_coupling": False},
     "times": [2.0, 3.0, 5.0],
     "decoherence": {"max_dx_over_lambda": 3.0, "points": 600},
-    "output": {"dir": "."},
 }
 
 # DEFAULTS is the schema: a key's type is that of its default.  What it
-# cannot show: ``dipole`` may stand in for the default ``gamma``, and each
-# scenario kind has its own keys, all required but ``center_over_lambda``.
-_SCHEMA = {**DEFAULTS, "params": {**DEFAULTS["params"], "dipole": 0.0}}
+# cannot show: each scenario kind has its own keys, all required but
+# ``center_over_lambda``.
 _SCENARIOS = {
     "single": DEFAULTS["scenario"],
     "superposition": {"kind": "superposition", "width_over_lambda": 0.5,
@@ -128,14 +126,6 @@ def _section(value, schema: dict, where: str) -> dict:
             for key, item in value.items()}
 
 
-def _times(values, where: str) -> list[float]:
-    # + 0.0 makes -0.0 the 0.0 that file names and the summary print as "0".
-    times = [_typed(v, 0.0, f"{where} entry") + 0.0 for v in values]
-    if any(t < 0 for t in times):
-        raise ConfigurationError(f"{where} must be >= 0, got {min(times):g}")
-    return times
-
-
 def load_config(path: str | None) -> dict:
     """Parse a JSON config file and overlay it onto the built-in defaults.
 
@@ -150,19 +140,18 @@ def load_config(path: str | None) -> dict:
                 user = json.load(fh)
             except ValueError as exc:  # also bad UTF-8 and overlong integers
                 raise ConfigurationError(f"{path} is not valid JSON: {exc}")
-        for key, value in _section(user, _SCHEMA, "config").items():
+        for key, value in _section(user, DEFAULTS, "config").items():
             if key == "times":
-                merged["times"] = _times(value, "times")
+                # + 0.0 makes -0.0 the 0.0 that file names and the summary
+                # print as "0".
+                times = [_typed(v, 0.0, "times entry") + 0.0 for v in value]
+                if any(t < 0 for t in times):
+                    raise ConfigurationError(f"times must be >= 0, got {min(times):g}")
+                merged["times"] = times
             elif key == "scenario":
                 merged["scenario"] = value
             else:
-                if key == "params" and "dipole" in value and "gamma" not in value:
-                    # The decay rate came in through its alternative form;
-                    # the default gamma must not shadow it.
-                    merged["params"].pop("gamma")
-                merged[key].update(_section(value, _SCHEMA[key], key))
-    if "gamma" in merged["params"] and "dipole" in merged["params"]:
-        raise ConfigurationError("params: give gamma or dipole, not both")
+                merged[key].update(_section(value, DEFAULTS[key], key))
 
     kind = merged["scenario"].get("kind")
     if kind not in tuple(_SCENARIOS):  # compared, not hashed: kind may be a list
@@ -185,8 +174,7 @@ def load_config(path: str | None) -> dict:
 
 def _model_params(cfg: dict) -> ModelParams:
     p = cfg["params"]
-    return ModelParams(omega0=p["omega0"], mu=p["mu"],
-                       gamma=p.get("gamma"), dipole=p.get("dipole"))
+    return ModelParams(omega0=p["omega0"], mu=p["mu"], gamma=p["gamma"])
 
 
 def _scenario(cfg: dict, params: ModelParams) -> Scenario:
@@ -299,14 +287,13 @@ def _write_density(job) -> None:
     _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings))
 
 
-def cmd_evolve(cfg: dict, out_dir: str, emission: str | None,
-               times: list[float] | None) -> int:
+def cmd_evolve(cfg: dict, out_dir: str, emission: str | None) -> int:
     """Density matrices for the configured scenario at each (time, emission)."""
     params = _model_params(cfg)
     lam = params.wavelength
     scenario = _scenario(cfg, params)
     grid = _spatial_grid(cfg, params)
-    gamma_times = cfg["times"] if times is None else times
+    gamma_times = cfg["times"]
     flags = [True, False] if emission is None else [emission == "on"]
     stems = [f"density_gt{gt:g}" for gt in gamma_times]
     repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
@@ -441,7 +428,7 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     print(f"wrote {path}")
     print(f"max |A|^2 decay deviation (within recurrence window): {decay:.3e}")
     print(f"max sector-norm drift: {drift:.3e}")
-    _require_within("decay_rate deviation", decay, DECAY_TOLERANCE)
+    _require_within("|A|^2 decay deviation", decay, DECAY_TOLERANCE)
     return 0
 
 
@@ -517,17 +504,6 @@ def _require_within(what: str, value: float, tolerance: float, hint: str = "") -
 # entry point
 
 
-def _parse_times(text: str) -> list[float]:
-    stripped = text.strip()
-    if not stripped:
-        return []
-    try:
-        times = [float(part) for part in stripped.split(",")]
-    except ValueError:
-        raise ConfigurationError(f"--times must be a comma list of numbers, got {text!r}")
-    return _times(times, "--times")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recoilsim",
@@ -536,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config overlaid on the defaults")
-        p.add_argument("--out", help="output directory (default: config output.dir)")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
 
     p_dec = sub.add_parser("decoherence-factor",
                            help="tabulate F(dx) = J0^2(pi dx/lambda)")
@@ -547,9 +523,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_evo)
     p_evo.add_argument("--emission", choices=["on", "off"],
                        help="restrict to one emission flag (default: both)")
-    p_evo.add_argument("--times",
-                       help="comma list of times in 1/gamma units "
-                            "(default: config times)")
 
     p_orc = sub.add_parser("oracle", help="run a brute-force validator")
     add_common(p_orc)
@@ -579,16 +552,14 @@ def _main(argv) -> int:
 
     try:
         cfg = load_config(ns.config)
-        out_dir = ns.out if ns.out is not None else cfg["output"]["dir"]
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(ns.out, exist_ok=True)
         if ns.command == "decoherence-factor":
-            return cmd_decoherence_factor(cfg, out_dir)
+            return cmd_decoherence_factor(cfg, ns.out)
         if ns.command == "evolve":
-            times = _parse_times(ns.times) if ns.times is not None else None
-            return cmd_evolve(cfg, out_dir, ns.emission, times)
+            return cmd_evolve(cfg, ns.out, ns.emission)
         oracle = {"amplitudes": _oracle_amplitudes, "quadrature": _oracle_quadrature,
                   "rate": _oracle_rate}[ns.which]
-        return oracle(cfg, out_dir)
+        return oracle(cfg, ns.out)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

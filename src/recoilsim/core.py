@@ -9,7 +9,7 @@ the closed-form emission amplitudes, the brute-force ODE integration, and the
 reduced spatial density matrix -- pulls its constants and mode frequencies
 from here.
 
-Units are natural, ``hbar = c = epsilon0 = 1``, fixed as class constants of
+Units are natural, ``hbar = c = 1``, fixed as class constants of
 :class:`ModelParams`, with the atomic transition frequency ``omega0`` setting
 the inverse-time scale.  The radiated wavelength is then ``2*pi/omega0``, and
 times are naturally reported in units of the inverse decay rate ``1/gamma``.
@@ -26,7 +26,6 @@ __all__ = [
     "ModelParams",
     "ModeGrid",
     "MomentumAmplitude",
-    "decay_rate",
     "recoil_momentum",
     "omega_no_photon",
     "omega_one_photon",
@@ -42,6 +41,14 @@ def _finite(x) -> bool:
     return bool(np.all(np.isfinite(x)))
 
 
+def _uniform(x: np.ndarray) -> bool:
+    """Whether the finite ``x`` increases in equal steps.  Rounding of ``x``
+    alone leaves steps a few ulp of ``max |x|`` apart, so 4 are allowed."""
+    dx = np.diff(x)
+    tol = 4.0 * np.spacing(np.abs(x).max())
+    return bool(np.all(dx > 0) and np.abs(dx - dx[0]).max() <= tol)
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr = np.array(arr, copy=True)
@@ -53,35 +60,24 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class ModelParams:
     """Immutable physical parameter set.
 
-    Either ``gamma`` (the single-atom spontaneous decay rate) is given
-    directly, or it is derived from the transition dipole via
-    :func:`decay_rate`.  The decay rate is the only place the dipole,
-    permittivity, and quantization volume enter any observable, so ``gamma``
-    is the primary user-facing knob.
+    The atoms' coupling to the field enters every observable only through
+    ``gamma``, the single-atom spontaneous decay rate, so ``gamma`` is the
+    one way it is given.
     """
 
-    omega0: float        # atomic transition frequency
-    mu: float            # reduced mass of the atom pair
-    gamma: float | None = None   # spontaneous decay rate of one excited atom
-    dipole: float | None = None  # transition dipole magnitude, used only to derive gamma
+    omega0: float  # atomic transition frequency
+    mu: float      # reduced mass of the atom pair
+    gamma: float   # spontaneous decay rate of one excited atom
 
     # Natural units: constants of the class, not fields.
     hbar = 1.0
     c = 1.0
-    epsilon0 = 1.0
 
     def __post_init__(self):
-        for name in ("omega0", "mu"):
+        for name in ("omega0", "mu", "gamma"):
             v = getattr(self, name)
             if not _finite(v) or v <= 0:
                 raise ConfigurationError(f"{name} must be positive and finite, got {v!r}")
-        if self.gamma is None:
-            if self.dipole is None:
-                raise ConfigurationError("either gamma or dipole must be supplied")
-            object.__setattr__(self, "gamma", decay_rate(self))
-        g = self.gamma
-        if not _finite(g) or g <= 0:
-            raise ConfigurationError(f"gamma must be positive and finite, got {g!r}")
 
     @property
     def cap_m(self) -> float:
@@ -107,24 +103,6 @@ class ModelParams:
                 f"omega0/gamma = {self.omega0 / self.gamma:.3g} is below 10; "
                 "localization scenarios require a sharply resonant line"
             )
-
-
-def decay_rate(params: ModelParams) -> float:
-    """Spontaneous decay rate of a single excited atom from its dipole.
-
-    ``gamma = omega0**2 * dipole**2 / (4 * epsilon0 * hbar * c**2)`` in the
-    planar scalar-field convention used throughout.  Bypassed entirely when
-    the user supplies ``gamma`` directly.
-    """
-    if params.dipole is None:
-        raise ConfigurationError("decay_rate requires params.dipole")
-    d = params.dipole
-    if not _finite(d) or d < 0:
-        raise ConfigurationError(f"dipole must be non-negative and finite, got {d!r}")
-    try:
-        return params.omega0**2 * d**2 / (4.0 * params.epsilon0 * params.hbar * params.c**2)
-    except OverflowError:  # a square beyond the float range
-        return np.inf
 
 
 def recoil_momentum(k, phi, params: ModelParams):
@@ -180,7 +158,7 @@ class ModeGrid:
     is why they never need numeric values.
     """
 
-    k_values: np.ndarray     # strictly increasing wavenumbers, all > 0
+    k_values: np.ndarray     # uniform increasing wavenumbers, all > 0
     phi_values: np.ndarray   # emission angles in [0, 2*pi)
     coupling_ref: float      # per-mode coupling at k = k0
     reference_k: float       # resonant wavenumber the couplings are anchored to
@@ -193,12 +171,16 @@ class ModeGrid:
         object.__setattr__(self, "phi_values", phi)
         if k.ndim != 1 or k.size < 2:
             raise ConfigurationError("need at least two wavenumbers")
-        if not _finite(k) or np.any(k <= 0) or np.any(np.diff(k) <= 0):
-            raise ConfigurationError("k_values must be finite, positive and strictly increasing")
+        # spacing, and with it the recurrence time, reads the first step only.
+        if not _finite(k) or np.any(k <= 0) or not _uniform(k):
+            raise ConfigurationError(
+                "k_values must be finite, positive, uniform and increasing")
         if phi.ndim != 1 or phi.size < 1 or np.any(phi < 0) or np.any(phi >= 2 * np.pi):
             raise ConfigurationError("phi_values must lie in [0, 2*pi)")
         if not _finite(self.coupling_ref) or self.coupling_ref < 0:
             raise ConfigurationError("coupling_ref must be non-negative")
+        if not _finite(self.reference_k) or self.reference_k <= 0:
+            raise ConfigurationError("reference_k must be positive and finite")
 
     @classmethod
     def build(cls, params: ModelParams, n_k: int, bandwidth_gammas: float = 25.0,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigurationError, ModelParams, MomentumAmplitude
+from .core import ConfigurationError, ModelParams, MomentumAmplitude, _uniform
 from .specfun import bessel_j0
 
 __all__ = [
@@ -155,13 +155,11 @@ class Scenario:
 def psi_free(x, t, c_p_spec, params: ModelParams):
     """Freely evolved relative wave function at position(s) ``x``.
 
-    ``c_p_spec`` may be a :class:`GaussianPacket` or :class:`Scenario`
-    (closed-form evolution) or a :class:`~recoilsim.core.MomentumAmplitude`
-    (direct quadrature of the momentum integral).  The quadrature route is
-    the numerical fallback used to cross-check the closed forms.
+    ``c_p_spec`` may be a :class:`Scenario` (closed-form evolution) or a
+    :class:`~recoilsim.core.MomentumAmplitude` (direct quadrature of the
+    momentum integral).  The quadrature route is the numerical fallback used
+    to cross-check the closed forms.
     """
-    if isinstance(c_p_spec, GaussianPacket):
-        return c_p_spec.evolved(x, t, params)
     if isinstance(c_p_spec, Scenario):
         parts = [w * pk.evolved(x, t, params)
                  for pk, w in zip(c_p_spec.packets, c_p_spec.weights)]
@@ -206,10 +204,7 @@ class SpatialGrid:
             raise ConfigurationError("need at least two grid points")
         if not np.all(np.isfinite(x)):
             raise ConfigurationError("grid points must be finite")
-        dx = np.diff(x)
-        # Rounding of x alone leaves steps a few ulp of max |x| apart.
-        tol = 4.0 * np.spacing(np.abs(x).max())
-        if np.any(dx <= 0) or np.abs(dx - dx[0]).max() > tol:
+        if not _uniform(x):
             raise ConfigurationError("x_values must be uniform and increasing")
         x.setflags(write=False)
         object.__setattr__(self, "x_values", x)
@@ -434,11 +429,14 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
     packets sit is checked when each matrix is assembled, as by
     :func:`reduced_density`: a grid that holds less than ``MIN_GRID_MASS`` of
     the packet is refused.  All times are gate-checked before any matrix is
-    assembled, so a validity failure produces no partial results.  A time
-    that is not finite and non-negative is refused first, as
-    :func:`reduced_density` refuses it; the gamma*t gates come after the
-    grid's.
+    assembled, so a validity failure produces no partial results.  A
+    ``scenario`` that is not a :class:`Scenario` is refused first, then a
+    time that is not finite and non-negative, as :func:`reduced_density`
+    refuses it; the gamma*t gates come after the grid's.
     """
+    if not isinstance(scenario, Scenario):
+        raise ConfigurationError(
+            f"unsupported wave-packet specification: {type(scenario).__name__}")
     times = [float(t) for t in times]
     _check_finite(times)
     if any(b <= a for a, b in zip(times, times[1:])):

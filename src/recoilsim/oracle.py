@@ -89,7 +89,6 @@ class OdeRun:
     params: ModelParams
     grid: ModeGrid
     p: float = 0.0
-    c_p: complex = 1.0 + 0.0j
     t_span: tuple[float, float] = (0.0, 1.0)
     sample_times: np.ndarray | None = None
     tol: float = 1e-10
@@ -300,8 +299,8 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     return ratio[:order + 1] / (1.0 + 2.0 * np.add.reduce(ratio[2::2], axis=0))
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
-    """``weight * exp(-iH (t - t0)) y0`` at each ``t`` of ``t_eval``, as the
+def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
+    """``exp(-iH (t - t0)) y0`` at each ``t`` of ``t_eval``, as the
     rows of an ``(n_t, dim)`` complex array, for a real ``H`` with its
     spectrum in ``spectrum = (c - r, c + r)``, a real ``y0`` and ``t0 =
     t_span[0]`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967):
@@ -312,7 +311,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
     each for one call of ``fun(t, x) = H x``: ``term_count(spectrum, max|t -
     t0|)`` calls, so any sample, before ``t0`` or even a rounding past
     ``t_span[1]``, is reached.  ``(-i)^k`` is real for even ``k`` and
-    imaginary for odd ``k``, so a sample is ``weight e^{-ict} (E + iO)``, with
+    imaginary for odd ``k``, so a sample is ``e^{-ict} (E + iO)``, with
     ``E`` and ``O`` real sums of the even and the odd terms, their
     coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  The
     even and odd terms of a block of ``BLOCK`` fill its two halves, and each
@@ -372,7 +371,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum, weight=1.0):
                 for col, planes in chunks:
                     for plane, (terms_in, c) in zip(planes, halves):
                         plane[:, first:] += terms_in[:, col:col + CHUNK].T @ c
-    phase = weight * np.exp(-1j * center * dt)
+    phase = np.exp(-1j * center * dt)
     copy = np.empty((2, min(CHUNK, dim), n_t))
     for col, planes in chunks:
         even_odd = copy[:, :planes.shape[1]]
@@ -411,16 +410,16 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     exp(-iHt) y0``: one real Chebyshev recurrence from ``e_0`` over the
     weighted Weyl interval of ``H`` (:func:`_spectrum`) gives every sample time
     (:func:`solve_ivp`, which sees only the products with ``H`` and the
-    interval), with ``C_p`` folded into its coefficients.  Its product count,
-    :func:`term_count`, is fixed before the first product; at a fixed
-    bandwidth and ``T`` it does not grow with the mode count.  Initial
-    condition A = C_p, everything else zero.  A drift of
-    |A|^2 + 2 sum|B|^2 + sum|D|^2 not within ``10 * tol`` (NaN included)
-    raises :class:`NormDriftFailure`.  Reruns are bit-identical: each product
-    is one sparse product in a fixed order, and the terms are summed through
-    BLAS in blocks of a fixed size, each block sum on one OpenBLAS thread
-    whatever the thread count when there are at most ``SAMPLE_COUNT``
-    samples.
+    interval).  Its product count, :func:`term_count`, is fixed before the
+    first product; at a fixed bandwidth and ``T`` it does not grow with the
+    mode count.  Initial condition A = 1, everything else zero: the equations
+    are linear, so a start from A = C_p is this run times C_p.  A drift of
+    |A|^2 + 2 sum|B|^2 + sum|D|^2 from 1 not within ``10 * tol`` (NaN
+    included) raises :class:`NormDriftFailure`.  Reruns are bit-identical:
+    each product is one sparse product in a fixed order, and the terms are
+    summed through BLAS in blocks of a fixed size, each block sum on one
+    OpenBLAS thread whatever the thread count when there are at most
+    ``SAMPLE_COUNT`` samples.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is not a number) raises :class:`ConfigurationError` before any product.
@@ -435,9 +434,9 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     spectrum, times, e0 = _spectrum(h), run.times, np.zeros(h.shape[0])
     e0[0] = 1.0
     y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times,
-                  spectrum=spectrum, weight=run.c_p)
+                  spectrum=spectrum)
     traj = Trajectory(run=run, times=times, y=y)
-    drift = float(np.max(np.abs(traj.norms - abs(run.c_p) ** 2)))
+    drift = float(np.max(np.abs(traj.norms - 1.0)))
     if not drift <= 10.0 * run.tol:
         raise NormDriftFailure(
             f"sector norm drifted by {drift:.3e} (allowed {10.0 * run.tol:.3e}); "
@@ -448,14 +447,14 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
 def max_decay_error(traj: Trajectory) -> float:
     """Worst relative deviation of |A(t)|^2 from pure exponential decay.
 
-    Compares against ``|C_p|^2 e^{-2 gamma t}`` at every sample inside the
+    Compares against ``e^{-2 gamma t}`` at every sample inside the
     grid's comparison window.
     """
     gamma = traj.run.params.gamma
     mask = traj.times <= traj.comparison_window
     if not mask.any():
         raise ConfigurationError("no samples inside the comparison window")
-    expected = abs(traj.run.c_p) ** 2 * np.exp(-2.0 * gamma * traj.times[mask])
+    expected = np.exp(-2.0 * gamma * traj.times[mask])
     actual = np.abs(traj.a[mask]) ** 2
     return float(np.max(np.abs(actual - expected) / expected))
 

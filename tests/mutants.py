@@ -51,8 +51,8 @@ MUTANTS = [
      ["tests/test_oracle.py"]),
     # The centre's phase turning the wrong way.
     ("src/recoilsim/oracle.py",
-     "phase = weight * np.exp(-1j * center * dt)",
-     "phase = weight * np.exp(+1j * center * dt)",
+     "phase = np.exp(-1j * center * dt)",
+     "phase = np.exp(+1j * center * dt)",
      ["tests/test_oracle.py"]),
     # The Weyl bound's B-D block scaled by sqrt(1 / w), not sqrt(2 / w): the
     # interval still encloses the spectrum, but the product count falls.
@@ -60,6 +60,43 @@ MUTANTS = [
      "m.data *= np.sqrt(2.0 / (2.0 - (rows == cols)))[m.indices]",
      "m.data *= np.sqrt(1.0 / (2.0 - (rows == cols)))[m.indices]",
      ["tests/test_oracle.py"]),
+    # The one-photon amplitude's dressed width a percent narrow in its
+    # denominator.
+    ("src/recoilsim/amplitudes.py",
+     "denom = 1j * (alpha - beta) + g / 2.0",
+     "denom = 1j * (alpha - beta) + g / 2.02",
+     ["tests/test_amplitudes.py"]),
+    # The two-photon form's source pole a percent narrow.
+    ("src/recoilsim/amplitudes.py",
+     "b_ = 1j * (alpha - beta) + gamma / 2.0",
+     "b_ = 1j * (alpha - beta) + gamma / 2.02",
+     ["tests/test_amplitudes.py"]),
+    # The free packet spreading a percent fast.
+    ("src/recoilsim/density.py",
+     "d_t = d**2 + 0.5j * params.hbar * t / params.mu",
+     "d_t = d**2 + 0.505j * params.hbar * t / params.mu",
+     ["tests/test_density.py"]),
+    # The decoherence factor's Bessel argument a percent short.
+    ("src/recoilsim/density.py",
+     "arg = (params.omega0 / (2.0 * params.c)) * (np.asarray(x, dtype=float)",
+     "arg = (params.omega0 / (2.02 * params.c)) * (np.asarray(x, dtype=float)",
+     ["tests/test_density.py"]),
+    # The pole sum flagged only below 80 % of gamma/2, not 90 %.
+    ("src/recoilsim/oracle.py",
+     "return RateCheck(rate=rate, expected=half, flagged=rate < 0.9 * half)",
+     "return RateCheck(rate=rate, expected=half, flagged=rate < 0.8 * half)",
+     ["tests/test_oracle.py"]),
+    # J0's switch to the Hankel asymptotics at |z| = 10, where they are
+    # less accurate.
+    ("src/recoilsim/specfun.py",
+     "CROSSOVER = 12.0",
+     "CROSSOVER = 10.0",
+     ["tests/test_specfun.py"]),
+    # The total mass a percent heavy.
+    ("src/recoilsim/core.py",
+     "return 4.0 * self.mu",
+     "return 4.04 * self.mu",
+     ["tests/test_core.py"]),
 ]
 
 

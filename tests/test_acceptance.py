@@ -310,7 +310,9 @@ def test_criterion_7_cli_contract(default_evolve_runs, small_modes_config,
     # Engineered failures: the hard validity gate (exit 2, nothing written)
     # and an oracle tolerance breach from a truncated bandwidth (exit 3).
     gate_dir = tmp_path / "gate"
-    assert run_cli(["evolve", "--times", "0.5"], gate_dir) == 2
+    early = tmp_path / "early.json"
+    early.write_text(json.dumps({"times": [0.5]}))
+    assert run_cli(["evolve", "--config", str(early)], gate_dir) == 2
     assert list(gate_dir.iterdir()) == []
 
     narrow = tmp_path / "narrow.json"

@@ -72,17 +72,6 @@ class TestLoadConfig:
         assert load_config(path)["scenario"] == {
             "kind": "single", "width_over_lambda": 0.25, "center_over_lambda": 0.0}
 
-    def test_dipole_displaces_the_default_gamma(self, tmp_path):
-        path = write_config(tmp_path, {"params": {"dipole": 0.2}})
-        cfg = load_config(path)
-        assert "gamma" not in cfg["params"]
-        assert cfg["params"]["dipole"] == 0.2
-
-    def test_explicit_gamma_and_dipole_conflict(self, tmp_path):
-        path = write_config(tmp_path, {"params": {"gamma": 0.01, "dipole": 0.2}})
-        with pytest.raises(ConfigurationError):
-            load_config(path)
-
     @pytest.mark.parametrize("payload", [
         {"unknown_section": {}},
         {"grid": {"n_points": 5}},
@@ -109,6 +98,15 @@ class TestLoadConfig:
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    @pytest.mark.parametrize("payload, line", [
+        ({"params": {"dipole": 0.2}}, "unknown params key(s): dipole"),
+        ({"output": {"dir": "."}}, "unknown config key(s): output"),
+    ], ids=["dipole", "output"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, payload, line):
+        cfg = write_config(tmp_path, payload)
+        assert run_cli(["decoherence-factor", "--config", cfg], tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
 
     def test_rejects_broken_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -186,19 +184,16 @@ class TestEvolveCommand:
         assert on5["coherence_length_over_lambda"] < off5["coherence_length_over_lambda"]
 
     def test_times_and_emission_flags(self, tmp_path):
-        assert run_cli(["evolve", "--times", "5", "--emission", "on"],
-                       tmp_path) == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
+        cfg = write_config(tmp_path, {"times": [5]})
+        out = tmp_path / "out"
+        assert run_cli(["evolve", "--config", cfg, "--emission", "on"], out) == 0
+        names = sorted(p.name for p in out.iterdir())
         assert names == ["density_gt5_on.csv", "evolve_summary.json"]
 
-    @pytest.mark.parametrize("flag, payload", [
-        (["--times=-0"], None), ([], {"times": [-0.0]})], ids=["flag", "config"])
-    def test_negative_zero_time_is_zero(self, tmp_path, flag, payload):
-        argv = ["evolve", "--emission", "off", *flag]
-        if payload is not None:
-            argv += ["--config", write_config(tmp_path, payload)]
+    def test_negative_zero_time_is_zero(self, tmp_path):
+        cfg = write_config(tmp_path, {"times": [-0.0]})
         out = tmp_path / "out"
-        assert run_cli(argv, out) == 0
+        assert run_cli(["evolve", "--emission", "off", "--config", cfg], out) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["density_gt0_off.csv", "evolve_summary.json"]
         [run] = json.loads((out / "evolve_summary.json").read_text())["runs"]
@@ -216,30 +211,32 @@ class TestEvolveCommand:
 
     def test_main_restores_the_warning_format(self, tmp_path):
         before = warnings.formatwarning
+        cfg = write_config(tmp_path, {"times": [2]})
         with pytest.warns(ValidityWarning):
-            assert run_cli(["evolve", "--times", "2", "--emission", "on"], tmp_path) == 0
+            assert run_cli(["evolve", "--config", cfg, "--emission", "on"],
+                           tmp_path / "out") == 0
         assert warnings.formatwarning is before
 
     def test_empty_times_writes_only_the_summary(self, tmp_path):
-        assert run_cli(["evolve", "--times", ""], tmp_path) == 0
-        names = [p.name for p in tmp_path.iterdir()]
+        cfg = write_config(tmp_path, {"times": []})
+        out = tmp_path / "out"
+        assert run_cli(["evolve", "--config", cfg], out) == 0
+        names = [p.name for p in out.iterdir()]
         assert names == ["evolve_summary.json"]
-        summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+        summary = json.loads((out / "evolve_summary.json").read_text())
         assert summary["runs"] == []
 
     def test_validity_gate_leaves_no_partial_output(self, tmp_path, capsys):
-        code = run_cli(["evolve", "--times", "0.5,5"], tmp_path)
-        assert code == 2
+        cfg = write_config(tmp_path, {"times": [0.5, 5]})
+        out = tmp_path / "out"
+        assert run_cli(["evolve", "--config", cfg], out) == 2
         assert "validity gate" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert list(out.iterdir()) == []
 
     def test_gate_does_not_apply_without_emission(self, tmp_path):
-        assert run_cli(["evolve", "--times", "0.5", "--emission", "off"],
-                       tmp_path) == 0
-
-    def test_bad_times_flag(self, tmp_path, capsys):
-        assert run_cli(["evolve", "--times", "2;3"], tmp_path) == 1
-        assert "config error" in capsys.readouterr().err
+        cfg = write_config(tmp_path, {"times": [0.5]})
+        assert run_cli(["evolve", "--config", cfg, "--emission", "off"],
+                       tmp_path / "out") == 0
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grids": {}})
@@ -249,7 +246,8 @@ class TestEvolveCommand:
     def test_out_colliding_with_a_file_exits_one(self, tmp_path, capsys):
         target = tmp_path / "occupied"
         target.write_text("")
-        assert main(["evolve", "--times", "", "--out", str(target)]) == 1
+        cfg = write_config(tmp_path, {"times": []})
+        assert main(["evolve", "--config", cfg, "--out", str(target)]) == 1
         assert "i/o error" in capsys.readouterr().err
 
 
@@ -435,16 +433,16 @@ class TestRejectedInputs:
          {"params": {"gamma": 1e-300}, "modes": {"n_k": 4, "bandwidth_gammas": 1e290}}),
         (["evolve"], {"grid": {"points": 2**62}}),
         # A packet off the grid: NaN files with exit 0, or a ZeroDivisionError.
-        (["evolve", "--emission", "off", "--times", "5"],
+        (["evolve", "--emission", "off"],
          {"scenario": {"kind": "single", "width_over_lambda": 0.5,
-                       "center_over_lambda": 60.0}}),
-        (["evolve", "--emission", "off", "--times", "5"],
+                       "center_over_lambda": 60.0}, "times": [5]}),
+        (["evolve", "--emission", "off"],
          {"scenario": {"kind": "single", "width_over_lambda": 0.5,
-                       "center_over_lambda": 100.0}}),
+                       "center_over_lambda": 100.0}, "times": [5]}),
         # A packet mostly off the grid: renormalised to trace 1, with exit 0.
-        (["evolve", "--emission", "off", "--times", "5"],
+        (["evolve", "--emission", "off"],
          {"scenario": {"kind": "single", "width_over_lambda": 0.5,
-                       "center_over_lambda": 40.0}}),
+                       "center_over_lambda": 40.0}, "times": [5]}),
     ], ids=["quadrature-runtime-warning", "decoherence-overflow", "regime-after-warning",
             "amplitudes-recoil-reach", "amplitudes-band-reach", "evolve-grid-points-2**62",
             "evolve-packet-off-grid-60", "evolve-packet-off-grid-100",
@@ -460,11 +458,10 @@ class TestRejectedInputs:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("argv, payload", [
-        (["evolve", "--times", "nan"], None),
         (["evolve"], {"times": [float("nan")]}),
         (["decoherence-factor"], {"decoherence": {"max_dx_over_lambda": float("inf")}}),
-        (["evolve", "--times", "5.000001,5.000002"], None),
-        (["evolve", "--times", "-1"], None),
+        (["evolve"], {"times": [5.000001, 5.000002]}),
+        (["evolve"], {"times": [-1]}),
         (["oracle", "--which", "quadrature"],
          {"scenario": {"kind": "single", "width_over_lambda": 0.5,
                        "center_over_lambda": 100.0}}),
@@ -493,8 +490,8 @@ class TestRejectedInputs:
         (["decoherence-factor"], {"decoherence": {"points": 10**19}}),
         (["oracle", "--which", "rate"], {"modes": {"n_k": 2**60}}),
         (["oracle", "--which", "rate"], {"modes": {"n_phi": sys.maxsize // 16 + 1}}),
-    ], ids=["times-flag-nan", "times-config-nan", "decoherence-inf", "name-collision",
-            "times-flag-negative", "quadrature-packet-off-the-probe-grid",
+    ], ids=["times-config-nan", "decoherence-inf", "name-collision",
+            "times-config-negative", "quadrature-packet-off-the-probe-grid",
             "quadrature-nan-tiny-mu", "quadrature-nan-tiny-gamma", "rate-nan-pole-sum",
             "quadrature-probe-grid-overflow", "quadrature-probe-grid-nan",
             "rate-coupling-overflow", "amplitudes-wavenumber-overflow",
@@ -503,14 +500,12 @@ class TestRejectedInputs:
             "decoherence-points-10**19", "rate-n_k-2**60", "rate-n_phi-past-the-bound"])
     def test_exits_one_without_output(self, tmp_path, capsys, argv, payload):
         out = tmp_path / "out"
-        if payload is not None:
-            argv = [*argv, "--config", write_config(tmp_path, payload)]
-        assert run_cli(argv, out) == 1
+        assert run_cli([*argv, "--config", write_config(tmp_path, payload)], out) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("argv", [["evolve", "--times", "5"],
+    @pytest.mark.parametrize("argv", [["evolve"],
                                       ["oracle", "--which", "quadrature"]])
     @pytest.mark.parametrize("scenario, key", [
         ({"kind": "single"}, "width_over_lambda"),
@@ -672,7 +667,9 @@ _SCENARIO = st.sampled_from([*_KINDS, "triple"]).flatmap(
 _CONFIGS = st.fixed_dictionaries({}, optional={
     **{key: _mostly(_fields(value)) for key, value in DEFAULTS.items()
        if isinstance(value, dict)},
+    # Two inputs that once had a second way in, now unknown keys.
     "params": _mostly(_fields({**DEFAULTS["params"], "dipole": 0.1})),
+    "output": _mostly(_fields({"dir": "."})),
     "scenario": _mostly(_SCENARIO),
     "times": _mostly(st.lists(_mostly(_like(0.0)), max_size=3)),
 })
@@ -767,6 +764,17 @@ def test_main_fuzz_exits_with_a_code_and_one_line(tmp_path, argv, payload):
         warnings.simplefilter("always")
         code = main([*argv, "--config", config, "--out", str(out)])
     assert code in (0, 1, 2, 3)
+    # Two removed inputs: the top level's keys are checked first, then the
+    # types of its values, then each section's keys in file order.
+    params = payload.get("params")
+    if "output" in payload:
+        assert code == 1
+        assert stderr.getvalue().startswith("config error: unknown config key(s): ")
+    elif isinstance(params, dict) and "dipole" in params:
+        assert code == 1
+        if next(iter(payload)) == "params" and all(
+                type(value) is type(DEFAULTS[key]) for key, value in payload.items()):
+            assert stderr.getvalue().startswith("config error: unknown params key(s): ")
     if code:
         assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
         assert not caught, [str(w.message) for w in caught]
@@ -841,7 +849,7 @@ class TestOracleCommand:
                        tmp_path) == 3
         err = capsys.readouterr().err
         assert "oracle tolerance breach" in err
-        assert "decay_rate deviation" in err
+        assert "|A|^2 decay deviation" in err
 
 
 class TestToleranceCheck:

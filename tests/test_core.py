@@ -14,7 +14,6 @@ from recoilsim.core import (
     ModeGrid,
     ModelParams,
     MomentumAmplitude,
-    decay_rate,
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
@@ -44,27 +43,17 @@ class TestModelParams:
             ModelParams(**kwargs)
 
     def test_only_the_physics_are_fields(self):
-        assert [f.name for f in dataclasses.fields(ModelParams)] == [
-            "omega0", "mu", "gamma", "dipole"]
+        fields = dataclasses.fields(ModelParams)
+        assert [f.name for f in fields] == ["omega0", "mu", "gamma"]
+        assert all(f.default is dataclasses.MISSING for f in fields)
         assert [f.name for f in dataclasses.fields(MomentumAmplitude)] == [
             "p_values", "c_p"]
 
-    @pytest.mark.parametrize("unit", ["hbar", "c", "epsilon0"])
+    @pytest.mark.parametrize("unit", ["hbar", "c"])
     def test_units_are_fixed_constants(self, unit):
         assert getattr(UNIT, unit) == 1.0
         with pytest.raises(TypeError):
             ModelParams(omega0=1.0, mu=1.0, gamma=0.01, **{unit: 2.0})
-
-    def test_dipole_rate_beyond_the_float_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(omega0=1e200, mu=1.0, dipole=1e200)
-
-    def test_gamma_or_dipole_required(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(omega0=1.0, mu=1.0)
-        # An explicit gamma always wins; the dipole is then inert metadata.
-        both = ModelParams(omega0=1.0, mu=1.0, gamma=0.01, dipole=0.1)
-        assert both.gamma == 0.01
 
     def test_scenario_regime_gate_at_ten_linewidths(self):
         ok = ModelParams(omega0=1.0, mu=1.0, gamma=0.1)
@@ -73,27 +62,6 @@ class TestModelParams:
         assert not marginal.scenario_regime_ok()
         with pytest.raises(ConfigurationError):
             marginal.require_scenario_regime()
-
-
-class TestDecayRate:
-    def test_zero_dipole_means_zero_rate(self):
-        p = ModelParams(omega0=1.0, mu=1.0, gamma=0.01, dipole=0.0)
-        assert decay_rate(p) == 0.0
-        # ...so deriving gamma from a zero dipole is rejected outright.
-        with pytest.raises(ConfigurationError):
-            ModelParams(omega0=1.0, mu=1.0, dipole=0.0)
-
-    def test_rate_scales_as_frequency_squared(self):
-        slow = ModelParams(omega0=1.0, mu=1.0, dipole=0.5)
-        fast = ModelParams(omega0=2.0, mu=1.0, dipole=0.5)
-        assert fast.gamma == 4.0 * slow.gamma
-
-    def test_direct_substitution(self):
-        # |d|^2 / (4 eps0 hbar c^2) = 1e-6 at omega0 = 1  ->  gamma = 1e-6
-        dipole = 2e-3
-        p = ModelParams(omega0=1.0, mu=1.0, dipole=dipole)
-        assert p.gamma == pytest.approx(1e-6, rel=1e-12)
-        assert decay_rate(p) == p.gamma
 
 
 class TestCoupling:
@@ -192,6 +160,25 @@ class TestModeGrid:
                 ModeGrid(k_values=np.array(k),
                          phi_values=np.array([0.0]),
                          coupling_ref=0.1, reference_k=1.0)
+
+    def test_nonuniform_wavenumbers_rejected(self):
+        # spacing reads the first step, 0.1; the last is 0.8.
+        with pytest.raises(ConfigurationError, match="uniform"):
+            ModeGrid(k_values=np.array([0.4, 0.5, 1.0, 1.8]),
+                     phi_values=np.array([0.0]), coupling_ref=0.1, reference_k=1.0)
+
+    def test_wavenumbers_a_rounding_off_uniform_accepted(self):
+        k = np.linspace(0.5, 1.5, 401)
+        k[200] = np.nextafter(k[200], 2.0)
+        grid = ModeGrid(k_values=k, phi_values=np.array([0.0]), coupling_ref=0.1,
+                        reference_k=1.0)
+        assert grid.spacing == k[1] - k[0]
+
+    @pytest.mark.parametrize("reference_k", [-1.0, 0.0, np.nan, np.inf])
+    def test_reference_wavenumber_must_be_positive_and_finite(self, reference_k):
+        with pytest.raises(ConfigurationError, match="reference_k"):
+            ModeGrid(k_values=np.array([0.9, 1.1]), phi_values=np.array([0.0]),
+                     coupling_ref=0.1, reference_k=reference_k)
 
     def test_flat_coupling_profile_is_constant(self, params):
         grid = ModeGrid.build(params, n_k=15, bandwidth_gammas=25.0,

@@ -142,8 +142,20 @@ class TestScenario:
             pk.sigma(t, params) for pk in sc.packets)
 
     def test_psi_free_rejects_unknown_specs(self, params):
-        with pytest.raises(ConfigurationError):
-            psi_free(0.0, 0.0, "not a packet", params)
+        # A bare packet reaches psi_free only inside a Scenario; the sweep,
+        # which needs a Scenario's spread, refuses a momentum profile too,
+        # and before it looks at the times.
+        packet = GaussianPacket(0.0, 1.0)
+        profile = MomentumAmplitude(p_values=np.array([-1.0, 0.0, 1.0]),
+                                    c_p=np.array([0.0, 1.0, 0.0]))
+        grid = SpatialGrid.linspace(-10.0, 10.0, 201)
+        for spec in ("not a packet", packet, profile):
+            message = f"unsupported wave-packet specification: {type(spec).__name__}$"
+            if spec is not profile:
+                with pytest.raises(ConfigurationError, match=message):
+                    psi_free(0.0, 0.0, spec, params)
+            with pytest.raises(ConfigurationError, match=message):
+                scenario_sweep(spec, [np.inf], False, grid, params)
 
 
 class TestDecoherenceFactor:

@@ -93,10 +93,10 @@ class TestFreeLimit:
         p = 0.4
         t_final = 0.2 / params.gamma
         run = OdeRun(params=params, grid=free, p=p, t_span=(0.0, t_final),
-                     c_p=0.8 + 0.1j, tol=1e-10)
+                     tol=1e-10)
         traj = integrate_amplitudes(run)
         alpha = p * p / (2.0 * params.mu * params.hbar)
-        expected = (0.8 + 0.1j) * np.exp(-1j * alpha * traj.times)
+        expected = np.exp(-1j * alpha * traj.times)
         assert np.max(np.abs(traj.a - expected)) <= 1e-8
         # Nothing sources the photon sectors, so they stay exactly zero.
         assert np.all(traj.b == 0.0)
@@ -266,31 +266,31 @@ class TestChebyshevPropagator:
         grid = ModeGrid.build(params, n_k=6, bandwidth_gammas=12.0)
         g = params.gamma
         times = np.array([0.3, 0.35, 1.1, 1.9, 2.0]) / g
-        run = OdeRun(params=params, grid=grid, p=p, c_p=0.6 + 0.8j,
+        run = OdeRun(params=params, grid=grid, p=p,
                      t_span=(0.0, 2.0 / g), sample_times=times)
         h = amplitude_generator(run)
         lo, hi = oracle._spectrum(h)
         if p:
             assert (lo + hi) / (hi - lo) > 0.05
         traj = integrate_amplitudes(run)
-        y0 = np.zeros(h.shape[0], dtype=complex)
-        y0[0] = run.c_p
+        y0 = np.zeros(h.shape[0])
+        y0[0] = 1.0
         exact = np.array([expm(-1j * h.toarray() * t) @ y0 for t in times])
         assert np.max(np.abs(traj.y - exact)) <= 1e-12
 
     def test_a_small_real_matrix_at_any_sample(self):
         # Samples before t_span's start, past its end and from a start other
-        # than 0 are summed like any other; the weight multiplies every state.
+        # than 0 are summed like any other.
         from scipy.linalg import expm
         h = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.2], [0.0, 0.2, 2.0]])
         spectrum = (-1.0, 2.2)  # Gershgorin's: -0.5 - 0.5 and 2.0 + 0.2
         y0 = np.array([1.0, 0.5, -0.25])
         times = np.array([-1.5, 1.0, 2.5, 4.0, 6.0])
         y = oracle.solve_ivp(lambda t, x: h @ x, (0.5, 5.0), y0, t_eval=times,
-                             spectrum=spectrum, weight=0.6 - 0.8j)
+                             spectrum=spectrum)
         assert y.shape == (5, 3) and y.dtype == complex
         for t, state in zip(times, y):
-            exact = (0.6 - 0.8j) * expm(-1j * h * (t - 0.5)) @ y0
+            exact = expm(-1j * h * (t - 0.5)) @ y0
             assert np.max(np.abs(state - exact)) <= 1e-12
 
     def test_zero_width_interval_is_exact_without_warnings(self):
@@ -302,8 +302,8 @@ class TestChebyshevPropagator:
             calls.append(t)
             return 2.0 * x
         y = oracle.solve_ivp(fun, (0.0, 3.0), np.array([1.0]), t_eval=times,
-                             spectrum=(2.0, 2.0), weight=0.6 + 0.8j)
-        assert np.allclose(y[:, 0], (0.6 + 0.8j) * np.exp(-2j * times),
+                             spectrum=(2.0, 2.0))
+        assert np.allclose(y[:, 0], np.exp(-2j * times),
                            rtol=1e-15, atol=0.0)
         assert len(calls) == oracle.term_count((2.0, 2.0), 3.0) == 30
 
