@@ -1,6 +1,8 @@
 """Closed-form emission amplitudes for the three photon sectors.
 
-Both atoms start excited with no photons present.  Within the rotating-wave,
+Both atoms start excited with no photons present, from the initial
+amplitude ``C_p = 1``: every amplitude is linear in ``C_p``, so any other
+start is these forms scaled by it.  Within the rotating-wave,
 two-photon-truncated model the state has three sectors -- no photon (A), one
 photon (B, one atom decayed), two photons (D, both decayed) -- and after the
 Markovian dressing of the mode continuum each amplitude has an exact
@@ -28,6 +30,8 @@ from .core import (
     ConfigurationError,
     ModelParams,
     ModeGrid,
+    _check_time,
+    _frozen_array,
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
@@ -45,39 +49,32 @@ __all__ = [
 ]
 
 
-def _check_time(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ConfigurationError("amplitudes are defined for t >= 0 only")
-    return t
-
-
-def amplitude_a(p, t, params: ModelParams, c_p=1.0):
-    """No-photon amplitude: ``C_p e^{-gamma t} e^{-i alpha t}``.
+def amplitude_a(p, t, params: ModelParams):
+    """No-photon amplitude: ``e^{-gamma t} e^{-i alpha t}``.
 
     Pure exponential decay at the full two-atom rate with the free kinetic
     phase on top.  Broadcasts over ``p`` and ``t``.
     """
     t = _check_time(t)
     alpha = omega_no_photon(p, params) - params.omega0
-    out = c_p * np.exp(-(1j * alpha + params.gamma) * t)
+    out = np.exp(-(1j * alpha + params.gamma) * t)
     return complex(out) if out.ndim == 0 else out
 
 
-def amplitude_b(k, phi, p, t, params: ModelParams, c_p=1.0, *, coupling):
+def amplitude_b(k, phi, p, t, params: ModelParams, *, coupling):
     """One-photon amplitude for the mode (k, phi).
 
     Two poles: the decaying source (A's pole, width ``gamma``) and the dressed
     one-photon state (width ``gamma/2``)::
 
-        B(t) = -i g C_p (e^{-(i beta + gamma/2) t} - e^{-(i alpha + gamma) t})
+        B(t) = -i g (e^{-(i beta + gamma/2) t} - e^{-(i alpha + gamma) t})
                / (i (alpha - beta) + gamma/2)
 
     ``coupling`` is the per-mode coupling g(k) of the discretization being
     compared against (see :meth:`recoilsim.core.ModeGrid.build`).  B(0) = 0
     and B vanishes again at long times; the denominator never vanishes since
     ``gamma > 0``.  On resonance (beta = alpha) the expression is the finite
-    limit ``-i g C_p e^{-(i alpha + gamma/2) t}(1 - e^{-gamma t/2})/(gamma/2)``
+    limit ``-i g e^{-(i alpha + gamma/2) t}(1 - e^{-gamma t/2})/(gamma/2)``
     and is evaluated by the same formula without special-casing.
     """
     t = _check_time(t)
@@ -85,7 +82,7 @@ def amplitude_b(k, phi, p, t, params: ModelParams, c_p=1.0, *, coupling):
     alpha = omega_no_photon(p, params) - params.omega0
     beta = omega_one_photon(k, phi, p, params) - params.omega0
     denom = 1j * (alpha - beta) + g / 2.0
-    out = -1j * coupling * c_p * (
+    out = -1j * coupling * (
         np.exp(-(1j * beta + g / 2.0) * t) - np.exp(-(1j * alpha + g) * t)
     ) / denom
     return complex(out) if np.ndim(out) == 0 else out
@@ -109,7 +106,7 @@ def _pole_triple(alpha, beta, delta, gamma, t):
     )
 
 
-def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, c_p=1.0, *,
+def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, *,
                 coupling, coupling2):
     """Two-photon amplitude for the ordered mode pair (k, phi), (k2, phi2).
 
@@ -129,7 +126,7 @@ def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, c_p=1.0, *,
     beta1 = omega_one_photon(k, phi, p, params) - params.omega0
     beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
     delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
-    out = -coupling * coupling2 * c_p * (
+    out = -coupling * coupling2 * (
         _pole_triple(alpha, beta1, delta, g, t)
         + _pole_triple(alpha, beta2, delta, g, t)
     )
@@ -143,31 +140,26 @@ class TwoPhotonLimit:
     The modulus is time independent; the time dependence is a pure phase at
     ``detuning`` (the two-photon frequency offset from the rotating frame),
     kept separate so callers can compare moduli without picking a time.
-    Coerces to its complex ``amplitude`` via ``complex()`` / ``abs()``.
     """
 
     amplitude: complex
     detuning: float
 
-    def at_time(self, t: float) -> complex:
-        """Full limiting value ``amplitude * e^{-i detuning t}``."""
-        return self.amplitude * complex(np.exp(-1j * self.detuning * t))
-
-    def __complex__(self) -> complex:
-        return complex(self.amplitude)
-
-    def __abs__(self) -> float:
-        return abs(self.amplitude)
+    def at_time(self, t):
+        """Full limiting value ``amplitude * e^{-i detuning t}``; broadcasts
+        over ``t``."""
+        out = self.amplitude * np.exp(-1j * self.detuning * np.asarray(t, dtype=float))
+        return complex(out) if out.ndim == 0 else out
 
 
-def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, c_p=1.0, *,
+def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, *,
                          coupling, coupling2,
                          neglect_recoil: bool = False) -> TwoPhotonLimit:
     """Two-factor Lorentzian product form of the long-time two-photon amplitude.
 
     ::
 
-        D_inf = -g g' C_p / ((i(beta1-delta) + gamma/2)(i(beta2-delta) + gamma/2))
+        D_inf = -g g' / ((i(beta1-delta) + gamma/2)(i(beta2-delta) + gamma/2))
 
     With ``neglect_recoil`` the exact detunings ``beta - delta`` are replaced
     by their recoil-linearized (Doppler) forms
@@ -194,7 +186,7 @@ def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, c_p=1.0, *,
         beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
         det1 = beta1 - delta
         det2 = beta2 - delta
-    amp = -coupling * coupling2 * c_p / (
+    amp = -coupling * coupling2 / (
         (1j * det1 + g / 2.0) * (1j * det2 + g / 2.0)
     )
     return TwoPhotonLimit(amplitude=complex(amp), detuning=float(delta))
@@ -205,61 +197,46 @@ class AmplitudeState:
     """All three sector coefficients for one relative momentum at one time.
 
     ``b_vals`` runs over the modes of a grid (k-major flattening);
-    ``d_vals`` over ordered mode pairs as a full matrix, or ``None`` when the
-    two-photon sector was not evaluated.
+    ``d_vals`` over ordered mode pairs as a full matrix.  Both are read-only
+    copies of the arrays given.
     """
 
     p: float
     t: float
     a_val: complex
     b_vals: np.ndarray
-    d_vals: np.ndarray | None
+    d_vals: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b_vals, dtype=complex)
-        b.setflags(write=False)
+        b = _frozen_array(self.b_vals, dtype=complex)
+        d = _frozen_array(self.d_vals, dtype=complex)
+        if d.shape != (b.size, b.size):
+            raise ConfigurationError("d_vals must be n_modes x n_modes")
         object.__setattr__(self, "b_vals", b)
-        if self.d_vals is not None:
-            d = np.asarray(self.d_vals, dtype=complex)
-            if d.shape != (b.size, b.size):
-                raise ConfigurationError("d_vals must be n_modes x n_modes")
-            d.setflags(write=False)
-            object.__setattr__(self, "d_vals", d)
+        object.__setattr__(self, "d_vals", d)
 
     @property
     def sector_norms(self) -> tuple[float, float, float]:
         """(|A|^2, 2 sum|B|^2, sum|D|^2) with the ordered double sum on D."""
-        norm_a = float(abs(self.a_val) ** 2)
-        norm_b = 2.0 * float(np.add.reduce(np.abs(self.b_vals) ** 2))
-        norm_d = 0.0
-        if self.d_vals is not None:
-            norm_d = float(np.add.reduce(np.abs(self.d_vals).ravel() ** 2))
-        return (norm_a, norm_b, norm_d)
-
-    @property
-    def norm(self) -> float:
-        return sum(self.sector_norms)
+        return (float(abs(self.a_val) ** 2),
+                2.0 * float(np.add.reduce(np.abs(self.b_vals) ** 2)),
+                float(np.add.reduce(np.abs(self.d_vals).ravel() ** 2)))
 
 
-def closed_form_state(grid: ModeGrid, p, t, params: ModelParams, c_p=1.0, *,
-                      include_two_photon: bool = True) -> AmplitudeState:
+def closed_form_state(grid: ModeGrid, p, t, params: ModelParams) -> AmplitudeState:
     """Evaluate every closed-form amplitude on a mode grid at one time.
 
-    The two-photon matrix costs O(n_modes^2) memory; pass
-    ``include_two_photon=False`` when only A and B are being compared.
+    The two-photon matrix costs O(n_modes^2) time and memory; for A and B
+    alone call :func:`amplitude_a` and :func:`amplitude_b`.
     """
-    t = float(t)
-    _check_time(t)
+    t = float(_check_time(t))
     mk, mphi = grid.mode_k, grid.mode_phi
     g = grid.mode_coupling
-    a_val = amplitude_a(p, t, params, c_p)
-    b_vals = amplitude_b(mk, mphi, p, t, params, c_p, coupling=g)
-    d_vals = None
-    if include_two_photon:
-        d_vals = amplitude_d(
-            mk[:, None], mphi[:, None], mk[None, :], mphi[None, :],
-            p, t, params, c_p,
-            coupling=g[:, None], coupling2=g[None, :],
-        )
+    a_val = amplitude_a(p, t, params)
+    b_vals = amplitude_b(mk, mphi, p, t, params, coupling=g)
+    d_vals = amplitude_d(
+        mk[:, None], mphi[:, None], mk[None, :], mphi[None, :],
+        p, t, params, coupling=g[:, None], coupling2=g[None, :],
+    )
     return AmplitudeState(p=float(np.asarray(p, dtype=float)), t=t,
                           a_val=complex(a_val), b_vals=b_vals, d_vals=d_vals)

@@ -50,10 +50,19 @@ def _uniform(x: np.ndarray) -> bool:
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    arr = np.array(arr, copy=True)
+    """A read-only copy of ``values``, made once; the caller's own array
+    stays writable."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _check_time(t) -> np.ndarray:
+    """``t`` as a float array, refused unless every value is finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):  # false for NaN too
+        raise ConfigurationError("t must be finite and non-negative")
+    return t
 
 
 @dataclass(frozen=True)
@@ -93,12 +102,9 @@ class ModelParams:
         """Resonant wavenumber omega0/c."""
         return self.omega0 / self.c
 
-    def scenario_regime_ok(self) -> bool:
-        """Wavelength-scale localization arguments need omega0 >> gamma."""
-        return self.omega0 / self.gamma >= 10.0
-
     def require_scenario_regime(self) -> None:
-        if not self.scenario_regime_ok():
+        """Wavelength-scale localization arguments need omega0 >> gamma."""
+        if self.omega0 / self.gamma < 10.0:
             raise ConfigurationError(
                 f"omega0/gamma = {self.omega0 / self.gamma:.3g} is below 10; "
                 "localization scenarios require a sharply resonant line"
@@ -183,7 +189,7 @@ class ModeGrid:
             raise ConfigurationError("reference_k must be positive and finite")
 
     @classmethod
-    def build(cls, params: ModelParams, n_k: int, bandwidth_gammas: float = 25.0,
+    def build(cls, params: ModelParams, n_k: int, bandwidth_gammas: float,
               n_phi: int = 1, flat_coupling: bool = False) -> "ModeGrid":
         """Uniform grid of ``n_k`` wavenumbers spanning ``k0 +- W`` with
         ``W = bandwidth_gammas * gamma / c``, crossed with ``n_phi`` angles
@@ -259,8 +265,7 @@ class MomentumAmplitude:
         object.__setattr__(self, "c_p", c)
         if p.ndim != 1 or p.size < 2 or c.shape != p.shape:
             raise ConfigurationError("p_values and c_p must be matching 1-d arrays")
-        dp = np.diff(p)
-        if np.any(dp <= 0) or not np.allclose(dp, dp[0], rtol=1e-12, atol=0.0):
+        if not _finite(p) or not _uniform(p):
             raise ConfigurationError("p_values must be uniform and increasing")
         norm = float(np.trapezoid(np.abs(c) ** 2, p))
         if abs(norm - 1.0) > 1e-10:

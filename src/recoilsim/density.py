@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigurationError, ModelParams, MomentumAmplitude, _uniform
+from .core import (ConfigurationError, ModelParams, MomentumAmplitude, _check_time,
+                   _finite, _frozen_array, _uniform)
 from .specfun import bessel_j0
 
 __all__ = [
@@ -79,12 +80,6 @@ class GaussianPacket:
             raise ConfigurationError(f"packet width must be positive, got {self.width!r}")
         if not np.isfinite(self.center):
             raise ConfigurationError("packet center must be finite")
-
-    def value(self, x):
-        """G(x) at t = 0."""
-        d = self.width
-        return (2.0 * np.pi * d**2) ** (-0.25) * np.exp(
-            -((np.asarray(x, dtype=float) - self.center) ** 2) / (4.0 * d**2))
 
     def evolved(self, x, t, params: ModelParams):
         """Free evolution under the relative-motion Hamiltonian p^2 / (2 mu).
@@ -199,14 +194,13 @@ class SpatialGrid:
     x_values: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x_values, dtype=float, copy=True)
+        x = _frozen_array(self.x_values)
         if x.ndim != 1 or x.size < 2:
             raise ConfigurationError("need at least two grid points")
-        if not np.all(np.isfinite(x)):
+        if not _finite(x):
             raise ConfigurationError("grid points must be finite")
         if not _uniform(x):
             raise ConfigurationError("x_values must be uniform and increasing")
-        x.setflags(write=False)
         object.__setattr__(self, "x_values", x)
 
     @classmethod
@@ -249,10 +243,9 @@ class DensityGrid:
 
     def __post_init__(self):
         for name, dtype in (("psi", complex), ("factor", float)):
-            v = np.array(getattr(self, name), dtype=dtype)
+            v = _frozen_array(getattr(self, name), dtype=dtype)
             if v.shape != (self.grid.n,):
                 raise ConfigurationError(f"{name} needs one value per grid point")
-            v.setflags(write=False)
             object.__setattr__(self, name, v)
 
     def row(self, i: int) -> np.ndarray:
@@ -323,17 +316,12 @@ def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
     return _assemble_density(grid, t, scenario, emission, params)
 
 
-def _check_finite(times: list[float]) -> None:
-    if not all(0.0 <= t < np.inf for t in times):  # false for NaN too
-        raise ConfigurationError("t must be finite and non-negative")
-
-
 def _check_times(times: list[float], emission: bool, params: ModelParams) -> None:
     """The time checks of every density request.  Called directly by the
     public entry points, so ``stacklevel=3`` points at their caller.  The
     regime check comes first, so no warning precedes a refusal."""
     params.require_scenario_regime()
-    _check_finite(times)
+    _check_time(times)
     for t in times if emission else []:
         gt = params.gamma * t
         if gt < HARD_TIME_GATE:
@@ -438,7 +426,7 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
         raise ConfigurationError(
             f"unsupported wave-packet specification: {type(scenario).__name__}")
     times = [float(t) for t in times]
-    _check_finite(times)
+    _check_time(times)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigurationError("times must be strictly ascending")
     if not times:

@@ -28,6 +28,7 @@ from .core import (
     ConfigurationError,
     ModelParams,
     ModeGrid,
+    _frozen_array,
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
@@ -108,12 +109,11 @@ class OdeRun:
                 f"grid bandwidth ({low:.4g}, {high:.4g}) around k0 is below the "
                 f"required {MIN_BANDWIDTH_GAMMAS} gamma/c on each side")
         if self.sample_times is not None:
-            st = np.array(self.sample_times, dtype=float, copy=True)
+            st = _frozen_array(self.sample_times)
             if st.ndim != 1 or st.size < 2 or np.any(np.diff(st) <= 0):
                 raise ConfigurationError("sample_times must be ascending, length >= 2")
             if st[0] < t0 or st[-1] > t1 * (1.0 + 1e-12):
                 raise ConfigurationError("sample_times must lie within t_span")
-            st.setflags(write=False)
             object.__setattr__(self, "sample_times", st)
         q = recoil_momentum(self.grid.mode_k, self.grid.mode_phi, self.params)
         if self.p != 0.0 and np.ptp(q) != 0.0:
@@ -135,9 +135,10 @@ class Trajectory:
     """Sampled solution of one :class:`OdeRun`.
 
     ``y`` holds the state [A, B_k, D] once per sample: it is the array that
-    :func:`solve_ivp` returns, never copied, and ``a``, ``b`` and ``d_data``
-    are views of it.  ``d_data`` is the packed upper triangle;
-    :meth:`state_at` expands it into the observable symmetric matrix.
+    :func:`solve_ivp` returns, never copied but taken over and made
+    read-only, and ``a``, ``b`` and ``d_data`` are views of it.  ``d_data``
+    is the packed upper triangle; :meth:`state_at` expands it into the
+    observable symmetric matrix.  ``times`` is a read-only copy.
     """
 
     run: OdeRun
@@ -145,10 +146,8 @@ class Trajectory:
     y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex, solve_ivp's own
 
     def __post_init__(self):
-        for name in ("times", "y"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "times", _frozen_array(self.times))
+        self.y.setflags(write=False)
 
     @property
     def n_modes(self) -> int:

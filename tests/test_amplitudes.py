@@ -40,19 +40,19 @@ def detuned_pair(params):
 
 class TestNoPhotonAmplitude:
     def test_initial_condition_is_c_p_exactly(self, params):
-        assert amplitude_a(0.7, 0.0, params, c_p=0.3 + 0.4j) == 0.3 + 0.4j
+        assert amplitude_a(0.7, 0.0, params) == 1.0
 
     def test_modulus_decays_at_the_full_rate(self, params):
         t = 1.0 / params.gamma
-        a = amplitude_a(2.0, t, params, c_p=0.5)
-        assert abs(a) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
+        a = amplitude_a(2.0, t, params)
+        assert abs(a) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_kinetic_phase_by_substitution(self):
         # hbar = mu = 1, p = 2  ->  alpha = p^2/2 = 2 exactly.
         unit = ModelParams(omega0=1.0, mu=1.0, gamma=1e-3)
         t = 0.7
-        expected = 0.5 * np.exp(-(2.0j + 1e-3) * t)
-        assert amplitude_a(2.0, t, unit, c_p=0.5) == pytest.approx(expected, rel=1e-14)
+        expected = np.exp(-(2.0j + 1e-3) * t)
+        assert amplitude_a(2.0, t, unit) == pytest.approx(expected, rel=1e-14)
 
     def test_negative_time_rejected(self, params):
         with pytest.raises(ConfigurationError):
@@ -85,18 +85,17 @@ class TestOnePhotonAmplitude:
             k = params.k0 * (1.0 + 0.1 * (rng.random() - 0.5))
             phi = 2.0 * np.pi * rng.random()
             p = rng.standard_normal()
-            b = amplitude_b(k, phi, p, 0.0, params, c_p=0.8 - 0.1j, coupling=0.02)
+            b = amplitude_b(k, phi, p, 0.0, params, coupling=0.02)
             assert b == 0.0 + 0.0j
 
     def test_resonant_closed_form_modulus(self, params):
         # k = k0, phi = 0, p = 0: alpha = beta = 0, so
-        # |B| = |g C_p| e^{-gamma t/2} (1 - e^{-gamma t/2}) * 2/gamma.
+        # |B| = |g| e^{-gamma t/2} (1 - e^{-gamma t/2}) * 2/gamma.
         g = 3e-4
-        c_p = 0.7
         t = 2.0 * np.log(2.0) / params.gamma
-        b = amplitude_b(params.k0, 0.0, 0.0, t, params, c_p=c_p, coupling=g)
+        b = amplitude_b(params.k0, 0.0, 0.0, t, params, coupling=g)
         half = np.exp(-params.gamma * t / 2.0)    # = 1/2 at this t
-        expected = g * c_p * half * (1.0 - half) * 2.0 / params.gamma
+        expected = g * half * (1.0 - half) * 2.0 / params.gamma
         assert abs(b) == pytest.approx(expected, rel=1e-12)
 
     def test_late_time_bound_off_resonance(self, params):
@@ -163,7 +162,7 @@ class TestTwoPhotonAmplitude:
                           coupling=c1, coupling2=c2)
         lim = amplitude_d_infinity(k1, 0.0, k2, 0.0, 0.0, params,
                                    coupling=c1, coupling2=c2)
-        rel = abs(d_t - lim.at_time(t)) / abs(lim)
+        rel = abs(d_t - lim.at_time(t)) / abs(lim.amplitude)
         assert rel <= 1e-6
 
     def test_mode_order_irrelevant_at_zero_relative_momentum(self, params, detuned_pair):
@@ -185,24 +184,29 @@ class TestTwoPhotonAmplitude:
 
 class TestTwoPhotonLimit:
     def test_on_resonance_modulus(self, params):
-        g1, g2, c_p = 2e-4, 3e-4, 0.9
+        g1, g2 = 2e-4, 3e-4
         lim = amplitude_d_infinity(params.k0, 0.0, params.k0, 0.0, 0.0, params,
-                                   c_p=c_p, coupling=g1, coupling2=g2)
-        expected = g1 * g2 * c_p * (2.0 / params.gamma) ** 2
-        assert abs(lim) == pytest.approx(expected, rel=1e-12)
+                                   coupling=g1, coupling2=g2)
+        expected = g1 * g2 * (2.0 / params.gamma) ** 2
+        assert abs(lim.amplitude) == pytest.approx(expected, rel=1e-12)
         # Both detunings vanish, so the amplitude is negative real.
-        assert complex(lim).real == pytest.approx(-expected, rel=1e-12)
-        assert complex(lim).imag == 0.0
+        assert lim.amplitude.real == pytest.approx(-expected, rel=1e-12)
+        assert lim.amplitude.imag == 0.0
 
     def test_phase_carrier(self, params, detuned_pair):
         _, k1, k2, c1, c2 = detuned_pair
         lim = amplitude_d_infinity(k1, 0.0, k2, 0.3, 0.2, params,
                                    coupling=c1, coupling2=c2)
-        assert lim.at_time(0.0) == complex(lim)
+        assert lim.at_time(0.0) == lim.amplitude
+        assert type(lim.at_time(0.0)) is complex
         t = 7.0 / params.gamma
-        assert abs(lim.at_time(t)) == pytest.approx(abs(lim), rel=1e-13)
-        expected = complex(lim) * np.exp(-1j * lim.detuning * t)
+        assert abs(lim.at_time(t)) == pytest.approx(abs(lim.amplitude), rel=1e-13)
+        expected = lim.amplitude * np.exp(-1j * lim.detuning * t)
         assert lim.at_time(t) == pytest.approx(expected, rel=1e-13)
+        # Broadcasts over t, as every amplitude function does.
+        times = np.array([[0.0, t], [2.0 * t, 3.0 * t]])
+        scalars = np.array([[lim.at_time(s) for s in row] for row in times])
+        assert lim.at_time(times) == pytest.approx(scalars, rel=1e-14)
 
     def test_recoil_free_kicks_make_both_forms_identical(self, params, detuned_pair):
         # phi = 0 means transverse emission: zero momentum kick, so the
@@ -213,7 +217,7 @@ class TestTwoPhotonLimit:
         doppler = amplitude_d_infinity(k1, 0.0, k2, 0.0, 0.0, params,
                                        coupling=c1, coupling2=c2,
                                        neglect_recoil=True)
-        assert complex(exact) == pytest.approx(complex(doppler), rel=1e-14)
+        assert exact.amplitude == pytest.approx(doppler.amplitude, rel=1e-14)
         assert exact.detuning == doppler.detuning
 
     def test_doppler_form_differs_once_kicks_are_on(self, params, detuned_pair):
@@ -223,7 +227,7 @@ class TestTwoPhotonLimit:
         doppler = amplitude_d_infinity(k1, 1.0, k2, 0.5, 0.5, params,
                                        coupling=c1, coupling2=c2,
                                        neglect_recoil=True)
-        assert complex(exact) != complex(doppler)
+        assert exact.amplitude != doppler.amplitude
 
     def test_lorentzian_linewidth(self, params):
         """Sweeping one photon across resonance with the other held at k0
@@ -232,7 +236,7 @@ class TestTwoPhotonLimit:
         k = (params.omega0 + det) / params.c
         mods = np.array([
             abs(amplitude_d_infinity(kk, 0.0, params.k0, 0.0, 0.0, params,
-                                     coupling=1.0, coupling2=1.0)) ** 2
+                                     coupling=1.0, coupling2=1.0).amplitude) ** 2
             for kk in k
         ])
         half = mods.max() / 2.0
@@ -251,18 +255,11 @@ class TestTwoPhotonLimit:
 class TestClosedFormState:
     def test_initial_state(self, params):
         grid = ModeGrid.build(params, n_k=25, bandwidth_gammas=25.0)
-        state = closed_form_state(grid, 0.0, 0.0, params, c_p=0.6 + 0.2j)
-        assert state.a_val == 0.6 + 0.2j
+        state = closed_form_state(grid, 0.0, 0.0, params)
+        assert state.a_val == 1.0
         assert np.all(state.b_vals == 0.0)
         scale = float(np.max(grid.mode_coupling)) ** 2 * (2.0 / params.gamma) ** 2
         assert np.max(np.abs(state.d_vals)) <= 1e-12 * scale
-
-    def test_two_photon_sector_optional(self, params):
-        grid = ModeGrid.build(params, n_k=25, bandwidth_gammas=25.0)
-        state = closed_form_state(grid, 0.0, 1.0, params, include_two_photon=False)
-        assert state.d_vals is None
-        assert state.sector_norms[2] == 0.0
-        assert state.norm == sum(state.sector_norms)
 
     def test_norm_lands_in_the_two_photon_sector(self, params):
         # Ten lifetimes in, essentially everything that the finite band

@@ -56,11 +56,9 @@ class TestModelParams:
             ModelParams(omega0=1.0, mu=1.0, gamma=0.01, **{unit: 2.0})
 
     def test_scenario_regime_gate_at_ten_linewidths(self):
-        ok = ModelParams(omega0=1.0, mu=1.0, gamma=0.1)
-        assert ok.scenario_regime_ok()
+        ModelParams(omega0=1.0, mu=1.0, gamma=0.1).require_scenario_regime()
         marginal = ModelParams(omega0=1.0, mu=1.0, gamma=0.2)
-        assert not marginal.scenario_regime_ok()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="below 10"):
             marginal.require_scenario_regime()
 
 
@@ -148,6 +146,8 @@ class TestModeGrid:
         assert grid.k_values[-1] == pytest.approx(params.k0 + w, rel=1e-14)
         assert np.all(np.diff(grid.k_values) > 0)
         assert np.all(grid.k_values > 0)
+        with pytest.raises(TypeError):  # the band has no default width
+            ModeGrid.build(params, n_k=41)
 
     def test_band_reaching_nonpositive_k_rejected(self):
         p = ModelParams(omega0=1.0, mu=1.0, gamma=0.1)
@@ -160,19 +160,6 @@ class TestModeGrid:
                 ModeGrid(k_values=np.array(k),
                          phi_values=np.array([0.0]),
                          coupling_ref=0.1, reference_k=1.0)
-
-    def test_nonuniform_wavenumbers_rejected(self):
-        # spacing reads the first step, 0.1; the last is 0.8.
-        with pytest.raises(ConfigurationError, match="uniform"):
-            ModeGrid(k_values=np.array([0.4, 0.5, 1.0, 1.8]),
-                     phi_values=np.array([0.0]), coupling_ref=0.1, reference_k=1.0)
-
-    def test_wavenumbers_a_rounding_off_uniform_accepted(self):
-        k = np.linspace(0.5, 1.5, 401)
-        k[200] = np.nextafter(k[200], 2.0)
-        grid = ModeGrid(k_values=k, phi_values=np.array([0.0]), coupling_ref=0.1,
-                        reference_k=1.0)
-        assert grid.spacing == k[1] - k[0]
 
     @pytest.mark.parametrize("reference_k", [-1.0, 0.0, np.nan, np.inf])
     def test_reference_wavenumber_must_be_positive_and_finite(self, reference_k):
@@ -221,6 +208,38 @@ class TestMomentumAmplitude:
         bad[3] += 1e-3
         with pytest.raises(ConfigurationError):
             MomentumAmplitude(p_values=bad, c_p=cp)
+
+
+def _mode_grid(k):
+    return ModeGrid(k_values=k, phi_values=np.array([0.0]), coupling_ref=0.1,
+                    reference_k=1.0)
+
+
+def _momentum_amplitude(p):
+    # A box profile, unit-normalized by the trapezoid rule on p.
+    return MomentumAmplitude(p_values=p, c_p=np.full(p.size, (p[-1] - p[0]) ** -0.5))
+
+
+# Each grid record with its uniformity rule, built from one array of points.
+GRIDS = {
+    "ModeGrid": _mode_grid,
+    "SpatialGrid": lambda x: density.SpatialGrid(x_values=x),
+    "MomentumAmplitude": _momentum_amplitude,
+}
+
+
+@pytest.mark.parametrize("build", GRIDS.values(), ids=GRIDS.keys())
+def test_nonuniform_steps_rejected(build):
+    # spacing reads the first step, 0.1; the last is 0.8.
+    with pytest.raises(ConfigurationError, match="uniform"):
+        build(np.array([0.4, 0.5, 1.0, 1.8]))
+
+
+@pytest.mark.parametrize("build", GRIDS.values(), ids=GRIDS.keys())
+def test_steps_a_rounding_off_uniform_accepted(build):
+    x = np.linspace(0.5, 1.5, 401)
+    x[200] = np.nextafter(x[200], 2.0)
+    assert build(x).spacing == x[1] - x[0]
 
 
 def test_package_reexports_each_module_api():

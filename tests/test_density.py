@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from recoilsim.core import ConfigurationError, ModelParams, MomentumAmplitude
+from recoilsim.amplitudes import amplitude_a, closed_form_state
+from recoilsim.core import ConfigurationError, ModelParams, ModeGrid, MomentumAmplitude
 from recoilsim.density import (
     CoherenceLength,
     DensityGrid,
@@ -45,16 +46,11 @@ class TestGaussianPacket:
         with pytest.raises(ConfigurationError):
             GaussianPacket(center=np.inf, width=1.0)
 
-    def test_initial_norm(self):
+    def test_initial_norm(self, params):
         pk = GaussianPacket(center=0.7, width=1.3)
         x = np.linspace(-15.0, 16.0, 4001)
-        assert _norm_by_trapezoid(np.abs(pk.value(x)) ** 2, x) == pytest.approx(
-            1.0, abs=1e-10)
-
-    def test_evolution_starts_from_the_static_profile(self, params):
-        pk = GaussianPacket(center=-0.4, width=0.8)
-        x = np.linspace(-5.0, 5.0, 101)
-        assert np.allclose(pk.evolved(x, 0.0, params), pk.value(x), rtol=1e-14)
+        assert _norm_by_trapezoid(np.abs(pk.evolved(x, 0.0, params)) ** 2, x) == \
+            pytest.approx(1.0, abs=1e-10)
 
     def test_spread_follows_the_free_gaussian_law(self, params):
         pk = GaussianPacket(center=0.0, width=2.0)
@@ -539,18 +535,22 @@ class TestScenarioSweep:
     def test_bad_times_are_refused_as_reduced_density_refuses_them(
             self, sc, sweep_grid, lam, params):
         # The time check runs before the grid gates, so an infinite time is
-        # not refused as a packet spread the grid cannot hold.
+        # not refused as a packet spread the grid cannot hold.  The closed
+        # forms share the one check and its message.
+        modes = ModeGrid.build(params, n_k=4, bandwidth_gammas=25.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t, emission in itertools.product((np.nan, np.inf, -np.inf, -1.0),
                                                  (True, False)):
                 messages = []
                 for call in (lambda: scenario_sweep(sc, [t], emission, sweep_grid, params),
-                             lambda: reduced_density(sweep_grid, t, sc, emission, params)):
+                             lambda: reduced_density(sweep_grid, t, sc, emission, params),
+                             lambda: amplitude_a(0.0, t, params),
+                             lambda: closed_form_state(modes, 0.0, t, params)):
                     with pytest.raises(ConfigurationError) as refused:
                         call()
                     messages.append(str(refused.value))
-                assert messages == ["t must be finite and non-negative"] * 2
+                assert messages == ["t must be finite and non-negative"] * 4
             # A marginal gamma*t still warns only after the grid gates pass.
             coarse = SpatialGrid.linspace(-8.0 * lam, 8.0 * lam, 81)
             with pytest.raises(ConfigurationError, match="spacing"):

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from recoilsim.amplitudes import AmplitudeState
 from recoilsim.core import (
     ConfigurationError,
     ModeGrid,
@@ -156,8 +157,18 @@ class TestConservationAndDeterminism:
         for i in (0, len(small_traj.times) // 2, -1):
             state = small_traj.state_at(i)
             assert np.allclose(pops[i], state.sector_norms, rtol=1e-10, atol=0.0)
-            assert state.d_vals is not None
             assert np.array_equal(state.d_vals, state.d_vals.T)
+
+    def test_records_copy_the_callers_arrays(self, small_traj):
+        # A record freezes its own copy; the arrays it was given stay the
+        # caller's to write.  Trajectory.y alone is taken over (see above).
+        b, d = np.zeros(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        st = np.array(small_traj.times)
+        state = AmplitudeState(p=0.0, t=0.0, a_val=1.0 + 0j, b_vals=b, d_vals=d)
+        traj = oracle.Trajectory(run=small_traj.run, times=st, y=small_traj.y)
+        for given, kept in ((b, state.b_vals), (d, state.d_vals), (st, traj.times)):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(given, kept)
 
     def test_recurrence_bookkeeping(self, params, small_traj, small_grid):
         expected = 2.0 * np.pi / (params.c * small_grid.spacing)
