@@ -68,6 +68,8 @@ QUADRATURE_POINTS = 16
 QUADRATURE_SPAN = 2.0
 
 DENSITY_HEADER = "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho"
+# How far from the diagonal evolve reuses an entry's text for its mirror.
+MIRROR_BAND = 512
 
 DEFAULTS = {
     "params": {"omega0": 1.0, "gamma": 0.01, "mu": 10.0},
@@ -266,19 +268,51 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
     return 0
 
 
+def _cells(values: np.ndarray) -> str:
+    """``re\\x01im,abs\\n`` for each complex value, in one ``%`` call:
+    ``\\x01`` stands for the comma before the imaginary field, which the
+    caller writes as it is for the entry, or with its sign flipped for the
+    entry's conjugate.
+
+    ``%.17g`` is ``_fmt``'s format.  ``abs`` is Python's, on the values of
+    ``tolist()``: the vectorized ``np.abs`` can differ in the last bit.
+    """
+    parts = [None] * (3 * values.size)
+    parts[0::3] = values.real.tolist()
+    parts[1::3] = values.imag.tolist()
+    parts[2::3] = map(abs, values.tolist())
+    return ("%.17g\x01%.17g,%.17g\n" * values.size) % tuple(parts)
+
+
 def _density_rows(dg, x_strings: list[str]):
     """One block of CSV lines per matrix row, built from the factors as it
     is written; ``x_strings`` are the grid's formatted x values.
 
-    Each block is one ``%`` of a per-file template with the x columns baked
-    in; ``%.17g`` is ``_fmt``'s format.  ``abs`` is Python's, on the values
-    of ``tolist()``: the vectorized ``np.abs`` can differ in the last bit.
+    Row ``i`` formats its entries from the diagonal on; the entries of
+    later rows within ``MIRROR_BAND`` of the diagonal are the conjugates of
+    these (``DensityGrid.row`` builds them so, signed zeros included), so
+    their text is this text with the imaginary field's sign flipped.  Each
+    row takes one such cell from each of the up to ``MIRROR_BAND`` rows
+    before it and formats the entries farther left itself, so at most about
+    ``MIRROR_BAND**2 / 2`` cells are held at a time.  The factors of the
+    densities the CLI writes are finite, so no entry is NaN and no ``nan``
+    field turns into ``-nan``.
     """
-    tails = [f",{xj},%.17g,%.17g,%.17g" for xj in x_strings]
+    from collections import deque
+    n = len(x_strings)
+    tails = [f",{xj},%s" for xj in x_strings]
+    pending = deque(maxlen=MIRROR_BAND)  # the cells each earlier row still owes
     for i, xi in enumerate(x_strings):
-        template = xi + ("\n" + xi).join(tails)
-        yield template % tuple([part for v in dg.row(i).tolist()
-                                for part in (v.real, v.imag, abs(v))])
+        row = dg.row(i)
+        lo, hi = max(i - MIRROR_BAND, 0), min(i + MIRROR_BAND + 1, n)
+        near = _cells(row[i:hi])
+        cells = (_cells(row[:lo]) + "".join(map(deque.popleft, pending))
+                 + near + _cells(row[hi:]))
+        yield (xi + ("\n" + xi).join(tails)) % tuple(
+            cells.replace("\x01", ",").split("\n")[:-1])
+        # The mirror cells of rows i + 1 to hi - 1, the diagonal's left out.
+        mirrored = near.replace("\x01-", ",").replace("\x01", ",-")
+        pending.append(deque(mirrored.splitlines(True)[1:]))
 
 
 def _write_density(job) -> None:

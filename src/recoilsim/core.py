@@ -268,7 +268,7 @@ class MomentumAmplitude:
         if not _finite(p) or not _uniform(p):
             raise ConfigurationError("p_values must be uniform and increasing")
         norm = float(np.trapezoid(np.abs(c) ** 2, p))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # also a NaN norm
             raise ConfigurationError(
                 f"momentum profile is not normalized: sum |c_p|^2 dp = {norm!r}")
 

@@ -249,14 +249,17 @@ class DensityGrid:
             object.__setattr__(self, name, v)
 
     def row(self, i: int) -> np.ndarray:
-        """Row ``i`` of rho.  Entries below the diagonal conjugate their
-        mirror image: a fused multiply-add in the complex product, and signed
-        zeros, would leave last-bit asymmetries in ``psi[i] psi*[j]``."""
-        psi = self.psi
+        """Row ``i`` of rho.  Entries below the diagonal are the conjugates
+        of their mirror images, computed as those are: a fused multiply-add
+        in the complex product would leave last-bit asymmetries in
+        ``psi[i] psi*[j]``, and scaling after conjugating would leave
+        ``+0`` where the mirror's ``conj`` gives ``-0``."""
+        psi, norm = self.psi, self.norm_factor
         row = psi[i] * psi.conj()
-        row[:i] = np.conj(psi[:i] * psi[i].conj())
         row[i] = row[i].real
-        return row * self.factor[np.abs(np.arange(psi.size) - i)] * self.norm_factor
+        row = row * self.factor[np.abs(np.arange(psi.size) - i)] * norm
+        row[:i] = np.conj(psi[:i] * psi[i].conj() * self.factor[i:0:-1] * norm)
+        return row
 
     @property
     def rho(self) -> np.ndarray:
@@ -390,10 +393,11 @@ def coherence_length(dg: DensityGrid) -> CoherenceLength:
     if center <= 0:
         return sentinel
     m_max = min(i0, dg.grid.n - 1 - i0)
-    # rho[i0 + m, i0 - m] for m = 1..m_max, built as DensityGrid.row builds it.
+    # rho[i0 + m, i0 - m] for m = 1..m_max, built as DensityGrid.row builds
+    # it: the conjugate of its mirror rho[i0 - m, i0 + m].
     ms = np.arange(1, m_max + 1)
-    anti = (np.conj(dg.psi[i0 - ms] * dg.psi[i0 + ms].conj()) * dg.factor[2 * ms]
-            * dg.norm_factor)
+    anti = np.conj(dg.psi[i0 - ms] * dg.psi[i0 + ms].conj() * dg.factor[2 * ms]
+                   * dg.norm_factor)
     threshold = float(np.exp(-1.0))
     prev = 1.0
     for m in range(1, m_max + 1):

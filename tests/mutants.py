@@ -97,6 +97,18 @@ MUTANTS = [
      "return 4.0 * self.mu",
      "return 4.04 * self.mu",
      ["tests/test_core.py"]),
+    # evolve's mirror cells keep the upper entry's imaginary sign, where the
+    # entry below the diagonal is its conjugate.
+    ("src/recoilsim/cli.py",
+     r'mirrored = near.replace("\x01-", ",").replace("\x01", ",-")',
+     r'mirrored = near.replace("\x01", ",")',
+     ["tests/test_cli.py"]),
+    # evolve's mirror band a point short above the diagonal, where the rows
+    # below still take cells from the full band.
+    ("src/recoilsim/cli.py",
+     "lo, hi = max(i - MIRROR_BAND, 0), min(i + MIRROR_BAND + 1, n)",
+     "lo, hi = max(i - MIRROR_BAND, 0), min(i + MIRROR_BAND, n)",
+     ["tests/test_cli.py"]),
 ]
 
 

@@ -324,12 +324,7 @@ class TestDensityWriter:
         assert rows == list(_reference_rows(dg, self.X_STRINGS))
         return "\n".join(rows)
 
-    @pytest.mark.parametrize("emission", [True, False])
-    @pytest.mark.parametrize("scenario", [
-        Scenario.single(width=PARAMS.wavelength / 2),
-        Scenario.superposition(center_offset=PARAMS.wavelength,
-                               width=PARAMS.wavelength / 2)])
-    def test_rows_match_per_value_formatting(self, scenario, emission):
+    def _assert_sweep_matches_reference(self, scenario, emission):
         times = [0.0, 5.0 / self.PARAMS.gamma]
         if emission:
             times = times[1:]  # the emission gate refuses t = 0
@@ -338,6 +333,24 @@ class TestDensityWriter:
                 assert (dg.factor == 1.0).all()
             self._assert_matches_reference(dg)
 
+    SCENARIOS = [Scenario.single(width=PARAMS.wavelength / 2),
+                 Scenario.superposition(center_offset=PARAMS.wavelength,
+                                        width=PARAMS.wavelength / 2)]
+
+    @pytest.mark.parametrize("emission", [True, False])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_rows_match_per_value_formatting(self, scenario, emission):
+        self._assert_sweep_matches_reference(scenario, emission)
+
+    @pytest.mark.parametrize("emission", [True, False])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_rows_past_the_mirror_band_match_per_value_formatting(
+            self, scenario, emission, monkeypatch):
+        # Most of the 121 x 121 entries lie farther than 7 points from the
+        # diagonal, so each row also formats entries left of the band itself.
+        monkeypatch.setattr(cli, "MIRROR_BAND", 7)
+        self._assert_sweep_matches_reference(scenario, emission)
+
     def test_real_diagonal_and_mirrored_negative_zeros(self):
         psi = np.linspace(-1.0, 2.0, self.GRID.n).astype(complex)
         dg = DensityGrid(grid=self.GRID, psi=psi, factor=np.ones(self.GRID.n),
@@ -345,9 +358,12 @@ class TestDensityWriter:
         text = self._assert_matches_reference(dg)
         n = self.GRID.n
         imag = [line.split(",")[3] for line in text.split("\n")]
-        # A real psi: every imaginary part is a zero, +0 on the diagonal and
-        # -0 where a negative product is conjugated into the lower triangle.
+        # A real psi: every imaginary part is a zero, +0 on the diagonal, and
+        # below it the sign-flipped zero of the mirror entry above it.
         assert all(imag[i * n + i] == "0" for i in range(n))
+        flipped = {"0": "-0", "-0": "0"}
+        assert all(imag[i * n + j] == flipped[imag[j * n + i]]
+                   for i in range(n) for j in range(i))
         assert "-0" in {imag[i * n + j] for i in range(n) for j in range(i)}
 
     def test_one_writer_and_the_default_pool_write_the_same_bytes(

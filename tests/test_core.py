@@ -202,6 +202,11 @@ class TestMomentumAmplitude:
         with pytest.raises(ConfigurationError):
             MomentumAmplitude(p_values=p, c_p=1.5 * cp)
 
+    def test_nan_amplitude_rejected(self):
+        # Its norm is NaN, which no comparison with the bound holds for.
+        with pytest.raises(ConfigurationError, match="not normalized"):
+            MomentumAmplitude(p_values=np.linspace(-1.0, 1.0, 5), c_p=np.full(5, np.nan))
+
     def test_nonuniform_grid_rejected(self):
         p, cp = self._gaussian()
         bad = p.copy()

@@ -243,11 +243,25 @@ def pair(params, grid):
     return on, off
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bit patterns of ``a``'s real and imaginary parts, in which ``-0``
+    and ``+0`` differ."""
+    return np.stack([a.real.view(np.uint64), a.imag.view(np.uint64)])
+
+
 class TestReducedDensity:
-    def test_hermitian_to_the_bit(self, pair):
-        on, off = pair
-        assert np.array_equal(on.rho, on.rho.conj().T)
-        assert np.array_equal(off.rho, off.rho.conj().T)
+    def test_hermitian_to_the_bit(self, pair, params, grid):
+        # A real psi at t = 0 makes every imaginary part a zero: -0 below the
+        # diagonal, the conjugate of the +0 above it.
+        real = reduced_density(grid, 0.0, Scenario.single(width=params.wavelength / 2.0),
+                               False, params)
+        assert not real.psi.imag.any()
+        off_diagonal = ~np.eye(grid.n, dtype=bool)
+        for dg in (*pair, real):
+            rho = dg.rho
+            assert np.array_equal(_bits(rho)[:, off_diagonal],
+                                  _bits(rho.conj().T)[:, off_diagonal])
+            assert not _bits(rho.diagonal())[1].any()  # +0 on the diagonal
 
     def test_unit_trace(self, pair):
         on, off = pair
