@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# Fewest ulps of the band's top edge that one wavenumber step may span.
+MIN_STEP_ULPS = 1024
+
+
 class ConfigurationError(ValueError):
     """Raised when parameters or grids are unphysical or inconsistent."""
 
@@ -215,6 +219,14 @@ class ModeGrid:
                 f"bandwidth {bandwidth_gammas} gamma/c reaches k <= 0; "
                 "reduce it or raise omega0/gamma"
             )
+        # Steps of a few ulp would be rounded unequal, and the bath with them.
+        # A band past the float range gives NaN here, and non-finite k below.
+        ulps = 2.0 * half_width / (n_k - 1) / np.spacing(k0 + half_width)
+        if ulps < MIN_STEP_ULPS:
+            raise ConfigurationError(
+                f"n_k = {n_k} wavenumbers over bandwidth_gammas = {bandwidth_gammas:g} "
+                f"at gamma = {params.gamma:g} lie {ulps:.4g} ulp apart, below the "
+                f"{MIN_STEP_ULPS} that float resolution needs: lower n_k or widen the band")
         k = np.linspace(k0 - half_width, k0 + half_width, n_k)
         dk = k[1] - k[0]
         phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)

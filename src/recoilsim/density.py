@@ -39,7 +39,6 @@ __all__ = [
     "coherence_length",
     "decoherence_factor",
     "psi_free",
-    "reduced_density",
     "scenario_sweep",
     "worker_count",
 ]
@@ -304,41 +303,6 @@ def _offset_sums(a: np.ndarray) -> np.ndarray:
     return sums
 
 
-def reduced_density(grid: SpatialGrid, t: float, scenario, emission: bool,
-                    params: ModelParams) -> DensityGrid:
-    """Assemble rho(x, x', t) = N' psi psi* F on the grid.
-
-    With ``emission`` the Bessel-squared factor multiplies every coherence;
-    without it F is identically one and the state stays pure.  The emission
-    form presumes both atoms have long since decayed: below ``gamma t = 1``
-    it is refused outright, below ``gamma t = 5`` a warning is issued.  A
-    packet of which the grid holds less than ``MIN_GRID_MASS`` (by the
-    grid's quadrature) is refused rather than renormalised.
-    """
-    _check_times([t], emission, params)
-    return _assemble_density(grid, t, scenario, emission, params)
-
-
-def _check_times(times: list[float], emission: bool, params: ModelParams) -> None:
-    """The time checks of every density request.  Called directly by the
-    public entry points, so ``stacklevel=3`` points at their caller.  The
-    regime check comes first, so no warning precedes a refusal."""
-    params.require_scenario_regime()
-    _check_time(times)
-    for t in times if emission else []:
-        gt = params.gamma * t
-        if gt < HARD_TIME_GATE:
-            raise ModelValidityError(
-                f"emission density matrix requested at gamma*t = {gt:.3g}; "
-                f"the traced-out form requires gamma*t >= {HARD_TIME_GATE} "
-                "(both atoms must have decayed)")
-        if gt < SOFT_TIME_GATE:
-            warnings.warn(
-                f"gamma*t = {gt:.3g} is marginal for the emission-traced "
-                f"density matrix (recommended gamma*t >= {SOFT_TIME_GATE})",
-                ValidityWarning, stacklevel=3)
-
-
 def _assemble_density(grid: SpatialGrid, t: float, scenario, emission: bool,
                       params: ModelParams) -> DensityGrid:
     psi = np.asarray(psi_free(grid.x_values, t, scenario, params), dtype=complex)
@@ -393,11 +357,9 @@ def coherence_length(dg: DensityGrid) -> CoherenceLength:
     if center <= 0:
         return sentinel
     m_max = min(i0, dg.grid.n - 1 - i0)
-    # rho[i0 + m, i0 - m] for m = 1..m_max, built as DensityGrid.row builds
-    # it: the conjugate of its mirror rho[i0 - m, i0 + m].
+    # rho[i0 - m, i0 + m] for m = 1..m_max, whose abs is its mirror's.
     ms = np.arange(1, m_max + 1)
-    anti = np.conj(dg.psi[i0 - ms] * dg.psi[i0 + ms].conj() * dg.factor[2 * ms]
-                   * dg.norm_factor)
+    anti = dg.psi[i0 - ms] * dg.psi[i0 + ms].conj() * dg.factor[2 * ms] * dg.norm_factor
     threshold = float(np.exp(-1.0))
     prev = 1.0
     for m in range(1, m_max + 1):
@@ -414,17 +376,19 @@ def coherence_length(dg: DensityGrid) -> CoherenceLength:
 
 def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
                    params: ModelParams) -> list[DensityGrid]:
-    """Density matrices at several times, with up-front validation.
+    """rho(x, x', t) = N' psi psi* F on the grid at each of ``times``, in order.
 
-    The grid must resolve the Bessel oscillations (spacing <= lambda/20) and
-    span at least 6x the largest packet spread at the final time.  Where the
-    packets sit is checked when each matrix is assembled, as by
-    :func:`reduced_density`: a grid that holds less than ``MIN_GRID_MASS`` of
-    the packet is refused.  All times are gate-checked before any matrix is
-    assembled, so a validity failure produces no partial results.  A
-    ``scenario`` that is not a :class:`Scenario` is refused first, then a
-    time that is not finite and non-negative, as :func:`reduced_density`
-    refuses it; the gamma*t gates come after the grid's.
+    With ``emission`` the Bessel-squared factor multiplies every coherence;
+    without it F is identically one and the state stays pure.  Refused, in
+    this order and all before any matrix is assembled: a ``scenario`` that is
+    not a :class:`Scenario`; a time that is not finite and non-negative;
+    times that do not ascend; a spacing above lambda/20, which leaves the
+    Bessel oscillations unresolved; an extent below 6x the largest packet
+    spread at the final time; a line outside the scenario regime; emission
+    at ``gamma t < 1``, before both atoms have decayed (below ``gamma t = 5``
+    a warning is issued, after every refusal above).  Then each matrix
+    refuses a grid that holds less than ``MIN_GRID_MASS`` of the packet (by
+    the grid's quadrature) rather than renormalising it.
     """
     if not isinstance(scenario, Scenario):
         raise ConfigurationError(
@@ -447,7 +411,19 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
         raise ConfigurationError(
             f"grid extent {grid.extent:.4g} is below 6x the largest packet "
             f"spread {needed:.4g} at the final time")
-    _check_times(times, emission, params)
+    params.require_scenario_regime()
+    for t in times if emission else []:
+        gt = params.gamma * t
+        if gt < HARD_TIME_GATE:
+            raise ModelValidityError(
+                f"emission density matrix requested at gamma*t = {gt:.3g}; "
+                f"the traced-out form requires gamma*t >= {HARD_TIME_GATE} "
+                "(both atoms must have decayed)")
+        if gt < SOFT_TIME_GATE:
+            warnings.warn(
+                f"gamma*t = {gt:.3g} is marginal for the emission-traced "
+                f"density matrix (recommended gamma*t >= {SOFT_TIME_GATE})",
+                ValidityWarning, stacklevel=2)
     # All inputs are immutable and every run is independent, so the sweep can
     # fan out over times (gates above already ran, in this thread, for all of
     # them); results come back in time order regardless.

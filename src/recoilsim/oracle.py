@@ -32,7 +32,6 @@ from .core import (
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
-    recoil_momentum,
 )
 from .amplitudes import AmplitudeState
 from .density import psi_free
@@ -78,18 +77,19 @@ class NormDriftFailure(RuntimeError):
 class OdeRun:
     """Frozen configuration of one brute-force integration.
 
-    The pair is at rest as a whole; ``p`` is its relative momentum.  The
-    two-photon sector holds one amplitude per unordered mode pair {k, j}, so
-    both routes by which the pair refeeds B_k are kept: the pair may have
-    been created from B_k itself (emit j, reabsorb j) or from B_j (emit k,
-    reabsorb j, exchanging which photon belongs to which decay).  The sector
-    norm is then conserved exactly, and ``tol`` bounds its drift at
-    ``10 * tol``.
+    The pair is at rest as a whole, and at relative momentum 0: on modes
+    that give no kick (phi = 0), a relative momentum ``p`` only adds
+    ``p^2 / 2 mu`` to every frequency, so its run is this one times
+    ``e^{-i p^2 t / 2 mu}``.  The two-photon sector holds one amplitude per
+    unordered mode pair {k, j}, so both routes by which the pair refeeds B_k
+    are kept: the pair may have been created from B_k itself (emit j,
+    reabsorb j) or from B_j (emit k, reabsorb j, exchanging which photon
+    belongs to which decay).  The sector norm is then conserved exactly, and
+    ``tol`` bounds its drift at ``10 * tol``.
     """
 
     params: ModelParams
     grid: ModeGrid
-    p: float = 0.0
     t_span: tuple[float, float] = (0.0, 1.0)
     sample_times: np.ndarray | None = None
     tol: float = 1e-10
@@ -115,13 +115,6 @@ class OdeRun:
             if st[0] < t0 or st[-1] > t1 * (1.0 + 1e-12):
                 raise ConfigurationError("sample_times must lie within t_span")
             object.__setattr__(self, "sample_times", st)
-        q = recoil_momentum(self.grid.mode_k, self.grid.mode_phi, self.params)
-        if self.p != 0.0 and np.ptp(q) != 0.0:
-            raise ConfigurationError(
-                "the packed symmetric two-photon storage requires the "
-                "two-photon frequencies to be exchange-symmetric: use "
-                "p = 0, or a grid whose modes all carry the same recoil "
-                "kick (e.g. a single angle at phi = 0)")
 
     @property
     def times(self) -> np.ndarray:
@@ -176,7 +169,7 @@ class Trajectory:
         return COMPARISON_WINDOW_FRACTION * self.recurrence_time
 
     def state_at(self, i: int) -> AmplitudeState:
-        return AmplitudeState(p=self.run.p, t=float(self.times[i]),
+        return AmplitudeState(p=0.0, t=float(self.times[i]),
                               a_val=complex(self.a[i]), b_vals=self.b[i],
                               d_vals=self.d_data[i][_pairs(self.n_modes)[2]])
 
@@ -245,11 +238,11 @@ def amplitude_generator(run: OdeRun) -> sparse.csr_array:
     """
     params, grid = run.params, run.grid
     n, g, mk, mphi = grid.n_modes, grid.mode_coupling, grid.mode_k, grid.mode_phi
-    alpha = omega_no_photon(run.p, params) - params.omega0
-    beta = omega_one_photon(mk, mphi, run.p, params) - params.omega0
+    alpha = omega_no_photon(0.0, params) - params.omega0
+    beta = omega_one_photon(mk, mphi, 0.0, params) - params.omega0
     rows, cols, pair = _pairs(n)
     delta = omega_two_photon(mk[rows], mphi[rows], mk[cols], mphi[cols],
-                             run.p, params) - params.omega0
+                             0.0, params) - params.omega0
     off, dim = 1 + n, 1 + n + rows.size
     b_idx = np.column_stack([np.zeros(n, dtype=int), 1 + np.arange(n), off + pair])
     b_val = np.column_stack([g, beta, np.broadcast_to(g, (n, n))])
@@ -421,7 +414,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     ``SAMPLE_COUNT`` samples.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
-    (or is not a number) raises :class:`ConfigurationError` before any product.
+    (or is infinite) raises :class:`ConfigurationError` before any product.
     """
     h = amplitude_generator(run)
     reach = float(np.abs(h.diagonal()).max()) * run.t_span[1]

@@ -71,6 +71,26 @@ MUTANTS = [
      "b_ = 1j * (alpha - beta) + gamma / 2.0",
      "b_ = 1j * (alpha - beta) + gamma / 2.02",
      ["tests/test_amplitudes.py"]),
+    # The sweep's spacing gate at lambda/10, not lambda/20.
+    ("src/recoilsim/density.py",
+     "if grid.spacing > lam / 20.0 * (1.0 + 1e-9):",
+     "if grid.spacing > lam / 10.0 * (1.0 + 1e-9):",
+     ["tests/test_density.py"]),
+    # The sweep's extent gate at 5 packet spreads, not 6.
+    ("src/recoilsim/density.py",
+     "needed = 6.0 * scenario.max_sigma(times[-1], params)",
+     "needed = 5.0 * scenario.max_sigma(times[-1], params)",
+     ["tests/test_density.py"]),
+    # Emission refused below gamma*t = 1.5, not 1.
+    ("src/recoilsim/density.py",
+     "if gt < HARD_TIME_GATE:",
+     "if gt < 1.5:",
+     ["tests/test_density.py"]),
+    # Emission warned of below gamma*t = 4, not 5.
+    ("src/recoilsim/density.py",
+     "if gt < SOFT_TIME_GATE:",
+     "if gt < 4.0:",
+     ["tests/test_density.py"]),
     # The free packet spreading a percent fast.
     ("src/recoilsim/density.py",
      "d_t = d**2 + 0.5j * params.hbar * t / params.mu",

@@ -19,8 +19,7 @@ from recoilsim.amplitudes import (amplitude_a, amplitude_b, amplitude_d,
 from recoilsim.core import ModelParams, ModeGrid
 from recoilsim.density import (GaussianPacket, Scenario, SpatialGrid,
                                ValidityWarning, coherence_length,
-                               decoherence_factor, psi_free, reduced_density,
-                               scenario_sweep)
+                               decoherence_factor, psi_free, scenario_sweep)
 from recoilsim.oracle import (OdeRun, density_quadrature, integrate_amplitudes,
                               max_decay_error)
 from recoilsim.specfun import j0_quadrature_oracle
@@ -121,7 +120,7 @@ def test_criterion_4_closed_forms_vs_oracle(big_trajectory, params):
     grid8 = ModeGrid.build(p_d, n_k=8, bandwidth_gammas=10.0, n_phi=1)
     t_rec = 2.0 * np.pi / (p_d.c * grid8.spacing)
     t_final = 0.8 * t_rec
-    run = OdeRun(params=p_d, grid=grid8, p=0.0, t_span=(0.0, t_final),
+    run = OdeRun(params=p_d, grid=grid8, t_span=(0.0, t_final),
                  sample_times=np.linspace(0.0, t_final, 25), tol=1e-11)
     traj8 = integrate_amplitudes(run)
     d_cl, d_od = [], []
@@ -222,8 +221,8 @@ def test_criterion_6_localization(params):
     # gamma*t = 2 sits in the soft-gate band, which warns by design.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        dg = reduced_density(grid, 2.0 / params.gamma,
-                             Scenario.single(width=lam / 2.0), True, params)
+        [dg] = scenario_sweep(Scenario.single(width=lam / 2.0), [2.0 / params.gamma],
+                              True, grid, params)
     diag = dg.diagonal
     scale = np.sqrt(np.multiply.outer(diag, diag))
     mask = scale > 1e-9 * diag.max()
@@ -237,8 +236,8 @@ def test_criterion_6_localization(params):
     g_wide = SpatialGrid.linspace(-12.0 * lam, 12.0 * lam, 481)
     sc_sup = Scenario.superposition(center_offset=2.0 * lam, width=lam / 2.0)
     t_long = 1000.0 / p_heavy.gamma
-    on = reduced_density(g_wide, t_long, sc_sup, True, p_heavy)
-    off = reduced_density(g_wide, t_long, sc_sup, False, p_heavy)
+    [on] = scenario_sweep(sc_sup, [t_long], True, g_wide, p_heavy)
+    [off] = scenario_sweep(sc_sup, [t_long], False, g_wide, p_heavy)
     band_ratio = on.off_band_mass(lam) / off.off_band_mass(lam)
 
     # (c) coherence-length saturation, independent of initial width.

@@ -284,10 +284,50 @@ class TestClosedFormState:
             state.d_vals[0, 0] = 1.0
 
 
+class TestRelativeMomentum:
+    """On modes that give no kick (phi = 0), a relative momentum ``p`` only
+    adds ``p^2 / 2 mu`` to every frequency: each amplitude at ``p`` is its
+    value at 0 times ``e^{-i p^2 t / 2 mu}``, and the long-time limit keeps
+    its amplitude and moves its detuning by ``p^2 / 2 mu``."""
+
+    # Each frequency is rounded to an ulp of omega0, and its differences are
+    # divided by gamma / 2.  Over 20 000 draws the worst miss was 8e-14 (the
+    # limit's amplitude) and 7.5e-15 for the others: over a thousandfold margin.
+    TOL = 1e-10
+
+    @given(p=st.floats(-2.0, 2.0), t=st.floats(0.0, 500.0),
+           k=st.floats(-20.0, 20.0), k2=st.floats(-20.0, 20.0))
+    @settings(max_examples=100, deadline=None)
+    def test_momentum_is_a_phase(self, params, p, t, k, k2):
+        k, k2 = (params.k0 + x * params.gamma / params.c for x in (k, k2))
+        g = 1e-3
+        phase = np.exp(-1j * p * p / (2.0 * params.mu * params.hbar) * t)
+        # Each amplitude relative to its own bound: |A| <= 1, |B| <= 4 g /
+        # gamma and |D| <= (4 g / gamma)^2.
+        pairs = [
+            (1.0, amplitude_a(p, t, params), amplitude_a(0.0, t, params)),
+            (4.0 * g / params.gamma,
+             amplitude_b(k, 0.0, p, t, params, coupling=g),
+             amplitude_b(k, 0.0, 0.0, t, params, coupling=g)),
+            ((4.0 * g / params.gamma) ** 2,
+             amplitude_d(k, 0.0, k2, 0.0, p, t, params, coupling=g, coupling2=g),
+             amplitude_d(k, 0.0, k2, 0.0, 0.0, t, params, coupling=g, coupling2=g)),
+        ]
+        for scale, at_p, at_zero in pairs:
+            assert abs(at_p - at_zero * phase) <= self.TOL * scale
+        moved, rest = (amplitude_d_infinity(k, 0.0, k2, 0.0, q, params,
+                                            coupling=g, coupling2=g) for q in (p, 0.0))
+        assert abs(moved.amplitude - rest.amplitude) <= self.TOL * abs(rest.amplitude)
+        assert moved.detuning - rest.detuning == pytest.approx(
+            p * p / (2.0 * params.mu * params.hbar), abs=self.TOL * params.gamma)
+
+
 class TestAgainstBruteForce:
     def test_no_photon_amplitude_matches_integration(self):
         """Half a lifetime on a narrow line (gamma/omega0 = 1e-6): closed-form
-        A(t) vs the adaptive integration, amplitude and phase together.
+        A(t) vs the propagated one, amplitude and phase together.  The oracle
+        runs at relative momentum 0; on its kick-free modes any other momentum
+        multiplies both by the same phase (:class:`TestRelativeMomentum`).
 
         The sqrt(k/k0) coupling slope pulls the discrete line by an amount
         proportional to bandwidth * gamma / omega0; the narrow line keeps
@@ -295,13 +335,11 @@ class TestAgainstBruteForce:
         band-truncation error small too.  Runs ~15 s.
         """
         params = ModelParams(omega0=1.0, mu=10.0, gamma=1e-6)
-        p = float(np.sqrt(4.0 * params.mu * params.hbar * params.gamma))
         grid = ModeGrid.build(params, n_k=401, bandwidth_gammas=800.0)
         t_final = 0.5 / params.gamma
-        run = OdeRun(params=params, grid=grid, p=p,
-                     t_span=(0.0, t_final),
+        run = OdeRun(params=params, grid=grid, t_span=(0.0, t_final),
                      sample_times=np.linspace(0.0, t_final, 11), tol=1e-8)
         traj = integrate_amplitudes(run)
-        closed = amplitude_a(p, t_final, params)
+        closed = amplitude_a(0.0, t_final, params)
         rel = abs(closed - traj.a[-1]) / abs(traj.a[-1])
         assert rel <= 1e-3

@@ -619,6 +619,19 @@ class TestRejectedInputs:
                        tmp_path / "out") == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("which", ["rate", "amplitudes"])
+    def test_modes_finer_than_float_resolution_are_refused(self, tmp_path, capsys, which):
+        # At gamma = 1e-15 the default 400 wavenumbers lie about one ulp apart.
+        # The oracles failed their checks on that rounding alone, with exit 3.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"params": {"gamma": 1e-15}})
+        assert run_cli(["oracle", "--which", which, "--config", cfg], out) == 1
+        assert capsys.readouterr().err == (
+            "config error: n_k = 400 wavenumbers over bandwidth_gammas = 50 at "
+            "gamma = 1e-15 lie 1.129 ulp apart, below the 1024 that float "
+            "resolution needs: lower n_k or widen the band\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
         # Patched rather than allocated: whether a huge allocation fails at
         # once depends on the machine's overcommit policy.

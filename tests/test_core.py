@@ -154,6 +154,20 @@ class TestModeGrid:
         with pytest.raises(ConfigurationError):
             ModeGrid.build(p, n_k=11, bandwidth_gammas=11.0)
 
+    def test_steps_below_the_ulp_floor_rejected(self):
+        # Three wavenumbers over k0 +- gamma are gamma apart, and an ulp of
+        # k0 + gamma, just above k0 = 1, is 2^-52.
+        for ulps, accepted in ((1024, True), (1023, False)):
+            p = ModelParams(omega0=1.0, mu=1.0, gamma=ulps * 2.0**-52)
+            if accepted:
+                assert ModeGrid.build(p, n_k=3, bandwidth_gammas=1.0).spacing == p.gamma
+            else:
+                with pytest.raises(ConfigurationError, match=(
+                        r"^n_k = 3 wavenumbers over bandwidth_gammas = 1 at gamma = "
+                        r"2\.27152e-13 lie 1023 ulp apart, below the 1024 ")):
+                    ModeGrid.build(p, n_k=3, bandwidth_gammas=1.0)
+        assert core.MIN_STEP_ULPS == 1024
+
     def test_unsorted_wavenumbers_rejected(self, params):
         for k in ([1.0, 0.5], [1.0, np.inf], [1.0, np.nan]):
             with pytest.raises(ConfigurationError):

@@ -21,7 +21,6 @@ from recoilsim.density import (
     coherence_length,
     decoherence_factor,
     psi_free,
-    reduced_density,
     scenario_sweep,
     worker_count,
 )
@@ -35,6 +34,17 @@ J0_AT_4PI = 0.1575073924818334
 
 def _norm_by_trapezoid(f_abs2, x):
     return float(np.trapezoid(f_abs2, x))
+
+
+def _from_factors(grid, t, scenario, emission, params):
+    """The density matrix as the sweep assembles it, on a grid that the
+    sweep's own gates refuse."""
+    psi = psi_free(grid.x_values, t, scenario, params)
+    offsets = np.arange(grid.n) * grid.spacing
+    factor = decoherence_factor(offsets, 0.0, params) if emission else np.ones(grid.n)
+    mass = float(np.add.reduce(np.abs(psi) ** 2)) * grid.spacing
+    return DensityGrid(grid=grid, psi=psi, factor=factor, t=t, emission=emission,
+                       norm_factor=1.0 / mass, params=params)
 
 
 class TestGaussianPacket:
@@ -238,8 +248,8 @@ def pair(params, grid):
     """Emission on/off at gamma*t = 5 for a half-wavelength packet."""
     sc = Scenario.single(width=params.wavelength / 2.0)
     t = 5.0 / params.gamma
-    on = reduced_density(grid, t, sc, True, params)
-    off = reduced_density(grid, t, sc, False, params)
+    [on] = scenario_sweep(sc, [t], True, grid, params)
+    [off] = scenario_sweep(sc, [t], False, grid, params)
     return on, off
 
 
@@ -253,8 +263,8 @@ class TestReducedDensity:
     def test_hermitian_to_the_bit(self, pair, params, grid):
         # A real psi at t = 0 makes every imaginary part a zero: -0 below the
         # diagonal, the conjugate of the +0 above it.
-        real = reduced_density(grid, 0.0, Scenario.single(width=params.wavelength / 2.0),
-                               False, params)
+        [real] = scenario_sweep(Scenario.single(width=params.wavelength / 2.0), [0.0],
+                                False, grid, params)
         assert not real.psi.imag.any()
         off_diagonal = ~np.eye(grid.n, dtype=bool)
         for dg in (*pair, real):
@@ -292,7 +302,7 @@ class TestReducedDensity:
         lam = params.wavelength
         sc = Scenario.superposition(center_offset=2.0 * lam, width=lam / 4.0)
         grid = SpatialGrid.linspace(-4.0 * lam, 4.0 * lam, 161)
-        dg = reduced_density(grid, 0.0, sc, False, params)
+        [dg] = scenario_sweep(sc, [0.0], False, grid, params)
         i = int(np.argmin(np.abs(grid.x_values - 2.0 * lam)))
         j = int(np.argmin(np.abs(grid.x_values + 2.0 * lam)))
         lhs = abs(dg.rho[i, j])
@@ -306,37 +316,43 @@ class TestReducedDensity:
         lam = heavy.wavelength
         sc = Scenario.superposition(center_offset=2.0 * lam, width=lam / 2.0)
         grid = SpatialGrid.linspace(-4.0 * lam, 4.0 * lam, 161)
-        dg = reduced_density(grid, 100.0 / heavy.gamma, sc, True, heavy)
+        [dg] = scenario_sweep(sc, [100.0 / heavy.gamma], True, grid, heavy)
         i = int(np.argmin(np.abs(grid.x_values - 2.0 * lam)))
         j = int(np.argmin(np.abs(grid.x_values + 2.0 * lam)))
         coh = abs(dg.rho[i, j]) / np.sqrt(dg.diagonal[i] * dg.diagonal[j])
         assert coh == pytest.approx(J0_AT_4PI**2, rel=1e-10)
 
     def test_time_gates(self, params, grid):
+        # Emission is refused below gamma*t = 1, warned of below 5, and taken
+        # as it is from 5 on.
         sc = Scenario.single(width=params.wavelength / 2.0)
-        with pytest.raises(ModelValidityError):
-            reduced_density(grid, 0.5 / params.gamma, sc, True, params)
-        with pytest.warns(ValidityWarning):
-            reduced_density(grid, 2.0 / params.gamma, sc, True, params)
+        for gt in (0.5, 0.99):
+            with pytest.raises(ModelValidityError):
+                scenario_sweep(sc, [gt / params.gamma], True, grid, params)
+        for gt in (1.0, 1.2, 2.0, 4.5):
+            with pytest.warns(ValidityWarning, match=rf"gamma\*t = {gt:g} is marginal"):
+                [dg] = scenario_sweep(sc, [gt / params.gamma], True, grid, params)
+            assert dg.trace() == pytest.approx(1.0, abs=1e-12)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # refused before any warning
+            warnings.simplefilter("error")  # and bad times refused before any warning
+            scenario_sweep(sc, [5.0 / params.gamma], True, grid, params)
             for t, emission in itertools.product((-1.0, np.nan, np.inf),
                                                  (True, False)):
                 with pytest.raises(ConfigurationError):
-                    reduced_density(grid, t, sc, emission, params)
+                    scenario_sweep(sc, [t], emission, grid, params)
 
     def test_no_gates_without_emission(self, params, grid):
         sc = Scenario.single(width=params.wavelength / 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dg = reduced_density(grid, 0.0, sc, False, params)
+            [dg] = scenario_sweep(sc, [0.0], False, grid, params)
         assert dg.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_scenario_regime_required(self, grid):
         broad = ModelParams(omega0=1.0, mu=10.0, gamma=0.2)
         sc = Scenario.single(width=broad.wavelength / 2.0)
-        with pytest.raises(ConfigurationError):
-            reduced_density(grid, 10.0 / broad.gamma, sc, False, broad)
+        with pytest.raises(ConfigurationError, match="omega0/gamma = 5 is below 10"):
+            scenario_sweep(sc, [10.0 / broad.gamma], False, grid, broad)
 
     def test_density_grid_validation_and_freezing(self, params, pair):
         on, _ = pair
@@ -377,7 +393,8 @@ class TestReducedDensity:
         lam = params.wavelength
         grid = SpatialGrid.linspace(-span * lam, span * lam, points)
         sc = Scenario.superposition(center_offset=0.7 * lam, width=0.4 * lam)
-        dg = reduced_density(grid, 5.0 / params.gamma, sc, emission, params)
+        # Built from its factors: the sweep refuses the two coarser grids.
+        dg = _from_factors(grid, 5.0 / params.gamma, sc, emission, params)
         x = grid.x_values
         f = decoherence_factor(x[:, None], x[None, :], params) if emission else 1.0
         rho = dg.norm_factor * np.outer(dg.psi, dg.psi.conj()) * f
@@ -391,7 +408,7 @@ class TestReducedDensity:
         sc = Scenario.superposition(center_offset=2.0 * lam, width=lam / 2.0)
         tracemalloc.start()
         try:
-            dg = reduced_density(grid, 5.0 / params.gamma, sc, True, params)
+            [dg] = scenario_sweep(sc, [5.0 / params.gamma], True, grid, params)
             dg.trace(), dg.purity(), dg.diag_width(), dg.off_band_mass(lam)
             coherence_length(dg)
             _, peak = tracemalloc.get_traced_memory()
@@ -412,7 +429,7 @@ class TestCoherenceLength:
         lam = params.wavelength
         sc = Scenario.single(width=lam / 2.0)
         grid = SpatialGrid.linspace(-4.0 * lam, 4.0 * lam, 801)
-        res = coherence_length(reduced_density(grid, 0.0, sc, False, params))
+        res = coherence_length(*scenario_sweep(sc, [0.0], False, grid, params))
         assert res.crossed
         assert res.length == pytest.approx(np.sqrt(8.0) * lam / 2.0, rel=1e-4)
 
@@ -420,9 +437,8 @@ class TestCoherenceLength:
         lam = params.wavelength
         sc = Scenario.single(width=lam / 2.0)
         grid = SpatialGrid.linspace(-12.0 * lam, 12.0 * lam, 961)
-        early = coherence_length(reduced_density(grid, 0.0, sc, False, params))
-        late = coherence_length(
-            reduced_density(grid, 2.0 / params.gamma, sc, False, params))
+        early, late = map(coherence_length, scenario_sweep(
+            sc, [0.0, 2.0 / params.gamma], False, grid, params))
         assert early.crossed and late.crossed
         assert late.length > early.length
 
@@ -431,9 +447,8 @@ class TestCoherenceLength:
         # is flat where the Bessel factor crosses e^{-1}.
         lam = params.wavelength
         sc = Scenario.single(width=2.0 * lam)
-        grid = SpatialGrid.linspace(-6.0 * lam, 6.0 * lam, 481)
-        res = coherence_length(
-            reduced_density(grid, 5.0 / params.gamma, sc, True, params))
+        grid = SpatialGrid.linspace(-7.0 * lam, 7.0 * lam, 561)
+        res = coherence_length(*scenario_sweep(sc, [5.0 / params.gamma], True, grid, params))
         assert res.crossed
         assert res.length == pytest.approx(EINV_SEPARATION * lam, rel=0.02)
 
@@ -441,12 +456,13 @@ class TestCoherenceLength:
         lam = params.wavelength
         sc = Scenario.single(width=lam / 2.0)
         coarse = SpatialGrid.linspace(-4.0 * lam, 4.0 * lam, 9)
-        res = coherence_length(reduced_density(coarse, 0.0, sc, False, params))
+        # Built from its factors: the sweep refuses a grid this coarse.
+        res = coherence_length(_from_factors(coarse, 0.0, sc, False, params))
         assert res == CoherenceLength(length=coarse.extent, crossed=False)
 
     def test_unreached_crossing_returns_the_sentinel(self, params):
-        # Built from its factors: reduced_density refuses a grid this narrow,
-        # which holds 71 % of the packet.
+        # Built from its factors: the sweep refuses a grid this narrow, which
+        # holds 71 % of the packet.
         lam = params.wavelength
         sc = Scenario.single(width=lam / 2.0)
         narrow = SpatialGrid.linspace(-0.5 * lam, 0.5 * lam, 21)
@@ -490,14 +506,26 @@ class TestScenarioSweep:
         assert len(out) == 1
 
     def test_undersampled_grid_rejected(self, sc, lam, params):
-        coarse = SpatialGrid.linspace(-8.0 * lam, 8.0 * lam, 81)
-        with pytest.raises(ConfigurationError):
-            scenario_sweep(sc, [5.0 / params.gamma], True, coarse, params)
+        for points in (81, 241):  # lambda/5 and lambda/15
+            coarse = SpatialGrid.linspace(-8.0 * lam, 8.0 * lam, points)
+            with pytest.raises(ConfigurationError, match="exceeds lambda/20"):
+                scenario_sweep(sc, [5.0 / params.gamma], True, coarse, params)
 
     def test_grid_must_contain_the_spread_packets(self, sc, lam, params):
         small = SpatialGrid.linspace(-lam, lam, 41)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="below 6x"):
             scenario_sweep(sc, [100.0 / params.gamma], False, small, params)
+        # At t = 0 the spread is lambda/2, and the bound is 6 of them, 3 lambda.
+        # A grid 5.5 spreads wide still holds 99.4 % of the packet, so only the
+        # extent gate refuses it.
+        for extent, accepted in ((2.75, False), (3.0, True)):
+            grid = SpatialGrid.linspace(-extent * lam / 2.0, extent * lam / 2.0,
+                                        round(20 * extent) + 1)
+            if accepted:
+                assert len(scenario_sweep(sc, [0.0], False, grid, params)) == 1
+            else:
+                with pytest.raises(ConfigurationError, match="below 6x"):
+                    scenario_sweep(sc, [0.0], False, grid, params)
 
     def test_a_packet_off_the_grid_is_refused(self, lam, sweep_grid, params):
         # The grid spans the packet's spread, but not where it sits: 60 lambda
@@ -506,10 +534,8 @@ class TestScenarioSweep:
         t = 5.0 / params.gamma
         for center, emission in itertools.product((60.0, 100.0), (True, False)):
             off = Scenario.single(width=lam / 2.0, center=center * lam)
-            for call in (lambda: scenario_sweep(off, [t], emission, sweep_grid, params),
-                         lambda: reduced_density(sweep_grid, t, off, emission, params)):
-                with pytest.raises(ConfigurationError, match="no finite density"):
-                    call()
+            with pytest.raises(ConfigurationError, match="no finite density"):
+                scenario_sweep(off, [t], emission, sweep_grid, params)
 
     @pytest.mark.parametrize("center, held", [(5.0, "0.987"), (40.0, "2.97e-122")])
     def test_a_packet_partly_off_the_grid_is_refused(self, lam, sweep_grid, params,
@@ -523,13 +549,11 @@ class TestScenarioSweep:
         for emission in (True, False):
             with pytest.raises(ConfigurationError, match=message):
                 scenario_sweep(off, [t], emission, sweep_grid, params)
-            with pytest.raises(ConfigurationError, match=message):
-                reduced_density(sweep_grid, t, off, emission, params)
 
     def test_a_packet_the_grid_holds_is_accepted(self, lam, sweep_grid, params):
         # 4.5 lambda out, the grid still holds 99.5 % of the packet.
         off = Scenario.single(width=lam / 2.0, center=4.5 * lam)
-        dg = reduced_density(sweep_grid, 5.0 / params.gamma, off, False, params)
+        [dg] = scenario_sweep(off, [5.0 / params.gamma], False, sweep_grid, params)
         assert dg.trace() == pytest.approx(1.0, rel=1e-14)
 
     def test_gates_run_before_any_assembly(self, sc, sweep_grid, params):
@@ -546,7 +570,7 @@ class TestScenarioSweep:
                 with pytest.raises(ConfigurationError):
                     scenario_sweep(sc, bad, emission, sweep_grid, params)
 
-    def test_bad_times_are_refused_as_reduced_density_refuses_them(
+    def test_bad_times_are_refused_as_the_closed_forms_refuse_them(
             self, sc, sweep_grid, lam, params):
         # The time check runs before the grid gates, so an infinite time is
         # not refused as a packet spread the grid cannot hold.  The closed
@@ -558,13 +582,12 @@ class TestScenarioSweep:
                                                  (True, False)):
                 messages = []
                 for call in (lambda: scenario_sweep(sc, [t], emission, sweep_grid, params),
-                             lambda: reduced_density(sweep_grid, t, sc, emission, params),
                              lambda: amplitude_a(0.0, t, params),
                              lambda: closed_form_state(modes, 0.0, t, params)):
                     with pytest.raises(ConfigurationError) as refused:
                         call()
                     messages.append(str(refused.value))
-                assert messages == ["t must be finite and non-negative"] * 4
+                assert messages == ["t must be finite and non-negative"] * 3
             # A marginal gamma*t still warns only after the grid gates pass.
             coarse = SpatialGrid.linspace(-8.0 * lam, 8.0 * lam, 81)
             with pytest.raises(ConfigurationError, match="spacing"):
@@ -577,12 +600,9 @@ class TestScenarioSweep:
 
     def test_validity_warnings_point_at_the_callers_line(self, sc, sweep_grid, params):
         g = params.gamma
-        calls = [lambda: scenario_sweep(sc, [2.0 / g, 3.0 / g], True, sweep_grid, params),
-                 lambda: reduced_density(sweep_grid, 2.0 / g, sc, True, params)]
-        for call in calls:
-            with pytest.warns(ValidityWarning) as record:
-                call()
-            assert {w.filename for w in record} == {__file__}
+        with pytest.warns(ValidityWarning) as record:
+            scenario_sweep(sc, [2.0 / g, 3.0 / g], True, sweep_grid, params)
+        assert {w.filename for w in record} == {__file__}
 
     def test_emission_factorizes_against_the_paired_sweep(self, sc, sweep_grid, params):
         g = params.gamma
@@ -607,10 +627,11 @@ class TestScenarioSweep:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.rho, b.rho)
 
-    def test_one_time_equals_reduced_density(self, sc, sweep_grid, params):
-        t = 5.0 / params.gamma
-        [swept] = scenario_sweep(sc, [t], True, sweep_grid, params)
-        single = reduced_density(sweep_grid, t, sc, True, params)
+    def test_each_time_is_assembled_alone(self, sc, sweep_grid, params):
+        # A time's matrix does not depend on the other times of its sweep.
+        g = params.gamma
+        [single] = scenario_sweep(sc, [6.0 / g], True, sweep_grid, params)
+        _, swept = scenario_sweep(sc, [5.0 / g, 6.0 / g], True, sweep_grid, params)
         for name in ("psi", "factor"):
             assert np.array_equal(getattr(swept, name), getattr(single, name))
         assert (swept.t, swept.norm_factor) == (single.t, single.norm_factor)

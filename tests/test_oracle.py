@@ -73,32 +73,17 @@ class TestRunValidation:
         run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 2.0))
         assert np.array_equal(run.times, np.linspace(0.0, 2.0, 51))
 
-    def test_unequal_kicks_block_packed_storage(self, params):
-        # Four angles produce kicks of different magnitude; with nonzero
-        # relative momentum the exchange-symmetric packing is unsound and
-        # must be refused.
-        grid = ModeGrid.build(params, n_k=16, bandwidth_gammas=12.0, n_phi=4)
-        with pytest.raises(ConfigurationError):
-            OdeRun(params=params, grid=grid, p=0.1, t_span=(0.0, 1.0))
-        # Either remedy works: p = 0, or kick-free transverse emission.
-        OdeRun(params=params, grid=grid, p=0.0, t_span=(0.0, 1.0))
-        transverse = ModeGrid.build(params, n_k=16, bandwidth_gammas=12.0)
-        OdeRun(params=params, grid=transverse, p=0.1, t_span=(0.0, 1.0))
-
 
 class TestFreeLimit:
-    def test_zero_coupling_evolves_as_pure_phase(self, params, small_grid):
+    def test_zero_coupling_leaves_the_atoms_excited(self, params, small_grid):
         # Kept short: the norm-drift gate allows only 10*tol of integrator
-        # accumulation, which a multi-lifetime free run would exceed.
+        # accumulation, which a multi-lifetime free run would exceed.  In the
+        # rotating frame A's frequency is 0.
         free = dataclasses.replace(small_grid, coupling_ref=0.0)
-        p = 0.4
         t_final = 0.2 / params.gamma
-        run = OdeRun(params=params, grid=free, p=p, t_span=(0.0, t_final),
-                     tol=1e-10)
+        run = OdeRun(params=params, grid=free, t_span=(0.0, t_final), tol=1e-10)
         traj = integrate_amplitudes(run)
-        alpha = p * p / (2.0 * params.mu * params.hbar)
-        expected = np.exp(-1j * alpha * traj.times)
-        assert np.max(np.abs(traj.a - expected)) <= 1e-8
+        assert np.max(np.abs(traj.a - 1.0)) <= 1e-8
         # Nothing sources the photon sectors, so they stay exactly zero.
         assert np.all(traj.b == 0.0)
         assert np.all(traj.d_data == 0.0)
@@ -199,7 +184,7 @@ def reference_rhs(run, y):
     params, grid = run.params, run.grid
     n, g = grid.n_modes, grid.mode_coupling
     mk, mphi = grid.mode_k, grid.mode_phi
-    p, w0 = run.p, params.omega0
+    p, w0 = 0.0, params.omega0
     a, b, d = y[0], y[1:1 + n], y[1 + n:]
     slot, index = {}, 0
     for r in range(n):
@@ -225,15 +210,10 @@ def reference_rhs(run, y):
 
 
 class TestAmplitudeGenerator:
-    @pytest.mark.parametrize("n_k, n_phi, p", [
-        (6, 1, 0.0),
-        (2, 3, 0.0),
-        (7, 1, 0.2),
-        (3, 1, -0.4),
-    ])
-    def test_matches_term_by_term_equations(self, params, n_k, n_phi, p):
+    @pytest.mark.parametrize("n_k, n_phi", [(6, 1), (2, 3), (7, 1), (3, 4)])
+    def test_matches_term_by_term_equations(self, params, n_k, n_phi):
         grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=12.0, n_phi=n_phi)
-        run = OdeRun(params=params, grid=grid, p=p, t_span=(0.0, 1.0))
+        run = OdeRun(params=params, grid=grid, t_span=(0.0, 1.0))
         h = amplitude_generator(run)
         n = grid.n_modes
         pairs = n * (n + 1) // 2
@@ -269,25 +249,41 @@ def count_products(run, monkeypatch):
 class TestChebyshevPropagator:
     """The propagator against the dense matrix exponential on tiny problems."""
 
-    @pytest.mark.parametrize("p", [0.0, 0.6])
-    def test_matches_the_dense_exponential(self, params, p):
-        # Uneven sample times, the first above 0; p = 0.6 moves the interval's
-        # centre by p^2 / 2 mu, off the middle of the spectrum.
-        from scipy.linalg import expm
+    @pytest.fixture(scope="class")
+    def tiny(self, params):
+        """A 6-mode run with uneven sample times, the first above 0, its
+        generator and the start ``e_0``."""
         grid = ModeGrid.build(params, n_k=6, bandwidth_gammas=12.0)
         g = params.gamma
         times = np.array([0.3, 0.35, 1.1, 1.9, 2.0]) / g
-        run = OdeRun(params=params, grid=grid, p=p,
-                     t_span=(0.0, 2.0 / g), sample_times=times)
+        run = OdeRun(params=params, grid=grid, t_span=(0.0, 2.0 / g), sample_times=times)
         h = amplitude_generator(run)
-        lo, hi = oracle._spectrum(h)
-        if p:
-            assert (lo + hi) / (hi - lo) > 0.05
-        traj = integrate_amplitudes(run)
         y0 = np.zeros(h.shape[0])
         y0[0] = 1.0
-        exact = np.array([expm(-1j * h.toarray() * t) @ y0 for t in times])
+        return run, h, y0
+
+    def test_matches_the_dense_exponential(self, tiny):
+        from scipy.linalg import expm
+        run, h, y0 = tiny
+        traj = integrate_amplitudes(run)
+        exact = np.array([expm(-1j * h.toarray() * t) @ y0 for t in run.times])
         assert np.max(np.abs(traj.y - exact)) <= 1e-12
+
+    def test_an_interval_off_centre_matches_the_dense_exponential(self, tiny):
+        # H + s I moves the interval's centre by s, off the middle of the
+        # spectrum, as a relative momentum p moves it by p^2 / 2 mu.
+        from scipy import sparse
+        from scipy.linalg import expm
+        run, h, y0 = tiny
+        shift = 0.6**2 / (2.0 * run.params.mu)
+        moved = h + shift * sparse.identity(h.shape[0], format="csr")
+        lo, hi = oracle._spectrum(h)
+        spectrum = (lo + shift, hi + shift)
+        assert sum(spectrum) > 0.05 * (hi - lo)
+        y = oracle.solve_ivp(lambda t, x: moved @ x, run.t_span, y0, t_eval=run.times,
+                             spectrum=spectrum)
+        exact = np.array([expm(-1j * moved.toarray() * t) @ y0 for t in run.times])
+        assert np.max(np.abs(y - exact)) <= 1e-12
 
     def test_a_small_real_matrix_at_any_sample(self):
         # Samples before t_span's start, past its end and from a start other
@@ -325,16 +321,16 @@ class TestChebyshevPropagator:
                                   run.times[-1])
         assert count_products(run, monkeypatch)[1] == count > 0
 
-    @pytest.mark.parametrize("n_k, n_phi, p, bandwidth", [
-        (6, 1, 0.0, 12.0),
-        (3, 3, 0.0, 12.0),
-        (7, 1, 0.3, 12.0),  # one angle at phi = 0: every mode carries one kick
-        (5, 2, 0.0, oracle.MIN_BANDWIDTH_GAMMAS),
+    @pytest.mark.parametrize("n_k, n_phi, bandwidth", [
+        (6, 1, 12.0),
+        (3, 3, 12.0),
+        (7, 4, 12.0),
+        (5, 2, oracle.MIN_BANDWIDTH_GAMMAS),
     ])
-    def test_interval_encloses_the_spectrum(self, params, n_k, n_phi, p, bandwidth):
+    def test_interval_encloses_the_spectrum(self, params, n_k, n_phi, bandwidth):
         # H is similar to a symmetric matrix, so its spectrum is real.
         grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=bandwidth, n_phi=n_phi)
-        h = amplitude_generator(OdeRun(params=params, grid=grid, p=p, t_span=(0.0, 1.0)))
+        h = amplitude_generator(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))
         lo, hi = oracle._spectrum(h)
         eig = np.linalg.eigvals(h.toarray())
         assert np.abs(eig.imag).max() <= 1e-12
@@ -519,9 +515,12 @@ class TestReach:
             integrate_amplitudes(OdeRun(params=params, grid=small_grid,
                                         t_span=(0.0, 1.001 * t_edge)))
 
-    def test_nan_frequency_is_refused(self, params, small_grid, no_steps):
-        run = OdeRun(params=params, grid=small_grid, p=np.nan, t_span=(0.0, 1.0))
-        with pytest.raises(ConfigurationError, match="nan rad"):
+    def test_infinite_reach_is_refused(self, params, no_steps):
+        # The two-photon offsets reach about 2 omega0, so a span of 1e308
+        # takes the reach past the float range.
+        grid = ModeGrid.build(params, n_k=4, bandwidth_gammas=99.0)
+        run = OdeRun(params=params, grid=grid, t_span=(0.0, 1e308))
+        with pytest.raises(ConfigurationError, match="inf rad"):
             integrate_amplitudes(run)
 
 
