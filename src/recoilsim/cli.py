@@ -384,19 +384,16 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None) -> int:
     path = os.path.join(out_dir, "evolve_summary.json")
     # The summary is renamed last: it never names a file left unpublished.
     with _publish([*paths, path]) as temps:
-        pool = ProcessPoolExecutor(worker_count(len(densities)),
-                                   multiprocessing.get_context("fork"))
+        jobs = [(tmp, dg, x_strings) for tmp, dg in zip(temps, densities)]
+        # After a failure, map cancels the writes no worker has taken yet,
+        # and leaving the pool waits for the running ones before their temps go.
         try:
-            for future in [pool.submit(_write_density, (tmp, dg, x_strings))
-                           for tmp, dg in zip(temps, densities)]:
-                future.result()
+            with ProcessPoolExecutor(worker_count(len(densities)),
+                                     multiprocessing.get_context("fork")) as pool:
+                list(pool.map(_write_density, jobs))
         except BrokenProcessPool:
             raise OSError("a density writer process ended without finishing "
                           "its file") from None
-        finally:
-            # After a failure, the writes no worker has taken yet never
-            # start, and the running ones end before their temps go.
-            pool.shutdown(cancel_futures=True)
         summary = {"generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                    "runs": entries}
         with open(temps[-1], "w", encoding="utf-8") as fh:

@@ -33,7 +33,6 @@ from .core import (
     omega_one_photon,
     omega_two_photon,
 )
-from .amplitudes import AmplitudeState
 from .density import psi_free
 
 if TYPE_CHECKING:
@@ -59,7 +58,7 @@ SAMPLE_COUNT = 51  # sample times of a run that gives none
 # products number about the half-width of H's weighted Weyl interval times T,
 # at most max|frequency| * T plus a coupling term that does not grow with n_k.
 MAX_REACH = 1e4
-BLOCK = 64          # terms per block sum, its even and its odd half apart
+BLOCK = 64          # terms per block sum, phi_j in row j % BLOCK
 # Columns per piece of an update.  OpenBLAS runs a GEMM of m n k <= 2**18
 # multiply-adds on one thread (interface/gemm.c: SMP_THRESHOLD_MIN 65536 times
 # GEMM_MULTITHREAD_THRESHOLD 4).  A block sum of CHUNK columns, BLOCK / 2
@@ -130,8 +129,10 @@ class Trajectory:
     ``y`` holds the state [A, B_k, D] once per sample: it is the array that
     :func:`solve_ivp` returns, never copied but taken over and made
     read-only, and ``a``, ``b`` and ``d_data`` are views of it.  ``d_data``
-    is the packed upper triangle; :meth:`state_at` expands it into the
-    observable symmetric matrix.  ``times`` is a read-only copy.
+    is the packed upper triangle, D_kj for k <= j in row-major order: with
+    ``index[k, j] = index[j, k]`` the position of (k, j) in
+    ``np.triu_indices(n_modes)``, ``d_data[i][index]`` is sample ``i``'s
+    symmetric matrix.  ``times`` is a read-only copy.
     """
 
     run: OdeRun
@@ -167,11 +168,6 @@ class Trajectory:
     def comparison_window(self) -> float:
         """Largest time to which this trajectory should be trusted as an oracle."""
         return COMPARISON_WINDOW_FRACTION * self.recurrence_time
-
-    def state_at(self, i: int) -> AmplitudeState:
-        return AmplitudeState(p=0.0, t=float(self.times[i]),
-                              a_val=complex(self.a[i]), b_vals=self.b[i],
-                              d_vals=self.d_data[i][_pairs(self.n_modes)[2]])
 
     @cached_property
     def sector_populations(self) -> np.ndarray:
@@ -305,11 +301,13 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
     ``t_span[1]``, is reached.  ``(-i)^k`` is real for even ``k`` and
     imaginary for odd ``k``, so a sample is ``e^{-ict} (E + iO)``, with
     ``E`` and ``O`` real sums of the even and the odd terms, their
-    coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  The
-    even and odd terms of a block of ``BLOCK`` fill its two halves, and each
-    half is summed into its own plane of each ``CHUNK`` rows of the samples
-    by one real product, so the order of every sum is fixed; a sample whose
-    remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no further part.
+    coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  A
+    block of ``BLOCK`` rows holds ``phi_j`` in row ``j % BLOCK``; once it is
+    full, its even and its odd rows, strided views that BLAS reads in place,
+    are each summed into their own plane of each ``CHUNK`` rows of the
+    samples by one real product, so the order of every sum is fixed; a
+    sample whose remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no
+    further part.
     Up to ``SAMPLE_COUNT`` samples, each such product is small enough for
     OpenBLAS to run on one thread; with many more it may use more again.
     The samples are the columns of one ``(dim, n_t)`` complex array, returned
@@ -333,36 +331,29 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
     flat = out.view(float).reshape(-1)
     chunks = [(col, flat[2 * n_t * col:2 * n_t * min(col + CHUNK, dim)].reshape(2, -1, n_t))
               for col in range(0, dim, CHUNK)]  # each chunk's E and O planes
-    rows = min(BLOCK, terms + 1)
-    first_odd = (rows + 1) // 2
-    block = np.empty((rows, dim))
+    block = np.empty((min(BLOCK, terms + 1), dim))
     shift = np.empty(dim)
-
-    def at(j):  # phi_j's row of the block
-        return (j % BLOCK) // 2 + (j % 2) * first_odd
-
     block[0] = y0
     for j in range(terms + 1):
         if j > 0:  # phi_j = a (fun(phi_{j-1}) - c phi_{j-1}) - phi_{j-2}
             a = scale if j == 1 else 2.0 * scale
-            phi, row = block[at(j - 1)], block[at(j)]
+            phi, row = block[(j - 1) % BLOCK], block[j % BLOCK]
             np.multiply(fun(t0, phi), a, out=row)
             if center:
                 np.multiply(phi, a * center, out=shift)
                 row -= shift
             if j > 1:
-                row -= block[at(j - 2)]
+                row -= block[(j - 2) % BLOCK]
         if j % BLOCK == BLOCK - 1 or j == terms:
             start = j - j % BLOCK
             live = last >= start
             if live.any():
                 first = int(np.argmax(live))
-                evens, odds = coef[start:j + 1:2, first:], coef[start + 1:j + 1:2, first:]
-                halves = ((block[:len(evens)], evens),
-                          (block[first_odd:first_odd + len(odds)], odds))
+                done = block[:j + 1 - start]
+                c = coef[start:j + 1, first:]
                 for col, planes in chunks:
-                    for plane, (terms_in, c) in zip(planes, halves):
-                        plane[:, first:] += terms_in[:, col:col + CHUNK].T @ c
+                    for parity, plane in enumerate(planes):  # E, then O
+                        plane[:, first:] += done[parity::2, col:col + CHUNK].T @ c[parity::2]
     phase = np.exp(-1j * center * dt)
     copy = np.empty((2, min(CHUNK, dim), n_t))
     for col, planes in chunks:

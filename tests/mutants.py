@@ -112,6 +112,33 @@ MUTANTS = [
      "CROSSOVER = 12.0",
      "CROSSOVER = 10.0",
      ["tests/test_specfun.py"]),
+    # The Chebyshev recurrence fed phi_{j-2} where it needs phi_{j-1}.
+    ("src/recoilsim/oracle.py",
+     "phi, row = block[(j - 1) % BLOCK], block[j % BLOCK]",
+     "phi, row = block[(j - 2) % BLOCK], block[j % BLOCK]",
+     ["tests/test_oracle.py"]),
+    # A block sum one term short.
+    ("src/recoilsim/oracle.py",
+     "done = block[:j + 1 - start]",
+     "done = block[:j - start]",
+     ["tests/test_oracle.py"]),
+    # The dispersion: the closed forms and the oracles call the same
+    # functions, so only a check on the dispersion itself can fail these.
+    # The relative coordinate's share of the one-photon kick a percent small.
+    ("src/recoilsim/core.py",
+     "+ (np.asarray(p, dtype=float) - q / 2.0) ** 2 / (2.0 * params.mu)",
+     "+ (np.asarray(p, dtype=float) - q / 2.02) ** 2 / (2.0 * params.mu)",
+     ["tests/test_core.py"]),
+    # The one-photon centre-of-mass energy with a mass a percent heavy.
+    ("src/recoilsim/core.py",
+     "kin = q**2 / (2.0 * params.cap_m) \\",
+     "kin = q**2 / (2.02 * params.cap_m) \\",
+     ["tests/test_core.py"]),
+    # Every photon's kick a percent strong.
+    ("src/recoilsim/core.py",
+     "return params.hbar * np.asarray(k) * np.sin(phi)",
+     "return 1.01 * params.hbar * np.asarray(k) * np.sin(phi)",
+     ["tests/test_core.py"]),
     # The total mass a percent heavy.
     ("src/recoilsim/core.py",
      "return 4.0 * self.mu",

@@ -133,6 +133,30 @@ class TestFrequencies:
         assert omega_one_photon(k, phi, p, UNIT) == \
             pytest.approx(base + recoil, rel=1e-12, abs=1e-12)
 
+    @given(st.floats(-2.0, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 6.28),
+           st.floats(0.1, 3.0), st.floats(0.0, 6.28), st.floats(0.1, 10.0))
+    def test_kinetic_energy_summed_atom_by_atom(self, p, k, phi, k2, phi2, mu):
+        # Each atom, of mass 2 mu (half of M), moves on its own: atom 1 starts
+        # at +p and takes the first photon's kick, atom 2 starts at -p and
+        # takes the second's.  This route shares nothing with the centre of
+        # mass plus relative form of core.py.
+        params = ModelParams(omega0=1.0, mu=mu, gamma=1e-3)
+        kick = -params.hbar * k * np.sin(phi)
+        kick2 = -params.hbar * k2 * np.sin(phi2)
+
+        def kinetic(p1, p2):
+            return (p1**2 + p2**2) / (2.0 * (2.0 * params.mu)) / params.hbar
+
+        cases = (
+            (omega_no_photon(p, params), kinetic(p, -p), params.omega0),
+            (omega_one_photon(k, phi, p, params), kinetic(p + kick, -p), params.c * k),
+            (omega_two_photon(k, phi, k2, phi2, p, params), kinetic(p + kick, -p + kick2),
+             params.c * (k + k2) - params.omega0))
+        for got, kin, rest in cases:
+            # Relative to the largest terms, as the sum may cancel to near 0.
+            bound = 1e-12 * (kin + params.c * (k + k2) + params.omega0)
+            assert abs(got - (kin + rest)) <= bound
+
     def test_pure_functions_repeat_identically(self):
         args = (1.3, 0.7, 0.2, UNIT)
         assert omega_one_photon(*args) == omega_one_photon(*args)
