@@ -22,30 +22,21 @@ with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
-    ConfigurationError,
     ModelParams,
-    ModeGrid,
     _check_time,
-    _frozen_array,
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
-    recoil_momentum,
 )
 
 __all__ = [
-    "AmplitudeState",
-    "TwoPhotonLimit",
     "amplitude_a",
     "amplitude_b",
     "amplitude_d",
     "amplitude_d_infinity",
-    "closed_form_state",
 ]
 
 
@@ -118,7 +109,8 @@ def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, *,
     The pair is ordered: the first photon label rides with the first atom's
     emission.  For nonzero relative momentum the two orderings are distinct
     final states (they differ in the final relative momentum) and generally
-    carry different values.
+    carry different values.  Broadcasts over every argument: on a grid, the
+    first photon's mode arrays take ``[:, None]`` and the second's ``[None, :]``.
     """
     t = _check_time(t)
     g = params.gamma
@@ -133,38 +125,17 @@ def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, *,
     return complex(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class TwoPhotonLimit:
-    """Long-time limit of a two-photon amplitude.
-
-    The modulus is time independent; the time dependence is a pure phase at
-    ``detuning`` (the two-photon frequency offset from the rotating frame),
-    kept separate so callers can compare moduli without picking a time.
-    """
-
-    amplitude: complex
-    detuning: float
-
-    def at_time(self, t):
-        """Full limiting value ``amplitude * e^{-i detuning t}``; broadcasts
-        over ``t``."""
-        out = self.amplitude * np.exp(-1j * self.detuning * np.asarray(t, dtype=float))
-        return complex(out) if out.ndim == 0 else out
-
-
 def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, *,
-                         coupling, coupling2,
-                         neglect_recoil: bool = False) -> TwoPhotonLimit:
+                         coupling, coupling2):
     """Two-factor Lorentzian product form of the long-time two-photon amplitude.
 
     ::
 
         D_inf = -g g' / ((i(beta1-delta) + gamma/2)(i(beta2-delta) + gamma/2))
 
-    With ``neglect_recoil`` the exact detunings ``beta - delta`` are replaced
-    by their recoil-linearized (Doppler) forms
-    ``omega0 - c k' - p p_phi' / (2 mu hbar)``; the two forms agree
-    exactly whenever the recoil kicks vanish (transverse emission).
+    This is the modulus-carrying value; the full limit at time ``t`` is
+    ``D_inf e^{-i delta t}``, a pure phase at the two-photon frequency offset
+    ``delta = omega_two_photon - omega0``.  Broadcasts over every argument.
 
     For emission with nonzero kicks the product form differs from the true
     t -> infinity limit of :func:`amplitude_d` by a factor
@@ -175,68 +146,10 @@ def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, *,
     """
     g = params.gamma
     delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
-    if neglect_recoil:
-        doppler = p / (2.0 * params.mu)
-        q1 = recoil_momentum(k, phi, params)
-        q2 = recoil_momentum(k2, phi2, params)
-        det1 = params.omega0 - params.c * np.asarray(k2) - doppler * q2 / params.hbar
-        det2 = params.omega0 - params.c * np.asarray(k) - doppler * q1 / params.hbar
-    else:
-        beta1 = omega_one_photon(k, phi, p, params) - params.omega0
-        beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
-        det1 = beta1 - delta
-        det2 = beta2 - delta
-    amp = -coupling * coupling2 / (
-        (1j * det1 + g / 2.0) * (1j * det2 + g / 2.0)
+    beta1 = omega_one_photon(k, phi, p, params) - params.omega0
+    beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
+    out = -coupling * coupling2 / (
+        (1j * (beta1 - delta) + g / 2.0)
+        * (1j * (beta2 - delta) + g / 2.0)
     )
-    return TwoPhotonLimit(amplitude=complex(amp), detuning=float(delta))
-
-
-@dataclass(frozen=True)
-class AmplitudeState:
-    """All three sector coefficients for one relative momentum at one time.
-
-    ``b_vals`` runs over the modes of a grid (k-major flattening);
-    ``d_vals`` over ordered mode pairs as a full matrix.  Both are read-only
-    copies of the arrays given.
-    """
-
-    p: float
-    t: float
-    a_val: complex
-    b_vals: np.ndarray
-    d_vals: np.ndarray
-
-    def __post_init__(self):
-        b = _frozen_array(self.b_vals, dtype=complex)
-        d = _frozen_array(self.d_vals, dtype=complex)
-        if d.shape != (b.size, b.size):
-            raise ConfigurationError("d_vals must be n_modes x n_modes")
-        object.__setattr__(self, "b_vals", b)
-        object.__setattr__(self, "d_vals", d)
-
-    @property
-    def sector_norms(self) -> tuple[float, float, float]:
-        """(|A|^2, 2 sum|B|^2, sum|D|^2) with the ordered double sum on D."""
-        return (float(abs(self.a_val) ** 2),
-                2.0 * float(np.add.reduce(np.abs(self.b_vals) ** 2)),
-                float(np.add.reduce(np.abs(self.d_vals).ravel() ** 2)))
-
-
-def closed_form_state(grid: ModeGrid, p, t, params: ModelParams) -> AmplitudeState:
-    """Evaluate every closed-form amplitude on a mode grid at one time.
-
-    The two-photon matrix costs O(n_modes^2) time and memory; for A and B
-    alone call :func:`amplitude_a` and :func:`amplitude_b`.
-    """
-    t = float(_check_time(t))
-    mk, mphi = grid.mode_k, grid.mode_phi
-    g = grid.mode_coupling
-    a_val = amplitude_a(p, t, params)
-    b_vals = amplitude_b(mk, mphi, p, t, params, coupling=g)
-    d_vals = amplitude_d(
-        mk[:, None], mphi[:, None], mk[None, :], mphi[None, :],
-        p, t, params, coupling=g[:, None], coupling2=g[None, :],
-    )
-    return AmplitudeState(p=float(np.asarray(p, dtype=float)), t=t,
-                          a_val=complex(a_val), b_vals=b_vals, d_vals=d_vals)
+    return complex(out) if np.ndim(out) == 0 else out

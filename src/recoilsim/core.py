@@ -185,7 +185,8 @@ class ModeGrid:
         if not _finite(k) or np.any(k <= 0) or not _uniform(k):
             raise ConfigurationError(
                 "k_values must be finite, positive, uniform and increasing")
-        if phi.ndim != 1 or phi.size < 1 or np.any(phi < 0) or np.any(phi >= 2 * np.pi):
+        # Written so that NaN fails it too.
+        if phi.ndim != 1 or phi.size < 1 or not np.all((phi >= 0) & (phi < 2 * np.pi)):
             raise ConfigurationError("phi_values must lie in [0, 2*pi)")
         if not _finite(self.coupling_ref) or self.coupling_ref < 0:
             raise ConfigurationError("coupling_ref must be non-negative")

@@ -28,6 +28,7 @@ from .core import (
     ConfigurationError,
     ModelParams,
     ModeGrid,
+    _finite,
     _frozen_array,
     omega_no_photon,
     omega_one_photon,
@@ -109,8 +110,9 @@ class OdeRun:
                 f"required {MIN_BANDWIDTH_GAMMAS} gamma/c on each side")
         if self.sample_times is not None:
             st = _frozen_array(self.sample_times)
-            if st.ndim != 1 or st.size < 2 or np.any(np.diff(st) <= 0):
-                raise ConfigurationError("sample_times must be ascending, length >= 2")
+            if st.ndim != 1 or st.size < 2 or not _finite(st) or np.any(np.diff(st) <= 0):
+                raise ConfigurationError(
+                    "sample_times must be finite and ascending, length >= 2")
             if st[0] < t0 or st[-1] > t1 * (1.0 + 1e-12):
                 raise ConfigurationError("sample_times must lie within t_span")
             object.__setattr__(self, "sample_times", st)

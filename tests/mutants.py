@@ -71,6 +71,11 @@ MUTANTS = [
      "b_ = 1j * (alpha - beta) + gamma / 2.0",
      "b_ = 1j * (alpha - beta) + gamma / 2.02",
      ["tests/test_amplitudes.py"]),
+    # The long-time two-photon limit's first factor a percent narrow.
+    ("src/recoilsim/amplitudes.py",
+     "(1j * (beta1 - delta) + g / 2.0)",
+     "(1j * (beta1 - delta) + g / 2.02)",
+     ["tests/test_amplitudes.py"]),
     # The sweep's spacing gate at lambda/10, not lambda/20.
     ("src/recoilsim/density.py",
      "if grid.spacing > lam / 20.0 * (1.0 + 1e-9):",

@@ -205,6 +205,12 @@ class TestModeGrid:
             ModeGrid(k_values=np.array([0.9, 1.1]), phi_values=np.array([0.0]),
                      coupling_ref=0.1, reference_k=reference_k)
 
+    @pytest.mark.parametrize("phi", [-0.1, 2.0 * np.pi, np.nan, np.inf])
+    def test_angles_outside_one_turn_rejected(self, phi):
+        with pytest.raises(ConfigurationError, match=r"^phi_values must lie in \[0, 2\*pi\)$"):
+            ModeGrid(k_values=np.array([0.9, 1.1]), phi_values=np.array([phi]),
+                     coupling_ref=0.1, reference_k=1.0)
+
     def test_flat_coupling_profile_is_constant(self, params):
         grid = ModeGrid.build(params, n_k=15, bandwidth_gammas=25.0,
                               flat_coupling=True)

@@ -7,8 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recoilsim.amplitudes import amplitude_a, closed_form_state
+from recoilsim.amplitudes import amplitude_a, amplitude_d
 from recoilsim.core import ConfigurationError, ModelParams, ModeGrid, MomentumAmplitude
 from recoilsim.density import (
     CoherenceLength,
@@ -576,6 +577,7 @@ class TestScenarioSweep:
         # not refused as a packet spread the grid cannot hold.  The closed
         # forms share the one check and its message.
         modes = ModeGrid.build(params, n_k=4, bandwidth_gammas=25.0)
+        mk, g = modes.mode_k, modes.mode_coupling
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t, emission in itertools.product((np.nan, np.inf, -np.inf, -1.0),
@@ -583,7 +585,9 @@ class TestScenarioSweep:
                 messages = []
                 for call in (lambda: scenario_sweep(sc, [t], emission, sweep_grid, params),
                              lambda: amplitude_a(0.0, t, params),
-                             lambda: closed_form_state(modes, 0.0, t, params)):
+                             lambda: amplitude_d(mk[:, None], 0.0, mk[None, :], 0.0,
+                                                 0.0, t, params, coupling=g[:, None],
+                                                 coupling2=g[None, :])):
                     with pytest.raises(ConfigurationError) as refused:
                         call()
                     messages.append(str(refused.value))
@@ -636,6 +640,70 @@ class TestScenarioSweep:
             assert np.array_equal(getattr(swept, name), getattr(single, name))
         assert (swept.t, swept.norm_factor) == (single.t, single.norm_factor)
         assert np.array_equal(swept.rho, single.rho)
+
+
+@st.composite
+def _sweeps(draw, emission=st.booleans()):
+    """The arguments of one accepted ``scenario_sweep`` call: a single packet
+    or a superposition, one to three times, at a line width, mass and packet
+    spread drawn across what the gates admit, on a grid sized from the draw
+    so that every gate passes."""
+    omega0 = draw(st.floats(0.5, 2.0))
+    gamma = omega0 / 10.0 ** draw(st.floats(1.0, 4.0))
+    emission = draw(emission)
+    # gamma * (gt / gamma) may round below gt, and emission needs gamma t >= 1.
+    gts = draw(st.lists(st.floats(1.0 + 1e-12 if emission else 0.0, 40.0),
+                        min_size=1, max_size=3))
+    times = sorted({gt / gamma for gt in gts})
+    lam = 2.0 * np.pi / omega0
+    width = draw(st.floats(0.2, 1.0)) * lam
+    # The mass that spreads the packet by this much at the last time.
+    spread = draw(st.floats(0.05, 2.0)) * lam
+    params = ModelParams(omega0=omega0, gamma=gamma,
+                         mu=max(times[-1], 1.0 / gamma) / (2.0 * width * spread))
+    offset = draw(st.floats(0.1, 2.0)) * lam
+    if draw(st.booleans()):
+        scenario = Scenario.superposition(offset, width)
+    else:
+        scenario = Scenario.single(width, draw(st.sampled_from([-1.0, 1.0])) * offset)
+    half = offset + 5.0 * scenario.max_sigma(times[-1], params)
+    step = lam / draw(st.floats(20.0, 40.0))
+    grid = SpatialGrid.linspace(-half, half, int(np.ceil(2.0 * half / step)) + 1)
+    return scenario, times, emission, grid, params
+
+
+class TestRelations:
+    """Relations of the model that hold whatever the closed forms and the
+    oracles compute, drawn across accepted sweeps."""
+
+    @given(_sweeps())
+    @settings(max_examples=150, deadline=None)
+    def test_mass_time_scaling_changes_no_bit(self, sweep):
+        # t enters only as t / mu and gamma t, and doubling is exact.
+        scenario, times, emission, grid, params = sweep
+        heavy = ModelParams(omega0=params.omega0, mu=2.0 * params.mu,
+                            gamma=params.gamma / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            base = scenario_sweep(scenario, times, emission, grid, params)
+            scaled = scenario_sweep(scenario, [2.0 * t for t in times], emission,
+                                    grid, heavy)
+        for a, b in zip(base, scaled, strict=True):
+            assert np.array_equal(_bits(a.psi), _bits(b.psi))
+            assert np.array_equal(a.factor.view(np.uint64), b.factor.view(np.uint64))
+            assert a.norm_factor.hex() == b.norm_factor.hex()
+
+    @given(_sweeps(emission=st.just(True)))
+    @settings(max_examples=150, deadline=None)
+    def test_emission_never_purifies_or_lengthens_coherence(self, sweep):
+        scenario, times, _, grid, params = sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            on = scenario_sweep(scenario, times, True, grid, params)
+        off = scenario_sweep(scenario, times, False, grid, params)
+        for dg_on, dg_off in zip(on, off, strict=True):
+            assert dg_on.purity() <= dg_off.purity()
+            assert coherence_length(dg_on).length <= coherence_length(dg_off).length
 
 
 class TestWorkerCount:
