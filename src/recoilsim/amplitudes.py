@@ -97,27 +97,45 @@ def _pole_triple(alpha, beta, delta, gamma, t):
     )
 
 
+def _offsets(k, phi, k2, phi2, p, params: ModelParams):
+    """``alpha, beta1, beta2, delta`` for the ordered pair in which the first
+    atom emits photon (k, phi) and the second atom photon (k2, phi2).
+
+    The first atom alone having emitted leaves relative momentum ``p - q1/2``,
+    the second alone ``p + q2/2``; ``omega_one_photon`` reads ``p`` through
+    ``(p - q/2)^2`` only, so the second is its value at ``-p``.  Each atom's
+    energy then adds: ``beta1 + beta2 = alpha + delta`` exactly.
+    """
+    alpha = omega_no_photon(p, params) - params.omega0
+    beta1 = omega_one_photon(k, phi, p, params) - params.omega0
+    beta2 = omega_one_photon(k2, phi2, -np.asarray(p, dtype=float), params) - params.omega0
+    delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
+    return alpha, beta1, beta2, delta
+
+
 def amplitude_d(k, phi, k2, phi2, p, t, params: ModelParams, *,
                 coupling, coupling2):
     """Two-photon amplitude for the ordered mode pair (k, phi), (k2, phi2).
 
-    Six simple-pole terms, grouped as two triples (one per intermediate
-    one-photon state).  D(0) = 0 by exact residue cancellation; as t grows
-    only the two undamped terms survive, leaving a pure phase at the
-    two-photon frequency offset (see :func:`amplitude_d_infinity`).
+    The first atom emits photon (k, phi) and the second atom photon
+    (k2, phi2), in either order.  Six simple-pole terms, grouped as two
+    triples, one per emission order, that is one per intermediate
+    one-photon state: the first atom decayed (``beta1``) or the second
+    (``beta2``).  D(0) = 0 by exact residue cancellation; as t grows only
+    the two undamped terms survive, leaving a pure phase at the two-photon
+    frequency offset, exactly :func:`amplitude_d_infinity` times
+    ``e^{-i delta t}``.
 
-    The pair is ordered: the first photon label rides with the first atom's
-    emission.  For nonzero relative momentum the two orderings are distinct
-    final states (they differ in the final relative momentum) and generally
-    carry different values.  Broadcasts over every argument: on a grid, the
-    first photon's mode arrays take ``[:, None]`` and the second's ``[None, :]``.
+    Exchanging the atoms maps ``(k, phi, k2, phi2, p)`` to
+    ``(k2, phi2, k, phi, -p)`` and leaves D as it is.  For nonzero relative
+    momentum the two orderings of one photon pair are distinct final states
+    (they differ in the final relative momentum) and generally carry
+    different values.  Broadcasts over every argument: on a grid, the first
+    photon's mode arrays take ``[:, None]`` and the second's ``[None, :]``.
     """
     t = _check_time(t)
+    alpha, beta1, beta2, delta = _offsets(k, phi, k2, phi2, p, params)
     g = params.gamma
-    alpha = omega_no_photon(p, params) - params.omega0
-    beta1 = omega_one_photon(k, phi, p, params) - params.omega0
-    beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
-    delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
     out = -coupling * coupling2 * (
         _pole_triple(alpha, beta1, delta, g, t)
         + _pole_triple(alpha, beta2, delta, g, t)
@@ -135,19 +153,14 @@ def amplitude_d_infinity(k, phi, k2, phi2, p, params: ModelParams, *,
 
     This is the modulus-carrying value; the full limit at time ``t`` is
     ``D_inf e^{-i delta t}``, a pure phase at the two-photon frequency offset
-    ``delta = omega_two_photon - omega0``.  Broadcasts over every argument.
-
-    For emission with nonzero kicks the product form differs from the true
-    t -> infinity limit of :func:`amplitude_d` by a factor
-    ``1 + i eps_r / R`` with ``eps_r = beta1 + beta2 - alpha - delta``
-    (quadratic in the recoil momenta) and ``R = i(alpha - delta) + gamma`` --
-    negligible in the regimes this model addresses and identically zero for
-    transverse emission.
+    ``delta = omega_two_photon - omega0``.  The photons and atoms pair as in
+    :func:`amplitude_d`.  Because ``beta1 + beta2 = alpha + delta``, the two
+    undamped terms of :func:`amplitude_d` sum to exactly this product: it
+    is the exact t -> infinity limit, kicks and relative momentum included.
+    Broadcasts over every argument.
     """
+    _, beta1, beta2, delta = _offsets(k, phi, k2, phi2, p, params)
     g = params.gamma
-    delta = omega_two_photon(k, phi, k2, phi2, p, params) - params.omega0
-    beta1 = omega_one_photon(k, phi, p, params) - params.omega0
-    beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0
     out = -coupling * coupling2 / (
         (1j * (beta1 - delta) + g / 2.0)
         * (1j * (beta2 - delta) + g / 2.0)

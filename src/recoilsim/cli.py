@@ -69,7 +69,9 @@ QUADRATURE_SPAN = 2.0
 
 DENSITY_HEADER = "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho"
 # How far from the diagonal evolve reuses an entry's text for its mirror.
-MIRROR_BAND = 512
+MIRROR_BAND = 256
+# About how many CSV lines evolve lays out and formats at once.
+BATCH_LINES = 1 << 15
 
 DEFAULTS = {
     "params": {"omega0": 1.0, "gamma": 0.01, "mu": 10.0},
@@ -237,8 +239,8 @@ def _publish(paths: list[str]):
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    """Write ``header`` and then each item of ``rows`` (one CSV line, or a
-    block of lines) to ``path``, each ending in a newline, as it comes."""
+    """Write ``header`` and then each CSV line of ``rows`` to ``path``, each
+    ending in a newline, as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for text in itertools.chain([header], rows):
             fh.write(text + "\n")
@@ -268,57 +270,97 @@ def cmd_decoherence_factor(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _cells(values: np.ndarray) -> str:
-    """``re\\x01im,abs\\n`` for each complex value, in one ``%`` call:
-    ``\\x01`` stands for the comma before the imaginary field, which the
-    caller writes as it is for the entry, or with its sign flipped for the
-    entry's conjugate.
+def _cell_slots(values: np.ndarray) -> np.ndarray:
+    """``re,im,abs\\n`` of each complex value: one row per value of the
+    ``_g17`` kernel's three byte slots, each followed by its separator.
 
-    ``%.17g`` is ``_fmt``'s format.  ``abs`` is Python's, on the values of
-    ``tolist()``: the vectorized ``np.abs`` can differ in the last bit.
+    ``abs`` is ``np.hypot``, which is Python's ``abs`` of a complex to the
+    bit (``np.abs`` can differ in the last bit), and as there, a modulus that
+    overflows from finite parts raises ``OverflowError``.
     """
-    parts = [None] * (3 * values.size)
-    parts[0::3] = values.real.tolist()
-    parts[1::3] = values.imag.tolist()
-    parts[2::3] = map(abs, values.tolist())
-    return ("%.17g\x01%.17g,%.17g\n" * values.size) % tuple(parts)
+    from . import _g17
+    parts = np.empty((values.size, 3))
+    parts[:, 0], parts[:, 1] = values.real, values.imag
+    with np.errstate(over="ignore"):
+        np.hypot(parts[:, 0], parts[:, 1], out=parts[:, 2])
+    if (np.isinf(parts[:, 2]) & np.isfinite(values)).any():
+        raise OverflowError("absolute value too large")
+    cells = np.empty((values.size, 3, _g17.WIDTH + 1), np.uint8)
+    cells[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
+    _g17.slots(parts, cells[:, :, :-1].reshape(-1, _g17.WIDTH))
+    return cells.reshape(values.size, -1)
 
 
 def _density_rows(dg, x_strings: list[str]):
-    """One block of CSV lines per matrix row, built from the factors as it
-    is written; ``x_strings`` are the grid's formatted x values.
+    """One block of CSV lines per matrix row, as ASCII bytes with every line
+    ending in a newline, built from the factors as it is written;
+    ``x_strings`` are the grid's formatted x values.
 
-    Row ``i`` formats its entries from the diagonal on; the entries of
-    later rows within ``MIRROR_BAND`` of the diagonal are the conjugates of
-    these (``DensityGrid.row`` builds them so, signed zeros included), so
-    their text is this text with the imaginary field's sign flipped.  Each
-    row takes one such cell from each of the up to ``MIRROR_BAND`` rows
-    before it and formats the entries farther left itself, so at most about
-    ``MIRROR_BAND**2 / 2`` cells are held at a time.  The factors of the
-    densities the CLI writes are finite, so no entry is NaN and no ``nan``
-    field turns into ``-nan``.
+    Rows go in batches of about ``BATCH_LINES`` lines.  A batch lays its
+    lines out in fixed byte slots, the values' from the vectorized
+    ``%.17g`` kernel ``_g17.slots``, and drops the zero bytes of the slots
+    no character uses.  It formats its entries from the diagonal on, and
+    those more than ``MIRROR_BAND`` left of it.  The entries between are
+    the conjugates of entries above the diagonal (``DensityGrid.row``
+    builds them so, signed zeros included), so their slots are those with
+    the imaginary field's sign byte flipped.  A batch takes them from its
+    own upper entries, or from ``ring``, which keeps the band right of the
+    last ``MIRROR_BAND`` rows.  So a writer holds ``BATCH_LINES`` slotted
+    lines and ``MIRROR_BAND**2`` slotted entries, about 10 MB, at any grid
+    size.  The factors of the densities the CLI writes are finite, so no
+    entry is NaN and no ``nan`` field turns into ``-nan``.
     """
-    from collections import deque
+    from . import _g17  # imported here, it costs the other subcommands nothing
     n = len(x_strings)
-    tails = [f",{xj},%s" for xj in x_strings]
-    pending = deque(maxlen=MIRROR_BAND)  # the cells each earlier row still owes
-    for i, xi in enumerate(x_strings):
-        row = dg.row(i)
-        lo, hi = max(i - MIRROR_BAND, 0), min(i + MIRROR_BAND + 1, n)
-        near = _cells(row[i:hi])
-        cells = (_cells(row[:lo]) + "".join(map(deque.popleft, pending))
-                 + near + _cells(row[hi:]))
-        yield (xi + ("\n" + xi).join(tails)) % tuple(
-            cells.replace("\x01", ",").split("\n")[:-1])
-        # The mirror cells of rows i + 1 to hi - 1, the diagonal's left out.
-        mirrored = near.replace("\x01-", ",").replace("\x01", ",-")
-        pending.append(deque(mirrored.splitlines(True)[1:]))
+    band = min(MIRROR_BAND, n - 1)
+    step = max(BATCH_LINES // n, 1)
+    wx = max(map(len, x_strings))
+    xs = np.zeros((n, wx), np.uint8)
+    for row, text in zip(xs, x_strings):
+        row[:len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+    # A line is x, ',', x', ',' and one cell of ``_cell_slots``, handled as
+    # one void item; the imaginary part's sign byte is a third of the way in.
+    cell = np.dtype((np.void, 3 * (_g17.WIDTH + 1)))
+    at = 2 * wx + 2
+    sign_at = at + cell.itemsize // 3
+    ring = np.empty((band, band), cell)  # ring[j % band, d]: entry (j, j + 1 + d)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        lines = np.empty((r1 - r0, n, at + cell.itemsize), np.uint8)
+        lines[:, :, :wx] = xs[r0:r1, None]
+        lines[:, :, wx + 1:at - 1] = xs
+        lines[:, :, wx] = lines[:, :, at - 1] = ord(",")
+        cells = np.ndarray((r1 - r0, n), cell, lines, at, lines.strides[:2])
+        signs = np.ndarray((r1 - r0, n), np.uint8, lines, sign_at, lines.strides[:2])
+        i = np.arange(r0, r1)[:, None]
+        j = np.arange(n)
+        values = np.array([dg.row(k) for k in range(r0, r1)])
+        own = (j >= i) | (j < i - band)
+        cells[own] = _cell_slots(values[own]).view(cell)[:, 0]
+        # The band left of the diagonal: from this batch's square ...
+        square, flip = cells[:, r0:r1], signs[:, r0:r1]
+        near = (j[:r1 - r0] < i - r0) & (j[:r1 - r0] >= i - r0 - band)
+        square[near] = square.T[near]
+        flip[near] ^= ord("-")
+        # ... and from the ring, left of this batch's square.
+        rows, cols = np.nonzero(j[:band] + r0 - band >= np.maximum(i - band, 0))
+        cols += r0 - band
+        cells[rows, cols] = ring[cols % band, rows + r0 - cols - 1]
+        signs[rows, cols] ^= ord("-")
+        # Keep the band right of the rows the next batches still read.
+        for k in range(max(r0, r1 - band), r1 if r1 < n else r0):
+            ahead = min(band, n - 1 - k)
+            ring[k % band, :ahead] = cells[k - r0, k + 1:k + 1 + ahead]
+        for block in lines:
+            yield block.tobytes().translate(None, b"\0")
 
 
 def _write_density(job) -> None:
     """Write one density CSV; ``job`` is ``(path, dg, x_strings)``."""
     path, dg, x_strings = job
-    _write_csv(path, DENSITY_HEADER, _density_rows(dg, x_strings))
+    with open(path, "wb") as fh:
+        fh.write(DENSITY_HEADER.encode("ascii") + b"\n")
+        fh.writelines(_density_rows(dg, x_strings))
 
 
 def cmd_evolve(cfg: dict, out_dir: str, emission: str | None) -> int:

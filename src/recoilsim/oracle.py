@@ -175,7 +175,9 @@ class Trajectory:
     def sector_populations(self) -> np.ndarray:
         """(n_t, 3) array of (|A|^2, 2 sum|B|^2, sum|D|^2) per sample
         (computed once, read-only), one sample at a time: |y|^2 of all
-        samples at once would be a second array half the size of ``y``."""
+        samples at once would be a second array half the size of ``y``.
+        B counts twice because the run is at relative momentum 0, where
+        either atom's one-photon amplitude is the other's."""
         n = self.n_modes
         rows, cols, _ = _pairs(n)
         # D_kk is stored once but counted twice below.  Its (n_t, n) gather is
@@ -399,8 +401,9 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     first product; at a fixed bandwidth and ``T`` it does not grow with the
     mode count.  Initial condition A = 1, everything else zero: the equations
     are linear, so a start from A = C_p is this run times C_p.  A drift of
-    |A|^2 + 2 sum|B|^2 + sum|D|^2 from 1 not within ``10 * tol`` (NaN
-    included) raises :class:`NormDriftFailure`.  Reruns are bit-identical:
+    |A|^2 + 2 sum|B|^2 + sum|D|^2 (B twice: at p = 0 the atoms' B are
+    equal) from 1 not within ``10 * tol`` (NaN included) raises
+    :class:`NormDriftFailure`.  Reruns are bit-identical:
     each product is one sparse product in a fixed order, and the terms are
     summed through BLAS in blocks of a fixed size, each block sum on one
     OpenBLAS thread whatever the thread count when there are at most

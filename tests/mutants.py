@@ -149,17 +149,32 @@ MUTANTS = [
      "return 4.0 * self.mu",
      "return 4.04 * self.mu",
      ["tests/test_core.py"]),
-    # evolve's mirror cells keep the upper entry's imaginary sign, where the
-    # entry below the diagonal is its conjugate.
+    # The two-photon form's second intermediate state back at p - q2/2, where
+    # the second atom's emission leaves p + q2/2.
+    ("src/recoilsim/amplitudes.py",
+     "beta2 = omega_one_photon(k2, phi2, -np.asarray(p, dtype=float), params) - params.omega0",
+     "beta2 = omega_one_photon(k2, phi2, p, params) - params.omega0",
+     ["tests/test_amplitudes.py"]),
+    # The %.17g kernel printing 1e16 to 1e17 in exponent notation.
+    ("src/recoilsim/_g17.py",
+     "fixed = (x >= -4) & (x < 17)",
+     "fixed = (x >= -4) & (x < 16)",
+     ["tests/test_g17.py"]),
+    # The %.17g kernel printing the exponent 100 with two digits.
+    ("src/recoilsim/_g17.py",
+     "out[:, _EXPONENT + 2] = (expo & (mag >= 100)) * (ord(\"0\") + mag // 100)",
+     "out[:, _EXPONENT + 2] = (expo & (mag > 100)) * (ord(\"0\") + mag // 100)",
+     ["tests/test_g17.py"]),
+    # evolve's mirror entries keep the upper entry's imaginary sign, where
+    # the entry below the diagonal is its conjugate: within a batch ...
     ("src/recoilsim/cli.py",
-     r'mirrored = near.replace("\x01-", ",").replace("\x01", ",-")',
-     r'mirrored = near.replace("\x01", ",")',
+     'flip[near] ^= ord("-")',
+     "flip[near] ^= 0",
      ["tests/test_cli.py"]),
-    # evolve's mirror band a point short above the diagonal, where the rows
-    # below still take cells from the full band.
+    # ... and from the rows of earlier batches.
     ("src/recoilsim/cli.py",
-     "lo, hi = max(i - MIRROR_BAND, 0), min(i + MIRROR_BAND + 1, n)",
-     "lo, hi = max(i - MIRROR_BAND, 0), min(i + MIRROR_BAND, n)",
+     'signs[rows, cols] ^= ord("-")',
+     "signs[rows, cols] ^= 0",
      ["tests/test_cli.py"]),
 ]
 

@@ -321,8 +321,9 @@ class TestDensityWriter:
 
     def _assert_matches_reference(self, dg):
         rows = list(cli._density_rows(dg, self.X_STRINGS))
-        assert rows == list(_reference_rows(dg, self.X_STRINGS))
-        return "\n".join(rows)
+        reference = [row + "\n" for row in _reference_rows(dg, self.X_STRINGS)]
+        assert [row.decode("ascii") for row in rows] == reference
+        return "".join(reference)
 
     def _assert_sweep_matches_reference(self, scenario, emission):
         times = [0.0, 5.0 / self.PARAMS.gamma]
@@ -351,13 +352,63 @@ class TestDensityWriter:
         monkeypatch.setattr(cli, "MIRROR_BAND", 7)
         self._assert_sweep_matches_reference(scenario, emission)
 
+    @pytest.mark.parametrize("band, rows", [(7, 5), (7, 1), (200, 5), (120, 50)])
+    @pytest.mark.parametrize("emission", [True, False])
+    def test_rows_across_batches_match_per_value_formatting(
+            self, band, rows, emission, monkeypatch):
+        # Batches of a few rows take the band left of the diagonal partly
+        # from their own square and partly from the rows before them.
+        monkeypatch.setattr(cli, "MIRROR_BAND", band)
+        monkeypatch.setattr(cli, "BATCH_LINES", rows * self.GRID.n)
+        self._assert_sweep_matches_reference(self.SCENARIOS[1], emission)
+
+    def test_an_overflowing_modulus_is_an_overflow_error(self):
+        # |rho_01| = 1.9e308 from finite parts of 1.34e308: Python's abs
+        # raises there, so the writer does, before it writes an inf field.
+        # (The diagonal, 1.9e308, overflows in the product itself.)
+        grid = SpatialGrid.linspace(-1.0, 1.0, 2)
+        psi = 1e154 * np.array([1.0, np.exp(0.25j * np.pi)])
+        dg = DensityGrid(grid=grid, psi=psi, factor=np.ones(2), t=0.0,
+                         emission=False, norm_factor=1.9, params=self.PARAMS)
+        with np.errstate(over="ignore"):
+            entry = complex(dg.row(0)[1])
+            assert np.isfinite(entry)
+            with pytest.raises(OverflowError):
+                abs(entry)
+            with pytest.raises(OverflowError):
+                list(cli._density_rows(dg, ["-1", "1"]))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+           st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+    @settings(max_examples=300, deadline=None)
+    @example(3.0, 4.0)
+    @example(1.3e308, 1.3e308)
+    @example(5e-324, -5e-324)
+    def test_hypot_is_pythons_complex_abs(self, re, im):
+        # The writer's abs field is np.hypot; Python's abs(complex) is the
+        # reference the text must match, bit for bit.
+        with np.errstate(over="ignore"):
+            modulus = float(np.hypot(re, im))
+        try:
+            assert modulus.hex() == abs(complex(re, im)).hex()
+        except OverflowError:
+            assert modulus == np.inf
+
+    def test_hypot_is_pythons_abs_on_a_default_density(self):
+        params = cli._model_params(DEFAULTS)
+        grid = cli._spatial_grid(DEFAULTS, params)
+        [dg] = scenario_sweep(cli._scenario(DEFAULTS, params), [5.0 / params.gamma],
+                              True, grid, params)
+        rho = np.array([dg.row(i) for i in range(grid.n)]).ravel()
+        assert np.hypot(rho.real, rho.imag).tolist() == list(map(abs, rho.tolist()))
+
     def test_real_diagonal_and_mirrored_negative_zeros(self):
         psi = np.linspace(-1.0, 2.0, self.GRID.n).astype(complex)
         dg = DensityGrid(grid=self.GRID, psi=psi, factor=np.ones(self.GRID.n),
                          t=0.0, emission=False, norm_factor=0.5, params=self.PARAMS)
         text = self._assert_matches_reference(dg)
         n = self.GRID.n
-        imag = [line.split(",")[3] for line in text.split("\n")]
+        imag = [line.split(",")[3] for line in text.splitlines()]
         # A real psi: every imaginary part is a zero, +0 on the diagonal, and
         # below it the sign-flipped zero of the mirror entry above it.
         assert all(imag[i * n + i] == "0" for i in range(n))
@@ -915,13 +966,14 @@ class TestEntryPoint:
     def test_scipy_loads_only_for_the_amplitudes_oracle(self, tmp_path):
         # scipy is most of the package's import time, and only the amplitudes
         # oracle needs it.  evolve and the quadrature oracle run on a small grid.
+        # evolve's format kernel is not loaded by the import either.
         small = write_config(tmp_path, TestDiskPreflight.CONFIG)
         script = "\n".join([
             "import json, sys",
             "import recoilsim, recoilsim.cli",
             "def scipy_modules():",
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']",
-            "seen = {'import': scipy_modules()}",
+            "seen = {'import': scipy_modules(), 'kernel': 'recoilsim._g17' in sys.modules}",
             "small = ['--config', sys.argv[2]]",
             "for argv, config in ((['decoherence-factor'], []),",
             "                     (['oracle', '--which', 'rate'], []), (['evolve'], small),",
@@ -934,5 +986,6 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "import": [], "decoherence-factor": [0, []], "oracle --which rate": [0, []],
+            "import": [], "kernel": False, "decoherence-factor": [0, []],
+            "oracle --which rate": [0, []],
             "evolve": [0, []], "oracle --which quadrature": [0, []]}
