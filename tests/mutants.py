@@ -176,6 +176,21 @@ MUTANTS = [
      'signs[rows, cols] ^= ord("-")',
      "signs[rows, cols] ^= 0",
      ["tests/test_cli.py"]),
+    # Every CSV's fields run together, without the comma between them.
+    ("src/recoilsim/cli.py",
+     'rows[:, :, -1] = ord(",")',
+     "rows[:, :, -1] = 0",
+     ["tests/test_cli.py"]),
+    # The rate file's flagged column left empty, not copied.
+    ("src/recoilsim/cli.py",
+     'rows[:, i, :-1] = columns[i].astype(f"S{_g17.WIDTH}")[:, None].view(np.uint8)',
+     "rows[:, i, :-1] = 0",
+     ["tests/test_cli.py"]),
+    # Every CSV line ends in a comma, not a newline.
+    ("src/recoilsim/cli.py",
+     'rows[:, -1, -1] = ord("\\n")',
+     'rows[:, -1, -1] = ord(",")',
+     ["tests/test_cli.py"]),
 ]
 
 

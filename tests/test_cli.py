@@ -23,10 +23,15 @@ from recoilsim import cli
 from recoilsim.cli import DEFAULTS, load_config, main
 from recoilsim.core import ConfigurationError, ModelParams
 from recoilsim.density import (DensityGrid, Scenario, SpatialGrid, ValidityWarning,
-                               scenario_sweep)
+                               decoherence_factor, psi_free, scenario_sweep)
 from recoilsim.specfun import bessel_j0
 
 EVOLVE_HEADER = "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho"
+
+
+def _g(value) -> str:
+    """``value`` as the CSV files print it, formatted one value at a time."""
+    return format(float(value), ".17g")
 
 
 def write_config(tmp_path, payload):
@@ -285,13 +290,12 @@ class TestDiskPreflight:
                    for path in csvs)
 
 
-def _reference_rows(dg, x_strings):
-    """The density CSV lines formatted one value at a time."""
-    for i, xi in enumerate(x_strings):
-        yield "\n".join(
-            f"{xi},{xj},{format(float(v.real), '.17g')},"
-            f"{format(float(v.imag), '.17g')},{format(float(abs(v)), '.17g')}"
-            for xj, v in zip(x_strings, dg.row(i)))
+def _reference_rows(dg, x):
+    """The density CSV lines formatted one value at a time; ``x`` are the
+    grid's x values."""
+    for i, xi in enumerate(x):
+        yield "\n".join(f"{_g(xi)},{_g(xj)},{_g(v.real)},{_g(v.imag)},{_g(abs(v))}"
+                         for xj, v in zip(x, dg.row(i)))
 
 
 def _writer_dies(_job):
@@ -301,10 +305,10 @@ def _writer_dies(_job):
 _DENSITY_ROWS = cli._density_rows
 
 
-def _dies_mid_file(dg, x_strings):
+def _dies_mid_file(dg, xs):
     """The density rows, but the gamma*t = 5 emission-on writer ends its
     process after five of them."""
-    rows = _DENSITY_ROWS(dg, x_strings)
+    rows = _DENSITY_ROWS(dg, xs)
     if dg.emission and dg.t == 5.0 / DEFAULTS["params"]["gamma"]:
         yield from itertools.islice(rows, 5)
         os._exit(1)
@@ -317,11 +321,11 @@ class TestDensityWriter:
     PARAMS = ModelParams(omega0=1.0, mu=800.0, gamma=0.01)
     # Wide enough to hold 99 % of the superposition (a 2-lambda grid held 98 %).
     GRID = SpatialGrid.linspace(-3.0 * PARAMS.wavelength, 3.0 * PARAMS.wavelength, 121)
-    X_STRINGS = [format(float(x), ".17g") for x in GRID.x_values / PARAMS.wavelength]
+    X = GRID.x_values / PARAMS.wavelength
 
     def _assert_matches_reference(self, dg):
-        rows = list(cli._density_rows(dg, self.X_STRINGS))
-        reference = [row + "\n" for row in _reference_rows(dg, self.X_STRINGS)]
+        rows = list(cli._density_rows(dg, cli._slots([self.X])))
+        reference = [row + "\n" for row in _reference_rows(dg, self.X)]
         assert [row.decode("ascii") for row in rows] == reference
         return "".join(reference)
 
@@ -376,7 +380,7 @@ class TestDensityWriter:
             with pytest.raises(OverflowError):
                 abs(entry)
             with pytest.raises(OverflowError):
-                list(cli._density_rows(dg, ["-1", "1"]))
+                list(cli._density_rows(dg, cli._slots([[-1.0, 1.0]])))
 
     @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
@@ -930,6 +934,94 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "oracle tolerance breach" in err
         assert "|A|^2 decay deviation" in err
+
+
+def _recorded(monkeypatch, name, edit=lambda args, value: value):
+    """Make ``cli.<name>`` return ``edit(args, value)`` for each ``value`` it
+    returns, and return the list of what it then returns."""
+    original, returned = getattr(cli, name), []
+
+    def wrapper(*args, **kwargs):
+        returned.append(edit(args, original(*args, **kwargs)))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return returned
+
+
+class TestSmallTables:
+    """The four small CSV kinds, byte for byte, against text built one value
+    at a time with ``format(v, ".17g")`` from what the library returns."""
+
+    def _assert_file(self, path, header, rows):
+        expected = "".join(f"{line}\n" for line in [header, *rows])
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_decoherence_factor(self, tmp_path):
+        dec = {"points": 37, "max_dx_over_lambda": 2.5}
+        cfg = write_config(tmp_path, {"decoherence": dec})
+        assert run_cli(["decoherence-factor", "--config", cfg], tmp_path) == 0
+        dx = dec["max_dx_over_lambda"] * np.arange(dec["points"]) / dec["points"]
+        f = bessel_j0(np.pi * dx) ** 2
+        self._assert_file(tmp_path / "decoherence_factor.csv", "dx_over_lambda,F",
+                          (f"{_g(a)},{_g(b)}" for a, b in zip(dx, f)))
+
+    @pytest.mark.parametrize("bandwidth, code, flagged", [
+        (10.0, 0, "false"), (2.0, 3, "true")])
+    def test_rate(self, tmp_path, monkeypatch, bandwidth, code, flagged):
+        # Two gammas of band lose 15 % of the rate: the file is written and
+        # flagged, then the run breaches its tolerance.
+        checks = _recorded(monkeypatch, "ww_rate_check")
+        cfg = write_config(tmp_path, {"modes": {"n_k": 40,
+                                                "bandwidth_gammas": bandwidth}})
+        assert run_cli(["oracle", "--which", "rate", "--config", cfg], tmp_path) == code
+        [check] = checks
+        relative = abs(check.rate / check.expected - 1.0)
+        self._assert_file(tmp_path / "oracle_rate.csv",
+                          "rate,expected,relative_error,flagged",
+                          [f"{_g(check.rate)},{_g(check.expected)},{_g(relative)},"
+                           f"{flagged}"])
+
+    def test_quadrature_with_negative_zeros(self, tmp_path, monkeypatch):
+        # The quadrature's imaginary parts on the diagonal are +0; negated
+        # here, they must print as "-0".
+        quads = _recorded(monkeypatch, "density_quadrature", lambda args, v:
+                          complex(v.real, -v.imag) if args[0] == args[1] else v)
+        assert run_cli(["oracle", "--which", "quadrature"], tmp_path) == 0
+        params = cli._model_params(DEFAULTS)
+        lam = params.wavelength
+        t = max(DEFAULTS["times"]) / params.gamma
+        xs = np.linspace(-2.0 * lam, 2.0 * lam, 16)
+        psi = np.asarray(psi_free(xs, t, cli._scenario(DEFAULTS, params), params),
+                         dtype=complex)
+        fact = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
+            xs[:, None], xs[None, :], params)
+        pairs = [(i, j) for i in range(16) for j in range(16)]
+        assert len(quads) == len(pairs)
+        rows = [f"{_g(xs[i] / lam)},{_g(xs[j] / lam)},{_g(q.real)},{_g(q.imag)},"
+                f"{_g(fact[i, j].real)},{_g(fact[i, j].imag)},"
+                f"{_g(abs(complex(q) - complex(fact[i, j])))}"
+                for (i, j), q in zip(pairs, quads)]
+        self._assert_file(tmp_path / "oracle_quadrature.csv",
+                          "x_over_lambda,xp_over_lambda,re_quad,im_quad,"
+                          "re_fact,im_fact,abs_diff", rows)
+        diagonal = [row.split(",")[3] for (i, j), row in zip(pairs, rows) if i == j]
+        assert diagonal == ["-0"] * 16
+
+    def test_amplitudes(self, tmp_path, monkeypatch):
+        # 40 modes over 20 linewidths miss the decay tolerance: the file is
+        # written, then the run exits 3.
+        runs = _recorded(monkeypatch, "integrate_amplitudes")
+        cfg = write_config(tmp_path, {"modes": {"n_k": 40, "bandwidth_gammas": 20.0}})
+        assert run_cli(["oracle", "--which", "amplitudes", "--config", cfg],
+                       tmp_path) == 3
+        [trajectory] = runs
+        rows = [",".join(map(_g, (t, a.real, a.imag, n, *pops)))
+                for t, a, n, pops in zip(trajectory.times, trajectory.a,
+                                         trajectory.norms,
+                                         trajectory.sector_populations)]
+        self._assert_file(tmp_path / "oracle_amplitudes.csv",
+                          "t,re_a,im_a,norm,pop_a,pop_b,pop_d", rows)
 
 
 class TestToleranceCheck:

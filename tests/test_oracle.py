@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recoilsim.core import (
     ConfigurationError,
@@ -386,6 +387,37 @@ class TestChebyshevPropagator:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
+
+
+class TestLinearity:
+    """The amplitude equations are linear, and so is ``solve_ivp``: the run
+    from a sum of two starts is the sum of their runs, and the run from a
+    start scaled by a power of two is its run scaled alike, bit for bit, as
+    such a scaling changes the rounding of no product or sum."""
+
+    @given(n_k=st.integers(8, 16), n_phi=st.integers(1, 4),
+           bandwidth=st.floats(oracle.MIN_BANDWIDTH_GAMMAS, 50.0),
+           gamma_t=st.floats(0.5, 5.0), seed=st.integers(0, 2**32 - 1),
+           s=st.integers(-30, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_solve_ivp_is_linear(self, params, n_k, n_phi, bandwidth, gamma_t, seed, s):
+        grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=bandwidth, n_phi=n_phi)
+        t1 = gamma_t / params.gamma
+        run = OdeRun(params=params, grid=grid, t_span=(0.0, t1),
+                     sample_times=np.linspace(0.0, t1, 6))
+        h = amplitude_generator(run)
+        spectrum = oracle._spectrum(h)
+
+        def solve(y0):
+            return oracle.solve_ivp(lambda t, x: h @ x, run.t_span, y0,
+                                    t_eval=run.times, spectrum=spectrum)
+
+        rng = np.random.default_rng(seed)
+        y0, z0 = rng.standard_normal((2, h.shape[0]))
+        y = solve(y0)
+        assert np.array_equal(solve(2.0**s * y0), 2.0**s * y)
+        both = solve(y0 + z0)
+        assert np.abs(both - (y + solve(z0))).max() <= 1e-13 * np.abs(both).max()
 
 
 class TestBesselCoefficients:
