@@ -21,15 +21,31 @@ The package has three layers:
   (:mod:`~recoilsim.cli`).
 """
 
-from . import core, specfun, amplitudes, density, oracle
-from .core import *
-from .specfun import *
-from .amplitudes import *
-from .density import *
-from .oracle import *
-
 __version__ = "0.1.0"
 
-# Each module's __all__ is its public API; the package re-exports them all.
-__all__ = [*core.__all__, *specfun.__all__, *amplitudes.__all__,
-           *density.__all__, *oracle.__all__, "__version__"]
+
+def __getattr__(name: str):
+    """Import the five layers on the first use of a public name (PEP 562).
+
+    ``import recoilsim`` alone loads no numpy, so ``recoilsim.cli`` can still
+    choose numpy's BLAS threads before numpy starts.  ``from recoilsim import
+    cli`` asks for ``cli`` before importing it, and is left to the import
+    system for the same reason."""
+    if name.startswith("_") and name != "__all__" or name == "cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importlib, not ``from . import``: that asks this function for the layers.
+    from importlib import import_module
+    layers = [import_module(f"{__name__}.{layer}")
+              for layer in ("core", "specfun", "amplitudes", "density", "oracle")]
+    # Each layer's __all__ is its public API; the package re-exports them all.
+    public = {key: getattr(layer, key) for layer in layers for key in layer.__all__}
+    globals().update(public, __all__=[*public, "__version__"])
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")
+    return sorted(globals())

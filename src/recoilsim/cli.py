@@ -30,6 +30,17 @@ import sys
 import tempfile
 import warnings
 
+# No CLI run makes a BLAS call large enough for OpenBLAS to thread: the
+# oracle's block sums stay within 2**18 multiply-adds, its products are
+# scipy's single-threaded CSR, and the rest is elementwise or short.  Starting
+# the idle worker threads still costs each process about 0.1 s of CPU, and
+# evolve would fork with them alive.  So numpy starts on one thread, unless
+# it is already loaded or the caller chose a thread count.
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .core import ConfigurationError, ModelParams, ModeGrid
@@ -61,6 +72,11 @@ __all__ = ["DEFAULTS", "OracleToleranceError", "load_config", "main"]
 DECAY_TOLERANCE = 0.05        # |A|^2 vs e^{-2 gamma t}, relative
 RATE_TOLERANCE = 0.05         # pole-sum rate vs gamma/2, relative
 QUADRATURE_TOLERANCE = 1e-8   # angle quadrature vs factorized form, relative
+
+# What the amplitudes oracle's first run adds to the process whatever the
+# grid's size, beside memory_estimate: pages of the solver's and the CSV
+# kernel's code and BLAS's buffers, about 2-3 MB from 4 to 200 modes.
+FIRST_RUN_BYTES = 4 * 2**20
 
 # Fixed probe grid for the quadrature oracle (in wavelengths); the full
 # configured grid would be prohibitively slow under a double angle sum.
@@ -475,10 +491,12 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
     m = cfg["modes"]
     # Counted from the config, before the grid exists, on top of what the
-    # process already holds; a count below the grid's minimum is left to
-    # ModeGrid's own refusal.
+    # process already holds, scipy.sparse included (about 20 MB resident),
+    # and what any first run adds; a count below the grid's minimum is left
+    # to ModeGrid's own refusal.
+    import scipy.sparse  # noqa: F401
     need = (memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
-            + _resident_bytes())
+            + _resident_bytes() + FIRST_RUN_BYTES)
     have = _available_bytes()
     if need > have:
         # Decimal, not float: the exact count can pass the float range.  Imported

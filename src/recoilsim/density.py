@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -426,7 +425,9 @@ def scenario_sweep(scenario, times, emission: bool, grid: SpatialGrid,
                 ValidityWarning, stacklevel=2)
     # All inputs are immutable and every run is independent, so the sweep can
     # fan out over times (gates above already ran, in this thread, for all of
-    # them); results come back in time order regardless.
+    # them); results come back in time order regardless.  Imported here, the
+    # pool costs the CLI runs that never sweep nothing.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=worker_count(len(times))) as pool:
         return list(pool.map(
             lambda t: _assemble_density(grid, t, scenario, emission, params),

@@ -191,6 +191,33 @@ MUTANTS = [
      'rows[:, -1, -1] = ord("\\n")',
      'rows[:, -1, -1] = ord(",")',
      ["tests/test_cli.py"]),
+    # The package loading numpy when ``from recoilsim import cli`` asks it
+    # for ``cli``, before the CLI can choose the thread count.
+    ("src/recoilsim/__init__.py",
+     'if name.startswith("_") and name != "__all__" or name == "cli":',
+     'if name.startswith("_") and name != "__all__":',
+     ["tests/test_startup.py"]),
+    # The CLI starting numpy on two threads, not one.
+    ("src/recoilsim/cli.py",
+     'os.environ["OPENBLAS_NUM_THREADS"] = "1"',
+     'os.environ["OPENBLAS_NUM_THREADS"] = "2"',
+     ["tests/test_startup.py"]),
+    # The CLI overriding a caller's OMP_NUM_THREADS.
+    ("src/recoilsim/cli.py",
+     'for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):',
+     'for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")):',
+     ["tests/test_startup.py"]),
+    # The CLI setting the variable after numpy has started.
+    ("src/recoilsim/cli.py",
+     'if "numpy" not in sys.modules and not any(',
+     "if not any(",
+     ["tests/test_startup.py"]),
+    # The amplitudes pre-flight reading the resident size before scipy.sparse
+    # is loaded.
+    ("src/recoilsim/cli.py",
+     "import scipy.sparse  # noqa: F401",
+     "pass",
+     ["tests/test_cli.py"]),
 ]
 
 

@@ -620,8 +620,9 @@ class TestRejectedInputs:
             assert not any((tmp_path / "out").iterdir())
 
     def test_refusal_counts_what_the_process_holds(self, tmp_path, capsys, monkeypatch):
-        # The run fits exactly when the estimate plus the resident size is the
-        # available memory, and is refused one byte above.
+        # The run fits exactly when the estimate, the first run's allowance and
+        # the resident size add up to the available memory, and is refused one
+        # byte above.
         def unbuilt(*args, **kwargs):
             raise AssertionError("the mode grid was built")
 
@@ -629,7 +630,7 @@ class TestRejectedInputs:
         have = 3 * 2**30
         monkeypatch.setattr(cli, "_available_bytes", lambda: have)
         cfg = write_config(tmp_path, {"modes": {"n_k": 40}})
-        held = have - cli.memory_estimate(40, cli.SAMPLE_COUNT)
+        held = have - cli.memory_estimate(40, cli.SAMPLE_COUNT) - cli.FIRST_RUN_BYTES
         argv = ["oracle", "--which", "amplitudes", "--config", cfg]
         monkeypatch.setattr(cli, "_resident_bytes", lambda: held)
         with pytest.raises(AssertionError, match="the mode grid was built"):
@@ -643,6 +644,30 @@ class TestRejectedInputs:
     def test_resident_size_is_read_from_the_process(self):
         resident = cli._resident_bytes()
         assert 10 * 2**20 < resident < 2**40
+
+    @pytest.mark.parametrize("n_k", [40, 200])
+    def test_admitted_run_peaks_within_what_the_refusal_counted(self, tmp_path, n_k):
+        # In a fresh CLI process: the resident size the pre-flight read, plus
+        # the estimate and the allowance, against the process's peak (VmHWM).
+        script = "\n".join([
+            "import sys",
+            "import recoilsim.cli as cli",
+            "read, held = cli._resident_bytes, []",
+            "cli._resident_bytes = lambda: held.append(read()) or held[-1]",
+            "code = cli.main(['oracle', '--which', 'amplitudes', '--config', sys.argv[1],",
+            "                 '--out', sys.argv[2]])",
+            "with open('/proc/self/status') as status:",
+            "    peak = 1024 * next(int(line.split()[1]) for line in status",
+            "                       if line.startswith('VmHWM:'))",
+            f"need = cli.memory_estimate({n_k}, cli.SAMPLE_COUNT) + held[0] + cli.FIRST_RUN_BYTES",
+            "print(code, need, peak)",
+        ])
+        cfg = write_config(tmp_path, {"modes": {"n_k": n_k}})
+        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, need, peak = map(int, proc.stdout.split()[-3:])
+        assert code in (0, 3) and need >= peak
 
     def test_available_memory_is_read_from_meminfo(self, monkeypatch):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
