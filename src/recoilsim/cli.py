@@ -30,9 +30,9 @@ import sys
 import tempfile
 import warnings
 
-# No CLI run makes a BLAS call large enough for OpenBLAS to thread: the
-# oracle's block sums stay within 2**18 multiply-adds, its products are
-# scipy's single-threaded CSR, and the rest is elementwise or short.  Starting
+# No CLI run gains from a second OpenBLAS thread: the oracle's block sums
+# stay within 2**18 multiply-adds, which run on one, its products are mostly
+# gathers and elementwise, and the rest is elementwise or short.  Starting
 # the idle worker threads still costs each process about 0.1 s of CPU, and
 # evolve would fork with them alive.  So numpy starts on one thread, unless
 # it is already loaded or the caller chose a thread count.
@@ -158,7 +158,7 @@ def load_config(path: str | None) -> dict:
         with open(path, encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
-            except ValueError as exc:  # also bad UTF-8 and overlong integers
+            except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
                 raise ConfigurationError(f"{path} is not valid JSON: {exc}")
         for key, value in _section(user, DEFAULTS, "config").items():
             if key == "times":
@@ -491,10 +491,8 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
     params = _model_params(cfg)
     m = cfg["modes"]
     # Counted from the config, before the grid exists, on top of what the
-    # process already holds, scipy.sparse included (about 20 MB resident),
-    # and what any first run adds; a count below the grid's minimum is left
-    # to ModeGrid's own refusal.
-    import scipy.sparse  # noqa: F401
+    # process already holds and what any first run adds; a count below the
+    # grid's minimum is left to ModeGrid's own refusal.
     need = (memory_estimate(max(m["n_k"], 0) * max(m["n_phi"], 0), SAMPLE_COUNT)
             + _resident_bytes() + FIRST_RUN_BYTES)
     have = _available_bytes()

@@ -87,7 +87,7 @@ class GaussianPacket:
         variance ``d^2 + (hbar t / (2 mu d))^2``.
         """
         d = self.width
-        d_t = d**2 + 0.5j * params.hbar * t / params.mu
+        d_t = d**2 + 1j * params.hbar * t / (2.0 * params.mu)
         pref = (2.0 * np.pi) ** (-0.25) * np.sqrt(d / d_t)
         return pref * np.exp(-((np.asarray(x, dtype=float) - self.center) ** 2)
                              / (4.0 * d_t))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from .core import (
     omega_two_photon,
 )
 from .density import psi_free
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "NormDriftFailure",
@@ -64,7 +61,7 @@ BLOCK = 64          # terms per block sum, phi_j in row j % BLOCK
 # multiply-adds on one thread (interface/gemm.c: SMP_THRESHOLD_MIN 65536 times
 # GEMM_MULTITHREAD_THRESHOLD 4).  A block sum of CHUNK columns, BLOCK / 2
 # terms and SAMPLE_COUNT samples stays within it, so no second thread wakes
-# to spin through the sparse products that follow.
+# to spin through the products that follow.
 CHUNK = 2**18 // ((BLOCK // 2) * SAMPLE_COUNT)  # 160
 NEGLIGIBLE = 1e-20  # |J_k| below which a sample's remaining terms are skipped
 
@@ -206,58 +203,60 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, index
 
 
-def _state_size(n: int) -> tuple[int, int]:
-    """``dim`` and generator ``nnz`` for ``n`` modes, counted, not built."""
-    pairs = n * (n + 1) // 2
-    # Pair rows hold D, B_r and B_c, but no B_c on the diagonal.
-    return 1 + n + pairs, (1 + n) + n * (n + 2) + 3 * pairs - n
-
-
 def memory_estimate(n_modes: int, samples: int) -> int:
     """Bytes by which :func:`integrate_amplitudes` grows the process at its
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
-    building anything.  The peak is in :func:`solve_ivp`: ``H``'s CSR arrays,
-    the float64 block of ``BLOCK`` terms, the complex samples once (the real
-    block sums add into them), one ``CHUNK``-column piece of them (the copy
-    that interleaves the even and odd sums, twice a block sum's piece: 130 kB
-    at ``SAMPLE_COUNT`` samples), and 24 vectors for the recurrence and what
-    the allocator keeps from building ``H``."""
-    dim, nnz = _state_size(n_modes)
-    index = 4 if nnz < 2**31 else 8
-    return ((8 + index) * nnz + index * (dim + 1) + 8 * dim * (BLOCK + 24 + 2 * samples)
+    building anything.  The peak is in :func:`solve_ivp`: ``H``'s four
+    pair-sized arrays and ``(n, n)`` pair index, a product's ``(n, n)``
+    gather of D, the float64 block of ``BLOCK`` terms, the complex samples
+    once (the real block sums add into them), one ``CHUNK``-column piece of
+    them (the copy that interleaves the even and odd sums: 130 kB at
+    ``SAMPLE_COUNT`` samples), and 24 vectors: ``H``'s diagonal, the
+    recurrence's, a product's, and what the allocator keeps from building ``H``."""
+    pairs = n_modes * (n_modes + 1) // 2
+    dim = 1 + n_modes + pairs
+    return (8 * (4 * pairs + 2 * n_modes**2) + 8 * dim * (BLOCK + 24 + 2 * samples)
             + 16 * samples * min(CHUNK, dim))
 
 
-def amplitude_generator(run: OdeRun) -> sparse.csr_array:
-    """The amplitude equations ``i y' = H y`` as one real CSR matrix ``H``.
+class Generator(NamedTuple):
+    """The real ``H`` of ``i y' = H y``, applied by ``h @ y`` (``y`` real or
+    complex): ``y`` is [A, B_k, D] in the rotating frame, D packed in the order
+    of ``rows`` and ``cols`` (:func:`_pairs`), and ``diagonal`` is [alpha,
+    beta_k, delta_kj].  Off it, A couples to every B_k by ``2 g_k``, B_k to A
+    by ``g_k`` and to each D_kj by ``g_j``, and pair {r, c} to B_r by ``own =
+    g_c`` and, by the exchange route, to B_c by ``exchange = g_r``, merged
+    into ``own`` on the diagonal r = c."""
 
-    ``y`` is [A, B_k, D] in the rotating frame, D packed (row-major upper
-    triangle).  Rows are written directly: A couples to A and every B_k; B_k
-    to A, B_k and the n pairs D_kj; pair {r, c} to itself, B_r and, by the
-    exchange route, B_c (merged into B_r on the diagonal).
-    """
+    diagonal: np.ndarray  # (1 + n + pairs,)
+    g: np.ndarray         # (n,)
+    rows: np.ndarray      # (pairs,)
+    cols: np.ndarray      # (pairs,)
+    pair: np.ndarray      # (n, n), the index of D_kj = D_jk in D
+    own: np.ndarray       # (pairs,)
+    exchange: np.ndarray  # (pairs,)
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        n = self.g.size
+        b, d = y[1:1 + n], y[1 + n:]
+        out = self.diagonal * y
+        out[0] += 2.0 * (self.g @ b)
+        out[1:1 + n] += self.g * y[0] + d[self.pair] @ self.g
+        out[1 + n:] += self.own * b[self.rows] + self.exchange * b[self.cols]
+        return out
+
+
+def amplitude_generator(run: OdeRun) -> Generator:
+    """The amplitude equations of ``run``'s grid, at relative momentum 0."""
     params, grid = run.params, run.grid
-    n, g, mk, mphi = grid.n_modes, grid.mode_coupling, grid.mode_k, grid.mode_phi
+    g, mk, mphi = grid.mode_coupling, grid.mode_k, grid.mode_phi
     alpha = omega_no_photon(0.0, params) - params.omega0
     beta = omega_one_photon(mk, mphi, 0.0, params) - params.omega0
-    rows, cols, pair = _pairs(n)
+    rows, cols, pair = _pairs(grid.n_modes)
     delta = omega_two_photon(mk[rows], mphi[rows], mk[cols], mphi[cols],
                              0.0, params) - params.omega0
-    off, dim = 1 + n, 1 + n + rows.size
-    b_idx = np.column_stack([np.zeros(n, dtype=int), 1 + np.arange(n), off + pair])
-    b_val = np.column_stack([g, beta, np.broadcast_to(g, (n, n))])
-    d_idx = np.column_stack([1 + rows, 1 + cols, np.arange(off, dim)])
-    d_val = np.column_stack([g[cols] * (1 + (rows == cols)), g[rows], delta])
-    d_keep = np.ones(d_idx.shape, dtype=bool)
-    d_keep[:, 1] = rows != cols
-    indptr = np.concatenate(([0], off + (n + 2) * np.arange(n + 1),
-                             off + (n + 2) * n + np.cumsum(d_keep.sum(axis=1))))
-    indices = np.concatenate([np.arange(off), b_idx.ravel(), d_idx[d_keep]])
-    data = np.concatenate([[alpha], 2.0 * g, b_val.ravel(), d_val[d_keep]])
-    itype = np.int32 if indptr[-1] < 2**31 else np.int64
-    from scipy import sparse  # here, not at the top: only this oracle needs scipy
-    return sparse.csr_array((data, indices.astype(itype), indptr.astype(itype)),
-                            shape=(dim, dim))
+    return Generator(np.concatenate([[alpha], beta, delta]), g, rows, cols, pair,
+                     own=g[cols] * (1 + (rows == cols)), exchange=g[rows] * (rows != cols))
 
 
 def term_count(spectrum: tuple[float, float], span: float) -> int:
@@ -369,25 +368,24 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
     return out.T
 
 
-def _spectrum(h: sparse.csr_array) -> tuple[float, float]:
+def _spectrum(h: Generator) -> tuple[float, float]:
     """Weyl interval of the real ``H`` (Horn & Johnson, Matrix Analysis, 4.3).
 
     ``S = W^(1/2) H W^(-1/2)``, ``W`` the weights of
     :attr:`Trajectory.sector_populations`, is symmetric, so ``H``'s spectrum
-    lies within ``b`` of its diagonal's range: the norm of the A-B star, the
-    root of its squares, plus that of the B-D block ``M``, at most the root of
-    the largest row sum of ``|M| |M|^T``.  At a fixed bandwidth ``b`` does not
-    grow with the mode count."""
-    n = int(h.indptr[1]) - 1  # the A row holds A, then every B_k
-    rows, cols, _ = _pairs(n)
-    # S's A-B entries are H's A row over sqrt 2, its B-D entries H's times
-    # sqrt(2 / w), the pair's weight w being 2, or 1 on the diagonal.
-    m = abs(h[1:1 + n, 1 + n:])
-    m.data *= np.sqrt(2.0 / (2.0 - (rows == cols)))[m.indices]
-    b = (np.sqrt(0.5 * np.add.reduce(h.data[1:1 + n] ** 2))
-         + np.sqrt((m @ (m.T @ np.ones(n))).max()))
-    centre = h.diagonal()
-    return float(centre.min() - b), float(centre.max() + b)
+    lies within ``b`` of its diagonal's range: the norm of the A-B star,
+    whose entries are ``H``'s A row over sqrt 2, so ``sqrt(2 sum g^2)``, plus
+    that of the B-D block ``M``, ``H``'s B rows times ``sqrt(2 / w)`` for a
+    pair of weight ``w`` (2, or 1 on the diagonal): ``g_j`` at (k, {k, j})
+    and ``sqrt 2 g_k`` at (k, {k, k}).  Column {k, j} of ``|M|`` sums to
+    ``g_k + g_j`` and {k, k} to ``sqrt 2 g_k``, so row k of ``|M| |M|^T``
+    sums to ``sum g^2 + g_k sum g``, largest at ``max(g)``, and ``M``'s norm
+    is at most its root.  At a fixed bandwidth ``b`` does not grow with the
+    mode count."""
+    g = h.g
+    squares = np.add.reduce(g ** 2)
+    b = np.sqrt(2.0 * squares) + np.sqrt(squares + g.max() * np.add.reduce(g))
+    return float(h.diagonal.min() - b), float(h.diagonal.max() + b)
 
 
 def integrate_amplitudes(run: OdeRun) -> Trajectory:
@@ -404,22 +402,22 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     |A|^2 + 2 sum|B|^2 + sum|D|^2 (B twice: at p = 0 the atoms' B are
     equal) from 1 not within ``10 * tol`` (NaN included) raises
     :class:`NormDriftFailure`.  Reruns are bit-identical:
-    each product is one sparse product in a fixed order, and the terms are
-    summed through BLAS in blocks of a fixed size, each block sum on one
-    OpenBLAS thread whatever the thread count when there are at most
-    ``SAMPLE_COUNT`` samples.
+    each product (:meth:`Generator.__matmul__`) sums in a fixed order, and
+    the terms are summed through BLAS in blocks of a fixed size, each block
+    sum on one OpenBLAS thread whatever the thread count when there are at
+    most ``SAMPLE_COUNT`` samples.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is infinite) raises :class:`ConfigurationError` before any product.
     """
     h = amplitude_generator(run)
-    reach = float(np.abs(h.diagonal()).max()) * run.t_span[1]
+    reach = float(np.abs(h.diagonal).max()) * run.t_span[1]
     if not reach <= MAX_REACH:
         raise ConfigurationError(
             f"the fastest frequency times t_span reaches {reach:.3g} rad, beyond "
             f"the propagator's {MAX_REACH:g}: shorten the run, narrow the band "
             "or lessen the recoil")
-    spectrum, times, e0 = _spectrum(h), run.times, np.zeros(h.shape[0])
+    spectrum, times, e0 = _spectrum(h), run.times, np.zeros(h.diagonal.size)
     e0[0] = 1.0
     y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times,
                   spectrum=spectrum)

@@ -57,8 +57,18 @@ MUTANTS = [
     # The Weyl bound's B-D block scaled by sqrt(1 / w), not sqrt(2 / w): the
     # interval still encloses the spectrum, but the product count falls.
     ("src/recoilsim/oracle.py",
-     "m.data *= np.sqrt(2.0 / (2.0 - (rows == cols)))[m.indices]",
-     "m.data *= np.sqrt(1.0 / (2.0 - (rows == cols)))[m.indices]",
+     "b = np.sqrt(2.0 * squares) + np.sqrt(squares + g.max() * np.add.reduce(g))",
+     "b = np.sqrt(2.0 * squares) + np.sqrt(0.5 * (squares + g.max() * np.add.reduce(g)))",
+     ["tests/test_oracle.py"]),
+    # The Weyl bound's B-D block at its smallest row sum, not its largest.
+    ("src/recoilsim/oracle.py",
+     "b = np.sqrt(2.0 * squares) + np.sqrt(squares + g.max() * np.add.reduce(g))",
+     "b = np.sqrt(2.0 * squares) + np.sqrt(squares + g.min() * np.add.reduce(g))",
+     ["tests/test_oracle.py"]),
+    # The two-photon pairs fed by B_k only, without the exchange route.
+    ("src/recoilsim/oracle.py",
+     "own=g[cols] * (1 + (rows == cols)), exchange=g[rows] * (rows != cols))",
+     "own=g[cols] * (1 + (rows == cols)), exchange=0.0 * g[rows])",
      ["tests/test_oracle.py"]),
     # The one-photon amplitude's dressed width a percent narrow in its
     # denominator.
@@ -98,8 +108,8 @@ MUTANTS = [
      ["tests/test_density.py"]),
     # The free packet spreading a percent fast.
     ("src/recoilsim/density.py",
-     "d_t = d**2 + 0.5j * params.hbar * t / params.mu",
-     "d_t = d**2 + 0.505j * params.hbar * t / params.mu",
+     "d_t = d**2 + 1j * params.hbar * t / (2.0 * params.mu)",
+     "d_t = d**2 + 1.01j * params.hbar * t / (2.0 * params.mu)",
      ["tests/test_density.py"]),
     # The decoherence factor's Bessel argument a percent short.
     ("src/recoilsim/density.py",
@@ -212,12 +222,6 @@ MUTANTS = [
      'if "numpy" not in sys.modules and not any(',
      "if not any(",
      ["tests/test_startup.py"]),
-    # The amplitudes pre-flight reading the resident size before scipy.sparse
-    # is loaded.
-    ("src/recoilsim/cli.py",
-     "import scipy.sparse  # noqa: F401",
-     "pass",
-     ["tests/test_cli.py"]),
 ]
 
 

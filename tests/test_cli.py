@@ -528,6 +528,20 @@ class TestRejectedInputs:
         assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
+    def test_deeply_nested_config_is_one_stderr_line(self, tmp_path):
+        # json.load gives up on 100 000 nested arrays with a RecursionError.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "recoilsim", "decoherence-factor", "--config",
+             str(path), "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {path} is not valid JSON")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, payload", [
         (["evolve"], {"times": [float("nan")]}),
         (["decoherence-factor"], {"decoherence": {"max_dx_over_lambda": float("inf")}}),
@@ -1080,29 +1094,29 @@ class TestEntryPoint:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_scipy_loads_only_for_the_amplitudes_oracle(self, tmp_path):
-        # scipy is most of the package's import time, and only the amplitudes
-        # oracle needs it.  evolve and the quadrature oracle run on a small grid.
-        # evolve's format kernel is not loaded by the import either.
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        # The package needs numpy only; scipy is the tests' reference.  With
+        # scipy unimportable, all five subcommands run: evolve and the
+        # quadrature oracle on a small grid.  evolve's format kernel is not
+        # loaded by the import either.
         small = write_config(tmp_path, TestDiskPreflight.CONFIG)
         script = "\n".join([
             "import json, sys",
+            "sys.modules['scipy'] = None",
             "import recoilsim, recoilsim.cli",
-            "def scipy_modules():",
-            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']",
-            "seen = {'import': scipy_modules(), 'kernel': 'recoilsim._g17' in sys.modules}",
+            "seen = {'kernel': 'recoilsim._g17' in sys.modules}",
             "small = ['--config', sys.argv[2]]",
             "for argv, config in ((['decoherence-factor'], []),",
             "                     (['oracle', '--which', 'rate'], []), (['evolve'], small),",
-            "                     (['oracle', '--which', 'quadrature'], small)):",
+            "                     (['oracle', '--which', 'quadrature'], small),",
+            "                     (['oracle', '--which', 'amplitudes'], [])):",
             "    code = recoilsim.cli.main([*argv, *config, '--out', sys.argv[1]])",
-            "    seen[' '.join(argv)] = [code, scipy_modules()]",
+            "    seen[' '.join(argv)] = code",
             "print(json.dumps(seen))",
         ])
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), small],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "import": [], "kernel": False, "decoherence-factor": [0, []],
-            "oracle --which rate": [0, []],
-            "evolve": [0, []], "oracle --which quadrature": [0, []]}
+            "kernel": False, "decoherence-factor": 0, "oracle --which rate": 0,
+            "evolve": 0, "oracle --which quadrature": 0, "oracle --which amplitudes": 0}

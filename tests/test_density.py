@@ -693,6 +693,16 @@ class TestRelations:
             assert np.array_equal(a.factor.view(np.uint64), b.factor.view(np.uint64))
             assert a.norm_factor.hex() == b.norm_factor.hex()
 
+    def test_mass_time_scaling_holds_at_a_subnormal_time(self):
+        # Half a subnormal t rounds, so the spreading term must divide t by
+        # 2 mu, not halve t first.
+        packet = GaussianPacket(center=-6.283185307179586, width=1.3744467859455345)
+        params = ModelParams(omega0=1.0, mu=0.7720798281097911, gamma=0.075)
+        heavy = ModelParams(omega0=1.0, mu=2.0 * params.mu, gamma=params.gamma / 2.0)
+        x, t = np.linspace(-13.0, 13.0, 85), 2.9671836784654e-310
+        assert np.array_equal(_bits(packet.evolved(x, t, params)),
+                              _bits(packet.evolved(x, 2.0 * t, heavy)))
+
     @given(_sweeps(emission=st.just(True)))
     @settings(max_examples=150, deadline=None)
     def test_emission_never_purifies_or_lengthens_coherence(self, sweep):

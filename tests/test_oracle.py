@@ -200,6 +200,11 @@ def reference_rhs(run, y):
     return out
 
 
+def dense(h):
+    """The generator as a dense matrix, column ``i`` its product with ``e_i``."""
+    return np.column_stack([h @ e for e in np.eye(h.diagonal.size)])
+
+
 class TestAmplitudeGenerator:
     @pytest.mark.parametrize("n_k, n_phi", [(6, 1), (2, 3), (7, 1), (3, 4)])
     def test_matches_term_by_term_equations(self, params, n_k, n_phi):
@@ -209,13 +214,12 @@ class TestAmplitudeGenerator:
         n = grid.n_modes
         pairs = n * (n + 1) // 2
         # Real and contiguous: a strided view would be copied on every product.
-        assert h.dtype == np.float64 and h.data.flags.c_contiguous
-        assert h.shape == (1 + n + pairs,) * 2
-        assert h.nnz == (1 + n) + n * (n + 2) + 3 * pairs - n
-        assert h.indices.dtype == np.int32
-        assert h.indptr.dtype == np.int32
-        # The pre-flight memory estimate counts the same layout unbuilt.
-        assert oracle._state_size(n) == (h.shape[0], h.nnz)
+        assert h.diagonal.shape == (1 + n + pairs,)
+        assert h.pair.shape == (n, n)
+        for name, array in h._asdict().items():
+            assert array.flags.c_contiguous, name
+            if name not in ("rows", "cols", "pair"):
+                assert array.dtype == np.float64, name
         rng = np.random.default_rng(7)
         for _ in range(3):
             y = np.array([1.0, 1j]) @ rng.standard_normal((2, 1 + n + pairs))
@@ -249,7 +253,7 @@ class TestChebyshevPropagator:
         times = np.array([0.3, 0.35, 1.1, 1.9, 2.0]) / g
         run = OdeRun(params=params, grid=grid, t_span=(0.0, 2.0 / g), sample_times=times)
         h = amplitude_generator(run)
-        y0 = np.zeros(h.shape[0])
+        y0 = np.zeros(h.diagonal.size)
         y0[0] = 1.0
         return run, h, y0
 
@@ -257,23 +261,22 @@ class TestChebyshevPropagator:
         from scipy.linalg import expm
         run, h, y0 = tiny
         traj = integrate_amplitudes(run)
-        exact = np.array([expm(-1j * h.toarray() * t) @ y0 for t in run.times])
+        exact = np.array([expm(-1j * dense(h) * t) @ y0 for t in run.times])
         assert np.max(np.abs(traj.y - exact)) <= 1e-12
 
     def test_an_interval_off_centre_matches_the_dense_exponential(self, tiny):
         # H + s I moves the interval's centre by s, off the middle of the
         # spectrum, as a relative momentum p moves it by p^2 / 2 mu.
-        from scipy import sparse
         from scipy.linalg import expm
         run, h, y0 = tiny
         shift = 0.6**2 / (2.0 * run.params.mu)
-        moved = h + shift * sparse.identity(h.shape[0], format="csr")
+        moved = h._replace(diagonal=h.diagonal + shift)
         lo, hi = oracle._spectrum(h)
         spectrum = (lo + shift, hi + shift)
         assert sum(spectrum) > 0.05 * (hi - lo)
         y = oracle.solve_ivp(lambda t, x: moved @ x, run.t_span, y0, t_eval=run.times,
                              spectrum=spectrum)
-        exact = np.array([expm(-1j * moved.toarray() * t) @ y0 for t in run.times])
+        exact = np.array([expm(-1j * dense(moved) * t) @ y0 for t in run.times])
         assert np.max(np.abs(y - exact)) <= 1e-12
 
     def test_a_small_real_matrix_at_any_sample(self):
@@ -323,7 +326,7 @@ class TestChebyshevPropagator:
         grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=bandwidth, n_phi=n_phi)
         h = amplitude_generator(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))
         lo, hi = oracle._spectrum(h)
-        eig = np.linalg.eigvals(h.toarray())
+        eig = np.linalg.eigvals(dense(h))
         assert np.abs(eig.imag).max() <= 1e-12
         assert lo <= eig.real.min() and eig.real.max() <= hi
 
@@ -366,28 +369,6 @@ class TestChebyshevPropagator:
         again = integrate_amplitudes(small_traj.run)
         assert np.allclose(again.y, small_traj.y, rtol=0.0, atol=1e-15)
 
-    def test_loads_no_scipy_integrate(self):
-        # scipy.integrate and scipy.special would cost their import time on
-        # every oracle run: of scipy's public subpackages, only sparse loads.
-        script = "\n".join([
-            "import sys",
-            "from recoilsim.core import ModelParams, ModeGrid",
-            "from recoilsim.oracle import OdeRun, integrate_amplitudes",
-            "params = ModelParams(omega0=1.0, mu=10.0, gamma=0.01)",
-            "grid = ModeGrid.build(params, n_k=6, bandwidth_gammas=12.0)",
-            "integrate_amplitudes(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))",
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.')"
-            " and m.split('.')[1] == 'integrate'))",
-            "print(sorted(m for m, module in sys.modules.items()",
-            "             if m.startswith('scipy.') and m.count('.') == 1",
-            "             and not m.split('.')[1].startswith('_')",
-            "             and hasattr(module, '__path__')))",
-        ])
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
-
 
 class TestLinearity:
     """The amplitude equations are linear, and so is ``solve_ivp``: the run
@@ -413,7 +394,7 @@ class TestLinearity:
                                     t_eval=run.times, spectrum=spectrum)
 
         rng = np.random.default_rng(seed)
-        y0, z0 = rng.standard_normal((2, h.shape[0]))
+        y0, z0 = rng.standard_normal((2, h.diagonal.size))
         y = solve(y0)
         assert np.array_equal(solve(2.0**s * y0), 2.0**s * y)
         both = solve(y0 + z0)
@@ -466,14 +447,17 @@ class TestMemoryEstimate:
     def test_counts_the_generator_solver_and_samples(self, params, small_grid):
         run = OdeRun(params=params, grid=small_grid, t_span=(0.0, 1.0))
         h = amplitude_generator(run)
-        dim, n = h.shape[0], small_grid.n_modes
-        csr = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        dim, n = h.diagonal.size, small_grid.n_modes
+        # The pair-sized arrays, and the pair index with one product's gather of
+        # D through it: n^2 floats, as many bytes as the index.
+        arrays = (sum(a.nbytes for a in (h.rows, h.cols, h.own, h.exchange))
+                  + 2 * h.pair.nbytes)
         piece = min(oracle.CHUNK, dim)
         assert run.times.size == oracle.SAMPLE_COUNT == 51
-        # The real H, the float64 block, 24 recurrence and slack vectors, the
-        # complex samples once and one piece of them.
+        # The generator, the float64 block, 24 vectors (the diagonal among
+        # them), the complex samples once and one piece of them.
         assert oracle.memory_estimate(n, 51) == \
-            csr + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 16 * 51 * piece
+            arrays + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 16 * 51 * piece
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
             == 40 * 16 * (dim + piece)
     def test_bounds_the_measured_peak(self):
@@ -509,7 +493,6 @@ class TestMemoryEstimate:
     def test_huge_grids_are_counted_without_building(self):
         for n in (10**6, 10**12):
             pairs = n * (n + 1) // 2
-            assert oracle._state_size(n)[0] == 1 + n + pairs
             assert oracle.memory_estimate(n, 51) > 16 * 81 * pairs
 
 
@@ -528,7 +511,7 @@ class TestReach:
     def test_bound_is_on_the_fastest_frequency_times_t(self, params, small_grid,
                                                        no_steps):
         fastest = np.abs(amplitude_generator(
-            OdeRun(params=params, grid=small_grid)).diagonal()).max()
+            OdeRun(params=params, grid=small_grid)).diagonal).max()
         t_edge = oracle.MAX_REACH / fastest
         with pytest.raises(AssertionError, match="solve_ivp reached"):
             integrate_amplitudes(OdeRun(params=params, grid=small_grid,
