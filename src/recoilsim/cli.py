@@ -84,8 +84,6 @@ QUADRATURE_POINTS = 16
 QUADRATURE_SPAN = 2.0
 
 DENSITY_HEADER = "x_over_lambda,xp_over_lambda,re_rho,im_rho,abs_rho"
-# How far from the diagonal evolve reuses an entry's text for its mirror.
-MIRROR_BAND = 256
 # About how many CSV lines evolve lays out and formats at once.
 BATCH_LINES = 1 << 15
 
@@ -318,58 +316,28 @@ def _density_rows(dg, xs: np.ndarray):
     ending in a newline, built from the factors as it is written; ``xs`` are
     the grid's x values as ``_slots`` rows.
 
-    Rows go in batches of about ``BATCH_LINES`` lines.  A batch lays its
-    lines out in fixed byte slots, the values' from the vectorized
-    ``%.17g`` kernel ``_g17.slots``, and drops the zero bytes of the slots
-    no character uses.  It formats its entries from the diagonal on, and
-    those more than ``MIRROR_BAND`` left of it.  The entries between are
-    the conjugates of entries above the diagonal (``DensityGrid.row``
-    builds them so, signed zeros included), so their slots are those with
-    the imaginary field's sign byte flipped.  A batch takes them from its
-    own upper entries, or from ``ring``, which keeps the band right of the
-    last ``MIRROR_BAND`` rows.  So a writer holds ``BATCH_LINES`` slotted
-    lines and ``MIRROR_BAND**2`` slotted entries, about 10 MB, at any grid
-    size.  The factors of the densities the CLI writes are finite, so no
-    entry is NaN and no ``nan`` field turns into ``-nan``.
+    Rows go in batches of about ``BATCH_LINES`` lines.  A batch stacks its
+    rows from ``DensityGrid.row``, formats every entry with one
+    ``_cell_slots`` call, lays each line out as its x, x' and entry slots,
+    and drops the zero bytes of the slots no character uses.  So a writer
+    holds ``BATCH_LINES`` slotted lines, and with the kernel's temporaries
+    its allocations peak near 17 MB, at any grid size.  Each entry below the
+    diagonal prints as the conjugate of its mirror, signed zeros included,
+    because ``DensityGrid.row`` builds it so.  The factors of the densities
+    the CLI writes are finite, so no entry is NaN and no ``nan`` field turns
+    into ``-nan``.
     """
-    from . import _g17
     xs = xs[:, xs.any(axis=0)]  # the places some x uses, then its separator
     xs[:, -1] = ord(",")
     n, wx = xs.shape
-    band = min(MIRROR_BAND, n - 1)
     step = max(BATCH_LINES // n, 1)
-    # A line is x and x', each with its ',', and a ``_cell_slots`` cell, one
-    # void item whose imaginary part's sign byte is a third of the way in.
-    cell = np.dtype((np.void, 3 * (_g17.WIDTH + 1)))
-    at = 2 * wx
-    sign_at = at + cell.itemsize // 3
-    ring = np.empty((band, band), cell)  # ring[j % band, d]: entry (j, j + 1 + d)
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
-        lines = np.empty((r1 - r0, n, at + cell.itemsize), np.uint8)
+        cells = _cell_slots(np.array([dg.row(k) for k in range(r0, r1)]))
+        lines = np.empty((r1 - r0, n, 2 * wx + cells.shape[1]), np.uint8)
         lines[:, :, :wx] = xs[r0:r1, None]
-        lines[:, :, wx:at] = xs
-        cells = np.ndarray((r1 - r0, n), cell, lines, at, lines.strides[:2])
-        signs = np.ndarray((r1 - r0, n), np.uint8, lines, sign_at, lines.strides[:2])
-        i = np.arange(r0, r1)[:, None]
-        j = np.arange(n)
-        values = np.array([dg.row(k) for k in range(r0, r1)])
-        own = (j >= i) | (j < i - band)
-        cells[own] = _cell_slots(values[own]).view(cell)[:, 0]
-        # The band left of the diagonal: from this batch's square ...
-        square, flip = cells[:, r0:r1], signs[:, r0:r1]
-        near = (j[:r1 - r0] < i - r0) & (j[:r1 - r0] >= i - r0 - band)
-        square[near] = square.T[near]
-        flip[near] ^= ord("-")
-        # ... and from the ring, left of this batch's square.
-        rows, cols = np.nonzero(j[:band] + r0 - band >= np.maximum(i - band, 0))
-        cols += r0 - band
-        cells[rows, cols] = ring[cols % band, rows + r0 - cols - 1]
-        signs[rows, cols] ^= ord("-")
-        # Keep the band right of the rows the next batches still read.
-        for k in range(max(r0, r1 - band), r1 if r1 < n else r0):
-            ahead = min(band, n - 1 - k)
-            ring[k % band, :ahead] = cells[k - r0, k + 1:k + 1 + ahead]
+        lines[:, :, wx:2 * wx] = xs
+        lines[:, :, 2 * wx:] = cells.reshape(r1 - r0, n, -1)
         for block in lines:
             yield block.tobytes().translate(None, b"\0")
 
@@ -386,7 +354,8 @@ def cmd_evolve(cfg: dict, out_dir: str, emission: str | None) -> int:
     """Density matrices for the configured scenario at each (time, emission).
 
     Only the disk pre-flight bounds the run's time: a writer process formats
-    1.1 to 2.5 M lines per second of the default 321-point files (2 vCPUs)."""
+    0.9 to 1.3 M lines per second, of the default 321-point files as of
+    1601-point ones (2 vCPUs)."""
     params = _model_params(cfg)
     lam = params.wavelength
     scenario = _scenario(cfg, params)

@@ -10,8 +10,13 @@ state leaves the relative coordinate in
 where psi is the freely evolved relative wave function and
 ``F = J0^2(pi (x - x') / lambda)`` suppresses coherences between points
 separated on the scale of the emitted wavelength.  F never touches the
-diagonal (F(x, x) = 1), so emission changes coherences only, never the
-position distribution itself.
+diagonal (F(x, x) = 1), so in this form emission changes coherences only,
+never the position distribution itself.  That holds of the physics only
+while each photon's recoil drift ``s = hbar omega0 t / (2 mu c)`` is small
+against the wavelength: the drift spreads the diagonal too (its second
+moment grows by ``s**2``), and this form drops it.  At ``mu = 10``, the
+CLI's default, ``s`` is already 0.8 wavelengths at ``gamma t = 1``;
+``oracle.density_quadrature`` keeps the drift.
 """
 
 from __future__ import annotations

@@ -175,16 +175,12 @@ MUTANTS = [
      "out[:, _EXPONENT + 2] = (expo & (mag >= 100)) * (ord(\"0\") + mag // 100)",
      "out[:, _EXPONENT + 2] = (expo & (mag > 100)) * (ord(\"0\") + mag // 100)",
      ["tests/test_g17.py"]),
-    # evolve's mirror entries keep the upper entry's imaginary sign, where
-    # the entry below the diagonal is its conjugate: within a batch ...
-    ("src/recoilsim/cli.py",
-     'flip[near] ^= ord("-")',
-     "flip[near] ^= 0",
-     ["tests/test_cli.py"]),
-    # ... and from the rows of earlier batches.
-    ("src/recoilsim/cli.py",
-     'signs[rows, cols] ^= ord("-")',
-     "signs[rows, cols] ^= 0",
+    # The density's entries below the diagonal computed as products of
+    # their own, not as conjugates of their mirrors: their signed zeros and
+    # last bits need not be the mirror's conjugate's.
+    ("src/recoilsim/density.py",
+     "row[:i] = np.conj(psi[:i] * psi[i].conj() * self.factor[i:0:-1] * norm)",
+     "row[:i] = row[:i]",
      ["tests/test_cli.py"]),
     # Every CSV's fields run together, without the comma between them.
     ("src/recoilsim/cli.py",

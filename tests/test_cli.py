@@ -347,22 +347,12 @@ class TestDensityWriter:
     def test_rows_match_per_value_formatting(self, scenario, emission):
         self._assert_sweep_matches_reference(scenario, emission)
 
-    @pytest.mark.parametrize("emission", [True, False])
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_rows_past_the_mirror_band_match_per_value_formatting(
-            self, scenario, emission, monkeypatch):
-        # Most of the 121 x 121 entries lie farther than 7 points from the
-        # diagonal, so each row also formats entries left of the band itself.
-        monkeypatch.setattr(cli, "MIRROR_BAND", 7)
-        self._assert_sweep_matches_reference(scenario, emission)
-
-    @pytest.mark.parametrize("band, rows", [(7, 5), (7, 1), (200, 5), (120, 50)])
+    @pytest.mark.parametrize("rows", [1, 5, 50, 200])
     @pytest.mark.parametrize("emission", [True, False])
     def test_rows_across_batches_match_per_value_formatting(
-            self, band, rows, emission, monkeypatch):
-        # Batches of a few rows take the band left of the diagonal partly
-        # from their own square and partly from the rows before them.
-        monkeypatch.setattr(cli, "MIRROR_BAND", band)
+            self, rows, emission, monkeypatch):
+        # Batches of one row, of a few, of a share that leaves a short last
+        # batch, and of more rows than the 121-point grid has.
         monkeypatch.setattr(cli, "BATCH_LINES", rows * self.GRID.n)
         self._assert_sweep_matches_reference(self.SCENARIOS[1], emission)
 
@@ -407,14 +397,25 @@ class TestDensityWriter:
         assert np.hypot(rho.real, rho.imag).tolist() == list(map(abs, rho.tolist()))
 
     def test_real_diagonal_and_mirrored_negative_zeros(self):
+        self._assert_real_psi_zeros()
+
+    @pytest.mark.parametrize("rows", [1, 5, 50, 200])
+    def test_mirrored_negative_zeros_across_batches(self, rows, monkeypatch):
+        # Each batch stacks its own rows, so a lower entry whose mirror lies
+        # in an earlier batch gets its signed zero from DensityGrid.row alone.
+        monkeypatch.setattr(cli, "BATCH_LINES", rows * self.GRID.n)
+        self._assert_real_psi_zeros()
+
+    def _assert_real_psi_zeros(self):
         psi = np.linspace(-1.0, 2.0, self.GRID.n).astype(complex)
         dg = DensityGrid(grid=self.GRID, psi=psi, factor=np.ones(self.GRID.n),
                          t=0.0, emission=False, norm_factor=0.5, params=self.PARAMS)
         text = self._assert_matches_reference(dg)
         n = self.GRID.n
         imag = [line.split(",")[3] for line in text.splitlines()]
-        # A real psi: every imaginary part is a zero, +0 on the diagonal, and
-        # below it the sign-flipped zero of the mirror entry above it.
+        # A real psi: every imaginary part is a zero, +0 on the diagonal.
+        # Below it, DensityGrid.row conjugates the mirror entry above it, so
+        # each prints that entry's zero with the other sign.
         assert all(imag[i * n + i] == "0" for i in range(n))
         flipped = {"0": "-0", "-0": "0"}
         assert all(imag[i * n + j] == flipped[imag[j * n + i]]

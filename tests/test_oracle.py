@@ -604,7 +604,9 @@ class TestDensityQuadrature:
 
     def test_recoil_drift_term_is_small_at_matched_time(self, params):
         """With the drift scale s = 1% of the packet width, switching the
-        recoil offset on moves matrix elements by well under 2%."""
+        recoil offset on moves matrix elements by well under 2%.  At the
+        fixture's mu = 10 that t is gamma t = 0.0063, a time the emission
+        gate refuses; test_recoil_drift_at_admitted_times covers those."""
         lam = params.wavelength
         width = lam / 2.0
         sc = Scenario.single(width=width)
@@ -618,6 +620,22 @@ class TestDensityQuadrature:
                 if abs(off) > 1e-8:
                     worst = max(worst, abs(on - off) / abs(off))
         assert worst <= 0.02
+
+    @pytest.mark.parametrize("mu, gamma_t, small", [(1e5, 5.0, True), (10.0, 1.0, False)])
+    def test_recoil_drift_at_admitted_times(self, mu, gamma_t, small):
+        """The drift s = hbar omega0 t / (2 mu c) that psi psi* J0^2 drops,
+        at times the emission gate admits: at mu = 1e5, gamma t = 5, s is
+        4e-4 lambda and moves rho(lambda/4, -lambda/4) by about 1e-6; at the
+        CLI's default mu = 10, gamma t = 1, s is 0.8 lambda and moves it by
+        more than itself, so the closed form does not hold there."""
+        params = ModelParams(omega0=1.0, mu=mu, gamma=0.01)
+        lam = params.wavelength
+        sc = Scenario.single(width=lam / 2.0)
+        t = gamma_t / params.gamma
+        on, off = (density_quadrature(lam / 4.0, -lam / 4.0, t, sc, params, n_phi=128,
+                                      include_offset=offset) for offset in (True, False))
+        change = abs(on - off) / abs(off)
+        assert change < 1e-5 if small else change > 1.0
 
     def test_recoil_offset_adds_its_square_to_the_second_moment(self, params):
         """On the diagonal the phase weights are 1, so the quadrature is the
