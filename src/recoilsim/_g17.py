@@ -105,7 +105,9 @@ def _split(a):
 
 
 def _scaled(a, x):
-    """``floor(s)`` as int64 and ``s - floor(s)`` for ``s = a 10^(16 - x)``."""
+    """``floor(s)`` as int64 and ``s - floor(s)`` for ``s = a 10^(16 - x)``,
+    exact from ``s >= 2^53`` on.  Below, where ``x`` is one too large, the
+    int64 is still below ``10^16``, and :func:`_fill` takes the other ``x``."""
     k = (16 - _K_MIN - x).astype(np.intp)
     hi, hh, hl, lo, b = (np.take(column, k) for column in _power_table())
     m, e = np.frexp(a)
@@ -115,9 +117,6 @@ def _scaled(a, x):
     shift = e + b
     whole = np.ldexp(p, shift)
     rest = np.ldexp(low, shift)
-    if not whole.min() >= 2.0**53:               # only when x is one too large
-        rest += whole - np.floor(whole)
-        whole = np.floor(whole)
     below = np.floor(rest)
     return whole.astype(np.int64) + below.astype(np.int64), rest - below
 

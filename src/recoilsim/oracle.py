@@ -136,7 +136,7 @@ class Trajectory:
 
     run: OdeRun
     times: np.ndarray
-    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex, solve_ivp's own
+    y: np.ndarray        # (n_t, 1 + n_modes + pairs) complex, C order, solve_ivp's own
 
     def __post_init__(self):
         object.__setattr__(self, "times", _frozen_array(self.times))
@@ -209,14 +209,14 @@ def memory_estimate(n_modes: int, samples: int) -> int:
     building anything.  The peak is in :func:`solve_ivp`: ``H``'s four
     pair-sized arrays and ``(n, n)`` pair index, a product's ``(n, n)``
     gather of D, the float64 block of ``BLOCK`` terms, the complex samples
-    once (the real block sums add into them), one ``CHUNK``-column piece of
-    them (the copy that interleaves the even and odd sums: 130 kB at
+    once (the real block sums add into them), one block sum's float64
+    product of ``samples`` rows and ``CHUNK`` columns (65 kB at
     ``SAMPLE_COUNT`` samples), and 24 vectors: ``H``'s diagonal, the
     recurrence's, a product's, and what the allocator keeps from building ``H``."""
     pairs = n_modes * (n_modes + 1) // 2
     dim = 1 + n_modes + pairs
     return (8 * (4 * pairs + 2 * n_modes**2) + 8 * dim * (BLOCK + 24 + 2 * samples)
-            + 16 * samples * min(CHUNK, dim))
+            + 8 * samples * min(CHUNK, dim))
 
 
 class Generator(NamedTuple):
@@ -307,15 +307,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
     coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  A
     block of ``BLOCK`` rows holds ``phi_j`` in row ``j % BLOCK``; once it is
     full, its even and its odd rows, strided views that BLAS reads in place,
-    are each summed into their own plane of each ``CHUNK`` rows of the
-    samples by one real product, so the order of every sum is fixed; a
-    sample whose remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no
-    further part.
+    are summed by one real product each into the real and the imaginary
+    parts of each ``CHUNK`` columns of the samples, so the order of every sum
+    is fixed; a sample whose remaining ``|J_k|`` are all below
+    ``NEGLIGIBLE`` takes no further part.
     Up to ``SAMPLE_COUNT`` samples, each such product is small enough for
     OpenBLAS to run on one thread; with many more it may use more again.
-    The samples are the columns of one ``(dim, n_t)`` complex array, returned
-    transposed: at the end each chunk's two planes are interleaved into ``E +
-    iO`` through one chunk-sized copy and multiplied by their phases.
+    At the end each row is multiplied by its phase, and the C-contiguous
+    array of samples itself is returned.
     """
     t0, (lo, hi) = t_span[0], spectrum
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -329,11 +328,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
     coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4] * bessel
     last = terms - np.argmax(np.abs(bessel[::-1]) > NEGLIGIBLE, axis=0)
 
-    dim, n_t = y0.size, dt.size
-    out = np.zeros((dim, n_t), dtype=complex)
-    flat = out.view(float).reshape(-1)
-    chunks = [(col, flat[2 * n_t * col:2 * n_t * min(col + CHUNK, dim)].reshape(2, -1, n_t))
-              for col in range(0, dim, CHUNK)]  # each chunk's E and O planes
+    dim = y0.size
+    out = np.zeros((dt.size, dim), dtype=complex)
     block = np.empty((min(BLOCK, terms + 1), dim))
     shift = np.empty(dim)
     block[0] = y0
@@ -354,18 +350,12 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
                 first = int(np.argmax(live))
                 done = block[:j + 1 - start]
                 c = coef[start:j + 1, first:]
-                for col, planes in chunks:
-                    for parity, plane in enumerate(planes):  # E, then O
-                        plane[:, first:] += done[parity::2, col:col + CHUNK].T @ c[parity::2]
-    phase = np.exp(-1j * center * dt)
-    copy = np.empty((2, min(CHUNK, dim), n_t))
-    for col, planes in chunks:
-        even_odd = copy[:, :planes.shape[1]]
-        np.copyto(even_odd, planes)
-        samples = out[col:col + CHUNK]
-        samples.real, samples.imag = even_odd
-        samples *= phase
-    return out.T
+                for col in range(0, dim, CHUNK):
+                    samples = out[first:, col:col + CHUNK]
+                    samples.real += c[0::2].T @ done[0::2, col:col + CHUNK]
+                    samples.imag += c[1::2].T @ done[1::2, col:col + CHUNK]
+    out *= np.exp(-1j * center * dt)[:, None]
+    return out
 
 
 def _spectrum(h: Generator) -> tuple[float, float]:

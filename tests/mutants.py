@@ -51,8 +51,13 @@ MUTANTS = [
      ["tests/test_oracle.py"]),
     # The centre's phase turning the wrong way.
     ("src/recoilsim/oracle.py",
-     "phase = np.exp(-1j * center * dt)",
-     "phase = np.exp(+1j * center * dt)",
+     "out *= np.exp(-1j * center * dt)[:, None]",
+     "out *= np.exp(+1j * center * dt)[:, None]",
+     ["tests/test_oracle.py"]),
+    # The odd terms' sum added to the real part, not the imaginary one.
+    ("src/recoilsim/oracle.py",
+     "samples.imag += c[1::2].T @ done[1::2, col:col + CHUNK]",
+     "samples.real += c[1::2].T @ done[1::2, col:col + CHUNK]",
      ["tests/test_oracle.py"]),
     # The Weyl bound's B-D block scaled by sqrt(1 / w), not sqrt(2 / w): the
     # interval still encloses the spectrum, but the product count falls.

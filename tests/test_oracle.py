@@ -7,6 +7,7 @@ correct free limits, golden-rule calibration.
 
 import ast
 import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -105,8 +106,8 @@ class TestConservationAndDeterminism:
         assert np.array_equal(again.d_data, small_traj.d_data)
 
     def test_samples_are_stored_once(self, small_traj, monkeypatch):
-        # y is the propagator's own sample array, not a copy; a, b and d_data
-        # are read-only views of that memory, and the populations are
+        # y is the propagator's own C-contiguous sample array, not a copy; a,
+        # b and d_data are read-only views of it, and the populations are
         # computed on first use only.
         solve, solved = oracle.solve_ivp, []
 
@@ -118,12 +119,40 @@ class TestConservationAndDeterminism:
         y = traj.y
         assert y.shape == (traj.times.size, 1 + 24 + 24 * 25 // 2)
         assert y is solved[0] and not y.flags.writeable
+        assert y.flags.c_contiguous
         for view in (traj.a, traj.b, traj.d_data):
-            assert view.base is y.base and not view.flags.writeable
+            assert view.base is y and not view.flags.writeable
         assert np.array_equal(traj.d_data[:, -1], y[:, -1])
         pops = traj.sector_populations
         assert traj.sector_populations is pops
         assert not pops.flags.writeable
+
+    def test_kicked_samples_are_bit_identical_on_two_threads(self):
+        # A kicked grid, whose spectrum's centre is not 0, so every sample is
+        # turned by its phase; two fresh interpreters, one and two OpenBLAS
+        # threads, compared through every byte of y.
+        script = "\n".join([
+            "import hashlib",
+            "from recoilsim.core import ModelParams, ModeGrid",
+            "from recoilsim import oracle",
+            "params = ModelParams(omega0=1.0, mu=10.0, gamma=0.01)",
+            "grid = ModeGrid.build(params, n_k=40, bandwidth_gammas=20.0, n_phi=4)",
+            "run = oracle.OdeRun(params=params, grid=grid,",
+            "                    t_span=(0.0, 5.0 / params.gamma), tol=1e-10)",
+            "lo, hi = oracle._spectrum(oracle.amplitude_generator(run))",
+            "y = oracle.integrate_amplitudes(run).y",
+            "print(lo + hi != 0.0, hashlib.sha256(y.tobytes()).hexdigest())",
+        ])
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=60,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            kicked, digest = proc.stdout.split()
+            assert kicked == "True"
+            digests.append(digest)
+        assert digests[0] == digests[1]
 
     def test_populations_match_the_whole_array_sums(self, small_traj):
         # Summed one sample at a time, bit for bit as over all samples at once
@@ -455,11 +484,12 @@ class TestMemoryEstimate:
         piece = min(oracle.CHUNK, dim)
         assert run.times.size == oracle.SAMPLE_COUNT == 51
         # The generator, the float64 block, 24 vectors (the diagonal among
-        # them), the complex samples once and one piece of them.
+        # them), the complex samples once and one block sum's float64
+        # product over a piece of them.
         assert oracle.memory_estimate(n, 51) == \
-            arrays + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 16 * 51 * piece
+            arrays + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 8 * 51 * piece
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
-            == 40 * 16 * (dim + piece)
+            == 40 * 8 * (2 * dim + piece)
     def test_bounds_the_measured_peak(self):
         # The process's peak-RSS growth over a run, in a fresh interpreter.
         # The baseline follows the imports and a tiny run, which load the
