@@ -56,13 +56,14 @@ SAMPLE_COUNT = 51  # sample times of a run that gives none
 # products number about the half-width of H's weighted Weyl interval times T,
 # at most max|frequency| * T plus a coupling term that does not grow with n_k.
 MAX_REACH = 1e4
-BLOCK = 64          # terms per block sum, phi_j in row j % BLOCK
+BLOCK = 32          # terms per block sum, phi_j in row j % BLOCK: even, so a
+                    # row's parity is its term's
 # Columns per piece of an update.  OpenBLAS runs a GEMM of m n k <= 2**18
 # multiply-adds on one thread (interface/gemm.c: SMP_THRESHOLD_MIN 65536 times
 # GEMM_MULTITHREAD_THRESHOLD 4).  A block sum of CHUNK columns, BLOCK / 2
 # terms and SAMPLE_COUNT samples stays within it, so no second thread wakes
 # to spin through the products that follow.
-CHUNK = 2**18 // ((BLOCK // 2) * SAMPLE_COUNT)  # 160
+CHUNK = 2**18 // ((BLOCK // 2) * SAMPLE_COUNT)  # 321
 NEGLIGIBLE = 1e-20  # |J_k| below which a sample's remaining terms are skipped
 
 
@@ -176,10 +177,13 @@ class Trajectory:
         B counts twice because the run is at relative momentum 0, where
         either atom's one-photon amplitude is the other's."""
         n = self.n_modes
-        rows, cols, _ = _pairs(n)
-        # D_kk is stored once but counted twice below.  Its (n_t, n) gather is
-        # small, and numpy sums its rows in sequence, as the pinned CSV expects.
-        diag = np.add.reduce(np.abs(self.d_data[:, rows == cols]) ** 2, axis=1)
+        k = np.arange(n)
+        # D_kk is stored once but counted twice below, first in row k of the
+        # packed triangle, which starts at k n - k (k - 1) / 2.  Its (n_t, n)
+        # gather is small, and numpy sums its rows in sequence, as the pinned
+        # CSV expects.
+        diag = np.add.reduce(np.abs(self.d_data[:, k * n - k * (k - 1) // 2]) ** 2,
+                             axis=1)
         pops = np.empty((self.times.size, 3))
         for i, sample in enumerate(self.y):
             sq = np.abs(sample) ** 2
@@ -206,31 +210,34 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def memory_estimate(n_modes: int, samples: int) -> int:
     """Bytes by which :func:`integrate_amplitudes` grows the process at its
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
-    building anything.  The peak is in :func:`solve_ivp`: ``H``'s four
-    pair-sized arrays and ``(n, n)`` pair index, a product's ``(n, n)``
-    gather of D, the float64 block of ``BLOCK`` terms, the complex samples
-    once (the real block sums add into them), one block sum's float64
-    product of ``samples`` rows and ``CHUNK`` columns (65 kB at
-    ``SAMPLE_COUNT`` samples), and 24 vectors: ``H``'s diagonal, the
-    recurrence's, a product's, and what the allocator keeps from building ``H``."""
+    building anything.  The peak is in :func:`solve_ivp`'s block sums:
+    ``H``'s three pair-sized arrays and ``(n, n)`` pair index, a product's
+    ``(n, n)`` gather of D, the float64 block of ``BLOCK`` terms, the complex
+    samples once (the block sums add into real planes in their memory), one
+    block sum's float64 product of ``samples`` rows and ``CHUNK`` columns
+    (131 kB at ``SAMPLE_COUNT`` samples), and 24 vectors: ``H``'s diagonal,
+    the recurrence's, a product's, and what the allocator keeps from building
+    ``H``.  The interleave that follows needs one row of samples, and the
+    block is freed by then."""
     pairs = n_modes * (n_modes + 1) // 2
     dim = 1 + n_modes + pairs
-    return (8 * (4 * pairs + 2 * n_modes**2) + 8 * dim * (BLOCK + 24 + 2 * samples)
+    return (8 * (3 * pairs + 2 * n_modes**2) + 8 * dim * (BLOCK + 24 + 2 * samples)
             + 8 * samples * min(CHUNK, dim))
 
 
 class Generator(NamedTuple):
     """The real ``H`` of ``i y' = H y``, applied by ``h @ y`` (``y`` real or
-    complex): ``y`` is [A, B_k, D] in the rotating frame, D packed in the order
-    of ``rows`` and ``cols`` (:func:`_pairs`), and ``diagonal`` is [alpha,
-    beta_k, delta_kj].  Off it, A couples to every B_k by ``2 g_k``, B_k to A
-    by ``g_k`` and to each D_kj by ``g_j``, and pair {r, c} to B_r by ``own =
-    g_c`` and, by the exchange route, to B_c by ``exchange = g_r``, merged
-    into ``own`` on the diagonal r = c."""
+    complex): ``y`` is [A, B_k, D] in the rotating frame, D the pairs {r, c},
+    r <= c, in the row-major order of the upper triangle (:func:`_pairs`):
+    row r holds the ``n - r`` pairs {r, r} to {r, n - 1}, and ``cols`` is
+    each pair's c.  ``diagonal`` is [alpha, beta_k, delta_kj].  Off it, A
+    couples to every B_k by ``2 g_k``, B_k to A by ``g_k`` and to each D_kj
+    by ``g_j``, and pair {r, c} to B_r by ``own = g_c`` and, by the exchange
+    route, to B_c by ``exchange = g_r``, merged into ``own`` on the diagonal
+    r = c."""
 
     diagonal: np.ndarray  # (1 + n + pairs,)
     g: np.ndarray         # (n,)
-    rows: np.ndarray      # (pairs,)
     cols: np.ndarray      # (pairs,)
     pair: np.ndarray      # (n, n), the index of D_kj = D_jk in D
     own: np.ndarray       # (pairs,)
@@ -241,8 +248,10 @@ class Generator(NamedTuple):
         b, d = y[1:1 + n], y[1 + n:]
         out = self.diagonal * y
         out[0] += 2.0 * (self.g @ b)
-        out[1:1 + n] += self.g * y[0] + d[self.pair] @ self.g
-        out[1 + n:] += self.own * b[self.rows] + self.exchange * b[self.cols]
+        out[1:1 + n] += self.g * y[0] + d.take(self.pair) @ self.g
+        # Row r of the triangle, n - r pairs long, reads B_r.
+        out[1 + n:] += (self.own * np.repeat(b, np.arange(n, 0, -1))
+                        + self.exchange * b.take(self.cols))
         return out
 
 
@@ -255,7 +264,7 @@ def amplitude_generator(run: OdeRun) -> Generator:
     rows, cols, pair = _pairs(grid.n_modes)
     delta = omega_two_photon(mk[rows], mphi[rows], mk[cols], mphi[cols],
                              0.0, params) - params.omega0
-    return Generator(np.concatenate([[alpha], beta, delta]), g, rows, cols, pair,
+    return Generator(np.concatenate([[alpha], beta, delta]), g, cols, pair,
                      own=g[cols] * (1 + (rows == cols)), exchange=g[rows] * (rows != cols))
 
 
@@ -307,14 +316,16 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
     coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  A
     block of ``BLOCK`` rows holds ``phi_j`` in row ``j % BLOCK``; once it is
     full, its even and its odd rows, strided views that BLAS reads in place,
-    are summed by one real product each into the real and the imaginary
-    parts of each ``CHUNK`` columns of the samples, so the order of every sum
-    is fixed; a sample whose remaining ``|J_k|`` are all below
-    ``NEGLIGIBLE`` takes no further part.
-    Up to ``SAMPLE_COUNT`` samples, each such product is small enough for
-    OpenBLAS to run on one thread; with many more it may use more again.
-    At the end each row is multiplied by its phase, and the C-contiguous
-    array of samples itself is returned.
+    are summed by one real product each into ``E`` and ``O`` over each
+    ``CHUNK`` columns, so the order of every sum is fixed; a sample whose
+    remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no further part.
+    ``E`` and ``O`` are contiguous real planes in the samples' own memory:
+    until the last block sum, row ``i`` of the complex array holds ``E_i``
+    and then ``O_i``.  Up to ``SAMPLE_COUNT`` samples, each such product is
+    small enough for OpenBLAS to run on one thread; with many more it may
+    use more again.  Once the block is freed, each row is interleaved into
+    ``E + iO`` in place, one row at a time, and multiplied by its phase
+    unless ``c = 0``; the C-contiguous array of samples itself is returned.
     """
     t0, (lo, hi) = t_span[0], spectrum
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -330,9 +341,12 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
 
     dim = y0.size
     out = np.zeros((dt.size, dim), dtype=complex)
+    # Until the interleave below, row i's floats hold E_i and then O_i.
+    even, odd = out.view(float).reshape(dt.size, 2, dim).transpose(1, 0, 2)
     block = np.empty((min(BLOCK, terms + 1), dim))
-    shift = np.empty(dim)
     block[0] = y0
+    if center:
+        shift = np.empty(dim)
     for j in range(terms + 1):
         if j > 0:  # phi_j = a (fun(phi_{j-1}) - c phi_{j-1}) - phi_{j-2}
             a = scale if j == 1 else 2.0 * scale
@@ -351,10 +365,15 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
                 done = block[:j + 1 - start]
                 c = coef[start:j + 1, first:]
                 for col in range(0, dim, CHUNK):
-                    samples = out[first:, col:col + CHUNK]
-                    samples.real += c[0::2].T @ done[0::2, col:col + CHUNK]
-                    samples.imag += c[1::2].T @ done[1::2, col:col + CHUNK]
-    out *= np.exp(-1j * center * dt)[:, None]
+                    piece = slice(col, col + CHUNK)
+                    even[first:, piece] += c[0::2].T @ done[0::2, piece]
+                    odd[first:, piece] += c[1::2].T @ done[1::2, piece]
+    del block, phi, row, done  # the block, its views included
+    for sample in out:
+        planes = sample.view(float).copy()
+        sample.real, sample.imag = planes[:dim], planes[dim:]
+    if center:
+        out *= np.exp(-1j * center * dt)[:, None]
     return out
 
 

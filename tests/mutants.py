@@ -49,15 +49,27 @@ MUTANTS = [
      "coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4] * bessel",
      "coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, 1.0, -1.0, -1.0])[k % 4] * bessel",
      ["tests/test_oracle.py"]),
-    # The centre's phase turning the wrong way.
+    # The centre's phase turning the wrong way.  Every default interval is
+    # centred, where the phase pass is skipped, so only an interval off
+    # centre can fail it.
     ("src/recoilsim/oracle.py",
      "out *= np.exp(-1j * center * dt)[:, None]",
      "out *= np.exp(+1j * center * dt)[:, None]",
      ["tests/test_oracle.py"]),
-    # The odd terms' sum added to the real part, not the imaginary one.
+    # The odd terms summed into the even plane, the real part, not the odd one.
     ("src/recoilsim/oracle.py",
-     "samples.imag += c[1::2].T @ done[1::2, col:col + CHUNK]",
-     "samples.real += c[1::2].T @ done[1::2, col:col + CHUNK]",
+     "odd[first:, piece] += c[1::2].T @ done[1::2, piece]",
+     "even[first:, piece] += c[1::2].T @ done[1::2, piece]",
+     ["tests/test_oracle.py"]),
+    # The planes interleaved swapped: E as the imaginary part, O as the real.
+    ("src/recoilsim/oracle.py",
+     "sample.real, sample.imag = planes[:dim], planes[dim:]",
+     "sample.real, sample.imag = planes[dim:], planes[:dim]",
+     ["tests/test_oracle.py"]),
+    # The planes left side by side, never interleaved.
+    ("src/recoilsim/oracle.py",
+     "sample.real, sample.imag = planes[:dim], planes[dim:]",
+     "pass",
      ["tests/test_oracle.py"]),
     # The Weyl bound's B-D block scaled by sqrt(1 / w), not sqrt(2 / w): the
     # interval still encloses the spectrum, but the product count falls.

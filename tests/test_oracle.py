@@ -245,9 +245,14 @@ class TestAmplitudeGenerator:
         # Real and contiguous: a strided view would be copied on every product.
         assert h.diagonal.shape == (1 + n + pairs,)
         assert h.pair.shape == (n, n)
+        # A product gathers B_r for pair {r, c} by repeating B_r n - r times,
+        # which is the packed triangle's row order.
+        rows, cols, _ = oracle._pairs(n)
+        assert np.array_equal(np.repeat(np.arange(n), np.arange(n, 0, -1)), rows)
+        assert np.array_equal(h.cols, cols)
         for name, array in h._asdict().items():
             assert array.flags.c_contiguous, name
-            if name not in ("rows", "cols", "pair"):
+            if name not in ("cols", "pair"):
                 assert array.dtype == np.float64, name
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -398,6 +403,19 @@ class TestChebyshevPropagator:
         again = integrate_amplitudes(small_traj.run)
         assert np.allclose(again.y, small_traj.y, rtol=0.0, atol=1e-15)
 
+    def test_a_ragged_block_sums_like_the_rest(self, small_traj, monkeypatch):
+        # 6, even as BLOCK must be, divides neither the 129 products, nor the
+        # 130 terms, nor dim = 325: the last block holds 4 of its 6 rows (the
+        # default's 672 terms fill 21 blocks of 32).
+        run = small_traj.run
+        products = oracle.term_count(oracle._spectrum(amplitude_generator(run)),
+                                     run.times[-1])
+        dim = small_traj.y.shape[1]
+        assert products % 6 and (products + 1) % 6 and dim % 6
+        monkeypatch.setattr(oracle, "BLOCK", 6)
+        again = integrate_amplitudes(run)
+        assert np.allclose(again.y, small_traj.y, rtol=0.0, atol=1e-15)
+
 
 class TestLinearity:
     """The amplitude equations are linear, and so is ``solve_ivp``: the run
@@ -479,7 +497,7 @@ class TestMemoryEstimate:
         dim, n = h.diagonal.size, small_grid.n_modes
         # The pair-sized arrays, and the pair index with one product's gather of
         # D through it: n^2 floats, as many bytes as the index.
-        arrays = (sum(a.nbytes for a in (h.rows, h.cols, h.own, h.exchange))
+        arrays = (sum(a.nbytes for a in (h.cols, h.own, h.exchange))
                   + 2 * h.pair.nbytes)
         piece = min(oracle.CHUNK, dim)
         assert run.times.size == oracle.SAMPLE_COUNT == 51
@@ -518,7 +536,7 @@ class TestMemoryEstimate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         growth, estimate = map(int, proc.stdout.split())
-        assert growth <= estimate <= 1.5 * growth
+        assert growth <= estimate <= 1.25 * growth
 
     def test_huge_grids_are_counted_without_building(self):
         for n in (10**6, 10**12):
