@@ -53,17 +53,12 @@ MIN_BANDWIDTH_GAMMAS = 10.0
 COMPARISON_WINDOW_FRACTION = 0.8
 SAMPLE_COUNT = 51  # sample times of a run that gives none
 # Largest max|frequency| * T, in radians, a run may ask of the oracle: its
-# products number about the half-width of H's weighted Weyl interval times T,
-# at most max|frequency| * T plus a coupling term that does not grow with n_k.
+# products number about the radius R of the interval [-R, R] that holds H's
+# spectrum times T, and R is max|frequency| plus a coupling term that does not
+# grow with n_k.
 MAX_REACH = 1e4
 BLOCK = 32          # terms per block sum, phi_j in row j % BLOCK: even, so a
                     # row's parity is its term's
-# Columns per piece of an update.  OpenBLAS runs a GEMM of m n k <= 2**18
-# multiply-adds on one thread (interface/gemm.c: SMP_THRESHOLD_MIN 65536 times
-# GEMM_MULTITHREAD_THRESHOLD 4).  A block sum of CHUNK columns, BLOCK / 2
-# terms and SAMPLE_COUNT samples stays within it, so no second thread wakes
-# to spin through the products that follow.
-CHUNK = 2**18 // ((BLOCK // 2) * SAMPLE_COUNT)  # 321
 NEGLIGIBLE = 1e-20  # |J_k| below which a sample's remaining terms are skipped
 
 
@@ -210,19 +205,22 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def memory_estimate(n_modes: int, samples: int) -> int:
     """Bytes by which :func:`integrate_amplitudes` grows the process at its
     peak, for ``n_modes`` modes and ``samples`` sample times, counted without
-    building anything.  The peak is in :func:`solve_ivp`'s block sums:
+    building anything.  The peak is in :func:`solve_ivp`'s recurrence:
     ``H``'s three pair-sized arrays and ``(n, n)`` pair index, a product's
     ``(n, n)`` gather of D, the float64 block of ``BLOCK`` terms, the complex
     samples once (the block sums add into real planes in their memory), one
-    block sum's float64 product of ``samples`` rows and ``CHUNK`` columns
-    (131 kB at ``SAMPLE_COUNT`` samples), and 24 vectors: ``H``'s diagonal,
-    the recurrence's, a product's, and what the allocator keeps from building
-    ``H``.  The interleave that follows needs one row of samples, and the
-    block is freed by then."""
+    block sum's float64 product over a chunk of columns (at most ``2**18 /
+    (BLOCK / 2)`` floats, or one column), and three vectors, ``H``'s
+    diagonal, the start and a product's result, plus a margin of five.  At
+    400 modes a ``tracemalloc`` peak of the default run sits 3.7 vectors above
+    the arrays named before them, 0.85 of them the two uncounted coefficient
+    tables of ``term_count`` by ``samples`` floats.  The interleave that
+    follows needs one row of samples, and the block is freed by then."""
     pairs = n_modes * (n_modes + 1) // 2
     dim = 1 + n_modes + pairs
-    return (8 * (3 * pairs + 2 * n_modes**2) + 8 * dim * (BLOCK + 24 + 2 * samples)
-            + 8 * samples * min(CHUNK, dim))
+    margin = 5  # vectors: a product's temporaries and what the allocator keeps
+    return (8 * (3 * pairs + 2 * n_modes**2) + 8 * dim * (BLOCK + 2 * samples + 3 + margin)
+            + 8 * min(max(2**18 // (BLOCK // 2), samples), samples * dim))
 
 
 class Generator(NamedTuple):
@@ -268,10 +266,10 @@ def amplitude_generator(run: OdeRun) -> Generator:
                      own=g[cols] * (1 + (rows == cols)), exchange=g[rows] * (rows != cols))
 
 
-def term_count(spectrum: tuple[float, float], span: float) -> int:
+def term_count(radius: float, span: float) -> int:
     """Products with ``H`` that reach ``span``: ``R + 10 R^(1/3) + 30``
-    rounded up, ``R`` the interval's half-width times ``span``."""
-    reach = 0.5 * (spectrum[1] - spectrum[0]) * abs(span)
+    rounded up, ``R`` the spectrum's radius times ``span``."""
+    reach = radius * abs(span)
     return int(np.ceil(reach + 10.0 * np.cbrt(reach) + 30.0))
 
 
@@ -289,7 +287,7 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     J_2k = 1``."""
     x = np.asarray(x, dtype=float)
     # n exceeds max(order, |x|) by the margin term_count adds to a reach.
-    n = term_count((-1.0, 1.0), max(order, float(np.abs(x).max())))
+    n = term_count(1.0, max(order, float(np.abs(x).max())))
     ratio = np.empty((n + 1, x.size))
     ratio[0] = 1.0
     below = np.zeros(x.size)
@@ -299,62 +297,58 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     return ratio[:order + 1] / (1.0 + 2.0 * np.add.reduce(ratio[2::2], axis=0))
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
+def solve_ivp(fun, t_span, y0, *, t_eval, radius):
     """``exp(-iH (t - t0)) y0`` at each ``t`` of ``t_eval``, as the
     rows of an ``(n_t, dim)`` complex array, for a real ``H`` with its
-    spectrum in ``spectrum = (c - r, c + r)``, a real ``y0`` and ``t0 =
-    t_span[0]`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967):
+    spectrum in ``[-radius, radius]``, a real ``y0`` and ``t0 = t_span[0]``
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967):
 
-        exp(-iHt) = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k((H - c) / r).
+        exp(-iHt) = sum_k (2 - delta_k0) (-i)^k J_k(Rt) T_k(H / R),  R = radius.
 
-    One real three-term recurrence gives every ``phi_k = T_k((H - c) / r) y0``,
-    each for one call of ``fun(t, x) = H x``: ``term_count(spectrum, max|t -
+    One real three-term recurrence gives every ``phi_k = T_k(H / R) y0``,
+    each for one call of ``fun(t, x) = H x``: ``term_count(radius, max|t -
     t0|)`` calls, so any sample, before ``t0`` or even a rounding past
     ``t_span[1]``, is reached.  ``(-i)^k`` is real for even ``k`` and
-    imaginary for odd ``k``, so a sample is ``e^{-ict} (E + iO)``, with
-    ``E`` and ``O`` real sums of the even and the odd terms, their
-    coefficients ``(2 - delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  A
-    block of ``BLOCK`` rows holds ``phi_j`` in row ``j % BLOCK``; once it is
-    full, its even and its odd rows, strided views that BLAS reads in place,
-    are summed by one real product each into ``E`` and ``O`` over each
-    ``CHUNK`` columns, so the order of every sum is fixed; a sample whose
-    remaining ``|J_k|`` are all below ``NEGLIGIBLE`` takes no further part.
-    ``E`` and ``O`` are contiguous real planes in the samples' own memory:
-    until the last block sum, row ``i`` of the complex array holds ``E_i``
-    and then ``O_i``.  Up to ``SAMPLE_COUNT`` samples, each such product is
-    small enough for OpenBLAS to run on one thread; with many more it may
-    use more again.  Once the block is freed, each row is interleaved into
-    ``E + iO`` in place, one row at a time, and multiplied by its phase
-    unless ``c = 0``; the C-contiguous array of samples itself is returned.
+    imaginary for odd ``k``, so a sample is ``E + iO``, with ``E`` and ``O``
+    real sums of the even and the odd terms, their coefficients ``(2 -
+    delta_k0) J_k`` (:func:`_bessel`) times ``+-1``.  A block of ``BLOCK``
+    rows holds ``phi_j`` in row ``j % BLOCK``; once it is full, its even and
+    its odd rows, strided views that BLAS reads in place, are summed by one
+    real product each into ``E`` and ``O`` over each chunk of columns, so the
+    order of every sum is fixed, and each such product runs on one OpenBLAS
+    thread up to ``2**14`` samples; a sample whose remaining ``|J_k|`` are all
+    below ``NEGLIGIBLE`` takes no further part.  ``E`` and ``O`` are
+    contiguous real planes in the samples' own memory: until the last block
+    sum, row ``i`` of the complex array holds ``E_i`` and then ``O_i``.  Once
+    the block is freed, each row is interleaved into ``E + iO`` in place, one
+    row at a time; the C-contiguous array of samples itself is returned.
     """
-    t0, (lo, hi) = t_span[0], spectrum
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # Zero width: H = c, and the terms of T_k(0) y0 that scale 0 gives are exact.
-    scale = 1.0 / half if half > 0 else 0.0
+    t0 = t_span[0]
+    # Zero radius: H = 0, and the terms of T_k(0) y0 that scale 0 gives are exact.
+    scale = 1.0 / radius if radius > 0 else 0.0
     dt = np.asarray(t_eval, dtype=float) - t0
-    terms = term_count(spectrum, np.abs(dt).max())
+    terms = term_count(radius, np.abs(dt).max())
     k = np.arange(terms + 1)[:, None]
-    bessel = _bessel(half * dt, terms)
+    bessel = _bessel(radius * dt, terms)
     # (2 - delta_k0) (-i)^k J_k is i^(k % 2) times this real coefficient.
     coef = np.where(k > 0, 2.0, 1.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4] * bessel
     last = terms - np.argmax(np.abs(bessel[::-1]) > NEGLIGIBLE, axis=0)
 
     dim = y0.size
+    # Columns per piece of a block sum.  OpenBLAS runs a GEMM of m n k <= 2**18
+    # multiply-adds on one thread (interface/gemm.c: SMP_THRESHOLD_MIN 65536
+    # times GEMM_MULTITHREAD_THRESHOLD 4), so no second thread wakes to spin
+    # through the products that follow.
+    chunk = max(1, 2**18 // ((BLOCK // 2) * dt.size))
     out = np.zeros((dt.size, dim), dtype=complex)
     # Until the interleave below, row i's floats hold E_i and then O_i.
     even, odd = out.view(float).reshape(dt.size, 2, dim).transpose(1, 0, 2)
     block = np.empty((min(BLOCK, terms + 1), dim))
     block[0] = y0
-    if center:
-        shift = np.empty(dim)
     for j in range(terms + 1):
-        if j > 0:  # phi_j = a (fun(phi_{j-1}) - c phi_{j-1}) - phi_{j-2}
-            a = scale if j == 1 else 2.0 * scale
+        if j > 0:  # phi_j = a fun(phi_{j-1}) - phi_{j-2}
             phi, row = block[(j - 1) % BLOCK], block[j % BLOCK]
-            np.multiply(fun(t0, phi), a, out=row)
-            if center:
-                np.multiply(phi, a * center, out=shift)
-                row -= shift
+            np.multiply(fun(t0, phi), scale if j == 1 else 2.0 * scale, out=row)
             if j > 1:
                 row -= block[(j - 2) % BLOCK]
         if j % BLOCK == BLOCK - 1 or j == terms:
@@ -364,57 +358,60 @@ def solve_ivp(fun, t_span, y0, *, t_eval, spectrum):
                 first = int(np.argmax(live))
                 done = block[:j + 1 - start]
                 c = coef[start:j + 1, first:]
-                for col in range(0, dim, CHUNK):
-                    piece = slice(col, col + CHUNK)
+                for col in range(0, dim, chunk):
+                    piece = slice(col, col + chunk)
                     even[first:, piece] += c[0::2].T @ done[0::2, piece]
                     odd[first:, piece] += c[1::2].T @ done[1::2, piece]
     del block, phi, row, done  # the block, its views included
     for sample in out:
         planes = sample.view(float).copy()
         sample.real, sample.imag = planes[:dim], planes[dim:]
-    if center:
-        out *= np.exp(-1j * center * dt)[:, None]
     return out
 
 
-def _spectrum(h: Generator) -> tuple[float, float]:
-    """Weyl interval of the real ``H`` (Horn & Johnson, Matrix Analysis, 4.3).
+def _radius(h: Generator) -> float:
+    """Radius ``R`` of an interval ``[-R, R]`` that holds the spectrum of the
+    real ``H``, by Weyl's inequality (Horn & Johnson, Matrix Analysis, 4.3).
 
     ``S = W^(1/2) H W^(-1/2)``, ``W`` the weights of
     :attr:`Trajectory.sector_populations`, is symmetric, so ``H``'s spectrum
-    lies within ``b`` of its diagonal's range: the norm of the A-B star,
-    whose entries are ``H``'s A row over sqrt 2, so ``sqrt(2 sum g^2)``, plus
-    that of the B-D block ``M``, ``H``'s B rows times ``sqrt(2 / w)`` for a
-    pair of weight ``w`` (2, or 1 on the diagonal): ``g_j`` at (k, {k, j})
-    and ``sqrt 2 g_k`` at (k, {k, k}).  Column {k, j} of ``|M|`` sums to
-    ``g_k + g_j`` and {k, k} to ``sqrt 2 g_k``, so row k of ``|M| |M|^T``
-    sums to ``sum g^2 + g_k sum g``, largest at ``max(g)``, and ``M``'s norm
-    is at most its root.  At a fixed bandwidth ``b`` does not grow with the
-    mode count."""
+    lies within ``b`` of its diagonal's range, and ``R = max|diagonal| + b``:
+    ``b`` the norm of the A-B star, whose entries are ``H``'s A row over
+    sqrt 2, so ``sqrt(2 sum g^2)``, plus that of the B-D block ``M``, ``H``'s
+    B rows times ``sqrt(2 / w)`` for a pair of weight ``w`` (2, or 1 on the
+    diagonal): ``g_j`` at (k, {k, j}) and ``sqrt 2 g_k`` at (k, {k, k}).
+    Column {k, j} of ``|M|`` sums to ``g_k + g_j`` and {k, k} to ``sqrt 2
+    g_k``, so row k of ``|M| |M|^T`` sums to ``sum g^2 + g_k sum g``, largest
+    at ``max(g)``, and ``M``'s norm is at most its root.  At a fixed
+    bandwidth ``b`` does not grow with the mode count.  The interval is the
+    diagonal's range widened by ``b`` when that range is centred on 0, as on
+    a grid without kicks (``n_phi = 1``) up to rounding; a kicked grid's
+    recoil energies move the range off 0, and ``[-R, R]`` is wider by twice
+    that offset."""
     g = h.g
     squares = np.add.reduce(g ** 2)
     b = np.sqrt(2.0 * squares) + np.sqrt(squares + g.max() * np.add.reduce(g))
-    return float(h.diagonal.min() - b), float(h.diagonal.max() + b)
+    return float(np.abs(h.diagonal).max() + b)
 
 
 def integrate_amplitudes(run: OdeRun) -> Trajectory:
     """Propagate the coupled amplitude equations on the discrete grid.
 
     The generator ``H`` (:func:`amplitude_generator`) is real, so ``y(t) =
-    exp(-iHt) y0``: one real Chebyshev recurrence from ``e_0`` over the
-    weighted Weyl interval of ``H`` (:func:`_spectrum`) gives every sample time
-    (:func:`solve_ivp`, which sees only the products with ``H`` and the
-    interval).  Its product count, :func:`term_count`, is fixed before the
-    first product; at a fixed bandwidth and ``T`` it does not grow with the
-    mode count.  Initial condition A = 1, everything else zero: the equations
-    are linear, so a start from A = C_p is this run times C_p.  A drift of
-    |A|^2 + 2 sum|B|^2 + sum|D|^2 (B twice: at p = 0 the atoms' B are
-    equal) from 1 not within ``10 * tol`` (NaN included) raises
-    :class:`NormDriftFailure`.  Reruns are bit-identical:
-    each product (:meth:`Generator.__matmul__`) sums in a fixed order, and
-    the terms are summed through BLAS in blocks of a fixed size, each block
-    sum on one OpenBLAS thread whatever the thread count when there are at
-    most ``SAMPLE_COUNT`` samples.
+    exp(-iHt) y0``: one real Chebyshev recurrence from ``e_0`` over an
+    interval ``[-R, R]`` that holds ``H``'s spectrum (:func:`_radius`) gives
+    every sample time (:func:`solve_ivp`, which sees only the products with
+    ``H`` and ``R``).  Its product count, :func:`term_count`, is fixed before
+    the first product; at a fixed bandwidth and ``T`` it does not grow with
+    the mode count.  Initial condition A = 1, everything else zero: the
+    equations are linear, so a start from A = C_p is this run times C_p.  A
+    drift of |A|^2 + 2 sum|B|^2 + sum|D|^2 (B twice: at p = 0 the atoms' B
+    are equal) from 1 not within ``10 * tol`` (NaN included) raises
+    :class:`NormDriftFailure`.  Reruns are bit-identical, whatever the
+    OpenBLAS thread count and the number of samples: each product
+    (:meth:`Generator.__matmul__`) sums in a fixed order, and the terms are
+    summed through BLAS in blocks of a fixed size, each block sum in chunks
+    small enough for one OpenBLAS thread.
 
     A run whose fastest frequency times ``T`` exceeds ``MAX_REACH`` radians
     (or is infinite) raises :class:`ConfigurationError` before any product.
@@ -426,10 +423,9 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
             f"the fastest frequency times t_span reaches {reach:.3g} rad, beyond "
             f"the propagator's {MAX_REACH:g}: shorten the run, narrow the band "
             "or lessen the recoil")
-    spectrum, times, e0 = _spectrum(h), run.times, np.zeros(h.diagonal.size)
+    times, e0 = run.times, np.zeros(h.diagonal.size)
     e0[0] = 1.0
-    y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times,
-                  spectrum=spectrum)
+    y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times, radius=_radius(h))
     traj = Trajectory(run=run, times=times, y=y)
     drift = float(np.max(np.abs(traj.norms - 1.0)))
     if not drift <= 10.0 * run.tol:

@@ -92,6 +92,32 @@ class TestFreeLimit:
         assert np.all(traj.d_data == 0.0)
 
 
+def _digests_at_one_and_two_threads(*lines):
+    """Run ``lines``, which define ``run`` and ``checked``, in two fresh
+    interpreters at one and two OpenBLAS threads: each one's ``checked`` and
+    the SHA-256 of its trajectory's ``y``, every byte of it."""
+    script = "\n".join([
+        "import hashlib",
+        "import numpy as np",
+        "from recoilsim.core import ModelParams, ModeGrid",
+        "from recoilsim import oracle",
+        "params = ModelParams(omega0=1.0, mu=10.0, gamma=0.01)",
+        *lines,
+        "y = oracle.integrate_amplitudes(run).y",
+        "print(checked, hashlib.sha256(y.tobytes()).hexdigest())",
+    ])
+    checked, digests = [], []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        value, digest = proc.stdout.split()
+        checked.append(value)
+        digests.append(digest)
+    return checked, digests
+
+
 class TestConservationAndDeterminism:
     def test_norm_is_conserved(self, small_traj):
         drift = np.max(np.abs(small_traj.norms - 1.0))
@@ -128,30 +154,27 @@ class TestConservationAndDeterminism:
         assert not pops.flags.writeable
 
     def test_kicked_samples_are_bit_identical_on_two_threads(self):
-        # A kicked grid, whose spectrum's centre is not 0, so every sample is
-        # turned by its phase; two fresh interpreters, one and two OpenBLAS
-        # threads, compared through every byte of y.
-        script = "\n".join([
-            "import hashlib",
-            "from recoilsim.core import ModelParams, ModeGrid",
-            "from recoilsim import oracle",
-            "params = ModelParams(omega0=1.0, mu=10.0, gamma=0.01)",
+        # A kicked grid, whose diagonal's range is not centred on 0, so [-R, R]
+        # is wider than that range plus the coupling bound.
+        checked, digests = _digests_at_one_and_two_threads(
             "grid = ModeGrid.build(params, n_k=40, bandwidth_gammas=20.0, n_phi=4)",
             "run = oracle.OdeRun(params=params, grid=grid,",
             "                    t_span=(0.0, 5.0 / params.gamma), tol=1e-10)",
-            "lo, hi = oracle._spectrum(oracle.amplitude_generator(run))",
-            "y = oracle.integrate_amplitudes(run).y",
-            "print(lo + hi != 0.0, hashlib.sha256(y.tobytes()).hexdigest())",
-        ])
-        digests = []
-        for threads in ("1", "2"):
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, timeout=60,
-                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
-            kicked, digest = proc.stdout.split()
-            assert kicked == "True"
-            digests.append(digest)
+            "d = oracle.amplitude_generator(run).diagonal",
+            "checked = d.min() + d.max() != 0.0")
+        assert checked == ["True", "True"]
+        assert digests[0] == digests[1]
+
+    def test_many_samples_are_bit_identical_on_two_threads(self):
+        # 400 samples, where a chunk sized for the default 51 samples would
+        # make each block sum a GEMM that OpenBLAS spreads over two threads.
+        checked, digests = _digests_at_one_and_two_threads(
+            "grid = ModeGrid.build(params, n_k=40, bandwidth_gammas=50.0)",
+            "t1 = 5.0 / params.gamma",
+            "run = oracle.OdeRun(params=params, grid=grid, t_span=(0.0, t1),",
+            "                    sample_times=np.linspace(0.0, t1, 400), tol=1e-10)",
+            "checked = run.times.size")
+        assert checked == ["400", "400"]
         assert digests[0] == digests[1]
 
     def test_populations_match_the_whole_array_sums(self, small_traj):
@@ -298,18 +321,18 @@ class TestChebyshevPropagator:
         exact = np.array([expm(-1j * dense(h) * t) @ y0 for t in run.times])
         assert np.max(np.abs(traj.y - exact)) <= 1e-12
 
-    def test_an_interval_off_centre_matches_the_dense_exponential(self, tiny):
-        # H + s I moves the interval's centre by s, off the middle of the
-        # spectrum, as a relative momentum p moves it by p^2 / 2 mu.
+    def test_a_moved_diagonal_matches_the_dense_exponential(self, tiny):
+        # H + s I moves the diagonal's range off 0, as a relative momentum p
+        # moves it by p^2 / 2 mu; [-R, R] still encloses the spectrum, and
+        # its terms sum to the phase e^{-ist} that s adds.
         from scipy.linalg import expm
         run, h, y0 = tiny
         shift = 0.6**2 / (2.0 * run.params.mu)
         moved = h._replace(diagonal=h.diagonal + shift)
-        lo, hi = oracle._spectrum(h)
-        spectrum = (lo + shift, hi + shift)
-        assert sum(spectrum) > 0.05 * (hi - lo)
+        d = moved.diagonal
+        assert d.min() + d.max() > 0.05 * (d.max() - d.min())
         y = oracle.solve_ivp(lambda t, x: moved @ x, run.t_span, y0, t_eval=run.times,
-                             spectrum=spectrum)
+                             radius=oracle._radius(moved))
         exact = np.array([expm(-1j * dense(moved) * t) @ y0 for t in run.times])
         assert np.max(np.abs(y - exact)) <= 1e-12
 
@@ -318,34 +341,33 @@ class TestChebyshevPropagator:
         # than 0 are summed like any other.
         from scipy.linalg import expm
         h = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.2], [0.0, 0.2, 2.0]])
-        spectrum = (-1.0, 2.2)  # Gershgorin's: -0.5 - 0.5 and 2.0 + 0.2
         y0 = np.array([1.0, 0.5, -0.25])
         times = np.array([-1.5, 1.0, 2.5, 4.0, 6.0])
+        # Gershgorin's: the spectrum lies in [-0.5 - 0.5, 2.0 + 0.2].
         y = oracle.solve_ivp(lambda t, x: h @ x, (0.5, 5.0), y0, t_eval=times,
-                             spectrum=spectrum)
+                             radius=2.2)
         assert y.shape == (5, 3) and y.dtype == complex
         for t, state in zip(times, y):
             exact = expm(-1j * h * (t - 0.5)) @ y0
             assert np.max(np.abs(state - exact)) <= 1e-12
 
     def test_zero_width_interval_is_exact_without_warnings(self):
-        # H = 2: the interval has no width, so the series is its first term.
-        # pytest turns any RuntimeWarning (a division by the width) into an error.
+        # H = 0: the interval has no width, so the series is its first term.
+        # pytest turns any RuntimeWarning (a division by the radius) into an error.
         times, calls = np.array([0.5, 3.0]), []
 
         def fun(t, x):
             calls.append(t)
-            return 2.0 * x
+            return 0.0 * x
         y = oracle.solve_ivp(fun, (0.0, 3.0), np.array([1.0]), t_eval=times,
-                             spectrum=(2.0, 2.0))
-        assert np.allclose(y[:, 0], np.exp(-2j * times),
-                           rtol=1e-15, atol=0.0)
-        assert len(calls) == oracle.term_count((2.0, 2.0), 3.0) == 30
+                             radius=0.0)
+        assert np.array_equal(y, np.ones((2, 1)))
+        assert len(calls) == oracle.term_count(0.0, 3.0) == 30
 
     def test_product_count_is_known_before_the_first_product(self, small_traj,
                                                                monkeypatch):
         run = small_traj.run
-        count = oracle.term_count(oracle._spectrum(amplitude_generator(run)),
+        count = oracle.term_count(oracle._radius(amplitude_generator(run)),
                                   run.times[-1])
         assert count_products(run, monkeypatch)[1] == count > 0
 
@@ -359,10 +381,26 @@ class TestChebyshevPropagator:
         # H is similar to a symmetric matrix, so its spectrum is real.
         grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=bandwidth, n_phi=n_phi)
         h = amplitude_generator(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))
-        lo, hi = oracle._spectrum(h)
+        radius = oracle._radius(h)
         eig = np.linalg.eigvals(dense(h))
         assert np.abs(eig.imag).max() <= 1e-12
-        assert lo <= eig.real.min() and eig.real.max() <= hi
+        assert -radius <= eig.real.min() and eig.real.max() <= radius
+
+    def test_interval_encloses_a_diagonal_largest_below_zero(self):
+        # A kicked grid's recoil energies move its diagonal up, at mu = 1 by
+        # more than the coupling bound b; negated, the diagonal's largest
+        # magnitude is its most negative entry, and the spectrum reaches
+        # below -(max(diagonal) + b).
+        params = ModelParams(omega0=1.0, mu=1.0, gamma=0.01)
+        grid = ModeGrid.build(params, n_k=5, bandwidth_gammas=12.0, n_phi=3)
+        h = amplitude_generator(OdeRun(params=params, grid=grid, t_span=(0.0, 1.0)))
+        flipped = h._replace(diagonal=-h.diagonal)
+        d = flipped.diagonal
+        radius = oracle._radius(flipped)
+        eig = np.linalg.eigvals(dense(flipped))
+        assert np.abs(eig.imag).max() <= 1e-12
+        assert eig.real.min() < -(d.max() + radius - np.abs(d).max())
+        assert -radius <= eig.real.min() and eig.real.max() <= radius
 
     def test_product_count_does_not_grow_with_the_mode_count(self, params):
         # At the default band and span, twice the modes carry couplings 1/sqrt(2)
@@ -370,7 +408,7 @@ class TestChebyshevPropagator:
         def count(n_k):
             grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=50.0)
             run = OdeRun(params=params, grid=grid, t_span=(0.0, 5.0 / params.gamma))
-            return oracle.term_count(oracle._spectrum(amplitude_generator(run)),
+            return oracle.term_count(oracle._radius(amplitude_generator(run)),
                                      run.t_span[1])
         # 671 is the default run's product count, as the docs cite it.
         assert count(800) == count(400) == 671
@@ -385,30 +423,48 @@ class TestChebyshevPropagator:
         traj, products = count_products(run, monkeypatch)
         assert traj.times[-1] > t1
         assert np.max(np.abs(traj.norms - 1.0)) <= 10.0 * run.tol
-        spectrum = oracle._spectrum(amplitude_generator(run))
-        assert products == oracle.term_count(spectrum, traj.times[-1])
+        radius = oracle._radius(amplitude_generator(run))
+        assert products == oracle.term_count(radius, traj.times[-1])
 
-    def test_block_sums_stay_on_one_blas_thread(self):
+    def test_block_sums_stay_on_one_blas_thread(self, monkeypatch):
         # OpenBLAS runs a GEMM of m n k <= 65536 * 4 = 2**18 on one thread
-        # (interface/gemm.c); a block sum is CHUNK by BLOCK / 2 by the samples.
-        assert oracle.CHUNK * (oracle.BLOCK // 2) * oracle.SAMPLE_COUNT <= 2**18
-        assert (oracle.CHUNK + 1) * (oracle.BLOCK // 2) * oracle.SAMPLE_COUNT > 2**18
+        # (interface/gemm.c); a block sum is a chunk of columns, the step of
+        # solve_ivp's range over them, by BLOCK / 2 terms by the samples.
+        steps = []
 
-    def test_a_ragged_last_chunk_sums_like_the_rest(self, small_traj, monkeypatch):
-        # 7 does not divide dim = 325, so the last piece of every update is
-        # partial, as the default's is at 400 modes (80 601 = 503 * 160 + 121).
-        dim = small_traj.y.shape[1]
-        assert dim % 7 and dim > 7
-        monkeypatch.setattr(oracle, "CHUNK", 7)
-        again = integrate_amplitudes(small_traj.run)
-        assert np.allclose(again.y, small_traj.y, rtol=0.0, atol=1e-15)
+        def spy(*args):
+            if len(args) == 3 and args[2] > 0:
+                steps.append(args[2])
+            return range(*args)
+        monkeypatch.setattr(oracle, "range", spy, raising=False)
+        half = oracle.BLOCK // 2
+        for samples in (2, 51, 400, 2000, 2**14):
+            steps.clear()
+            oracle.solve_ivp(lambda t, x: 0.5 * x, (0.0, 1.0), np.ones(3),
+                             t_eval=np.linspace(0.0, 1.0, samples), radius=0.5)
+            chunk, = set(steps)
+            assert chunk * half * samples <= 2**18 < (chunk + 1) * half * samples
+
+    def test_a_ragged_last_chunk_sums_like_the_rest(self, small_traj):
+        # Each of the 51 samples 20 times over: 1020 samples make chunks of
+        # 2**18 // (16 * 1020) = 16 columns, which do not divide dim = 325, so
+        # the last piece of every update is partial, as the default's is at
+        # 400 modes (80 601 = 251 * 321 + 30).
+        run = small_traj.run
+        h = amplitude_generator(run)
+        e0 = np.zeros(h.diagonal.size)
+        e0[0] = 1.0
+        assert e0.size % 16 and 2**18 // ((oracle.BLOCK // 2) * 1020) == 16
+        y = oracle.solve_ivp(lambda t, x: h @ x, run.t_span, e0,
+                             t_eval=np.repeat(run.times, 20), radius=oracle._radius(h))
+        assert np.allclose(y[::20], small_traj.y, rtol=0.0, atol=1e-15)
 
     def test_a_ragged_block_sums_like_the_rest(self, small_traj, monkeypatch):
         # 6, even as BLOCK must be, divides neither the 129 products, nor the
         # 130 terms, nor dim = 325: the last block holds 4 of its 6 rows (the
         # default's 672 terms fill 21 blocks of 32).
         run = small_traj.run
-        products = oracle.term_count(oracle._spectrum(amplitude_generator(run)),
+        products = oracle.term_count(oracle._radius(amplitude_generator(run)),
                                      run.times[-1])
         dim = small_traj.y.shape[1]
         assert products % 6 and (products + 1) % 6 and dim % 6
@@ -434,11 +490,11 @@ class TestLinearity:
         run = OdeRun(params=params, grid=grid, t_span=(0.0, t1),
                      sample_times=np.linspace(0.0, t1, 6))
         h = amplitude_generator(run)
-        spectrum = oracle._spectrum(h)
+        radius = oracle._radius(h)
 
         def solve(y0):
             return oracle.solve_ivp(lambda t, x: h @ x, run.t_span, y0,
-                                    t_eval=run.times, spectrum=spectrum)
+                                    t_eval=run.times, radius=radius)
 
         rng = np.random.default_rng(seed)
         y0, z0 = rng.standard_normal((2, h.diagonal.size))
@@ -454,7 +510,7 @@ class TestBesselCoefficients:
 
     # 558 is about the default run's reach, its half-width 1.116 times 5 / gamma.
     ARGUMENTS = np.array([0.0, 1e-3, 1.0, 37.5, 558.0, oracle.MAX_REACH])
-    ORDER = oracle.term_count((-1.0, 1.0), oracle.MAX_REACH)
+    ORDER = oracle.term_count(1.0, oracle.MAX_REACH)
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -499,15 +555,18 @@ class TestMemoryEstimate:
         # D through it: n^2 floats, as many bytes as the index.
         arrays = (sum(a.nbytes for a in (h.cols, h.own, h.exchange))
                   + 2 * h.pair.nbytes)
-        piece = min(oracle.CHUNK, dim)
+        # A block sum's product covers at most 2**18 / (BLOCK / 2) entries of
+        # the samples, all of them at 11 samples of 325 columns.
+        piece = 2**18 // (oracle.BLOCK // 2)
+        assert 11 * dim < piece < 51 * dim
         assert run.times.size == oracle.SAMPLE_COUNT == 51
-        # The generator, the float64 block, 24 vectors (the diagonal among
-        # them), the complex samples once and one block sum's float64
-        # product over a piece of them.
+        # The generator, the float64 block, eight vectors (the diagonal, the
+        # start and a product's result, and a margin of five), the complex
+        # samples once and one block sum's float64 product over a chunk.
         assert oracle.memory_estimate(n, 51) == \
-            arrays + 8 * dim * (oracle.BLOCK + 24 + 2 * 51) + 8 * 51 * piece
+            arrays + 8 * dim * (oracle.BLOCK + 8 + 2 * 51) + 8 * piece
         assert oracle.memory_estimate(n, 51) - oracle.memory_estimate(n, 11) \
-            == 40 * 8 * (2 * dim + piece)
+            == 8 * (40 * 2 * dim + piece - 11 * dim)
     def test_bounds_the_measured_peak(self):
         # The process's peak-RSS growth over a run, in a fresh interpreter.
         # The baseline follows the imports and a tiny run, which load the
@@ -541,7 +600,8 @@ class TestMemoryEstimate:
     def test_huge_grids_are_counted_without_building(self):
         for n in (10**6, 10**12):
             pairs = n * (n + 1) // 2
-            assert oracle.memory_estimate(n, 51) > 16 * 81 * pairs
+            # At least the 51 complex samples and the float64 block.
+            assert oracle.memory_estimate(n, 51) > 16 * (51 + oracle.BLOCK // 2) * pairs
 
 
 class TestReach:
