@@ -7,7 +7,8 @@ Three subcommands cover the package's outputs:
 * ``recoilsim evolve`` -- reduced density matrices for a packet scenario at a
   list of times, with and/or without emission, plus a JSON summary.
 * ``recoilsim oracle --which {amplitudes,quadrature,rate}`` -- run one of the
-  brute-force validators and fail loudly if its tolerance is breached.
+  brute-force validators: it reports each of its checks as one line, value
+  against tolerance, and the first check breached fails the run.
 
 Configuration is a JSON document overlaid onto built-in defaults (the
 single-packet narrowing scenario).  A run whose writing fails replaces no
@@ -29,6 +30,7 @@ import shutil
 import sys
 import tempfile
 import warnings
+from typing import NamedTuple
 
 # No CLI run gains from a second OpenBLAS thread: the oracle's block sums
 # stay within 2**18 multiply-adds, which run on one, its products are mostly
@@ -67,11 +69,6 @@ from .oracle import (
 from .specfun import bessel_j0
 
 __all__ = ["DEFAULTS", "OracleToleranceError", "load_config", "main"]
-
-# Tolerances the oracle subcommand enforces (breach -> exit 3).
-DECAY_TOLERANCE = 0.05        # |A|^2 vs e^{-2 gamma t}, relative
-RATE_TOLERANCE = 0.05         # pole-sum rate vs gamma/2, relative
-QUADRATURE_TOLERANCE = 1e-8   # angle quadrature vs factorized form, relative
 
 # What the amplitudes oracle's first run adds to the process whatever the
 # grid's size, beside memory_estimate: pages of the solver's and the CSV
@@ -112,6 +109,13 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
 
 class OracleToleranceError(RuntimeError):
     """An oracle comparison exceeded its documented tolerance."""
+
+
+class Check(NamedTuple):
+    """One oracle comparison, passed only when ``value <= tolerance``: a NaN fails."""
+    name: str
+    value: float
+    tolerance: float
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +460,7 @@ def _available_bytes() -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
+def _oracle_amplitudes(cfg: dict) -> tuple:
     params = _model_params(cfg)
     m = cfg["modes"]
     # Counted from the config, before the grid exists, on top of what the
@@ -475,24 +479,17 @@ def _oracle_amplitudes(cfg: dict, out_dir: str) -> int:
                                  f"more than the {have / 2**30:.3g} GiB of available memory")
     run = OdeRun(params=params, grid=_mode_grid(cfg, params),
                  t_span=(0.0, 5.0 / params.gamma), tol=1e-10)
-    with np.errstate(all="ignore"):  # the decay check below fails a NaN
+    with np.errstate(all="ignore"):  # the checks fail a NaN
         trajectory = integrate_amplitudes(run)
-        norms = trajectory.norms
-        populations = trajectory.sector_populations
-        decay = max_decay_error(trajectory)
-        drift = float(np.abs(norms - norms[0]).max())
-    path = os.path.join(out_dir, "oracle_amplitudes.csv")
-    _publish_csv(path, "t,re_a,im_a,norm,pop_a,pop_b,pop_d",
-                 [trajectory.times, trajectory.a.real, trajectory.a.imag, norms,
-                  *populations.T])
-    print(f"wrote {path}")
-    print(f"max |A|^2 decay deviation (within recurrence window): {decay:.3e}")
-    print(f"max sector-norm drift: {drift:.3e}")
-    _require_within("|A|^2 decay deviation", decay, DECAY_TOLERANCE)
-    return 0
+        return ("oracle_amplitudes.csv", "t,re_a,im_a,norm,pop_a,pop_b,pop_d",
+                [trajectory.times, trajectory.a.real, trajectory.a.imag,
+                 trajectory.norms, *trajectory.sector_populations.T],
+                [Check("max |A|^2 decay deviation (within recurrence window)",
+                       max_decay_error(trajectory), 0.05),
+                 Check("max sector-norm drift", trajectory.norm_drift, 10.0 * run.tol)])
 
 
-def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
+def _oracle_quadrature(cfg: dict) -> tuple:
     params = _model_params(cfg)
     scenario = _scenario(cfg, params)
     lam = params.wavelength
@@ -517,42 +514,45 @@ def _oracle_quadrature(cfg: dict, out_dir: str) -> int:
                                             n_phi=256, include_offset=False)
     diff = quad - factorized
     abs_diff = np.hypot(diff.real, diff.imag)  # Python's abs of each, to the bit
-    path = os.path.join(out_dir, "oracle_quadrature.csv")
-    _publish_csv(path, "x_over_lambda,xp_over_lambda,re_quad,im_quad,"
-                       "re_fact,im_fact,abs_diff",
-                 [np.repeat(xs / lam, xs.size), np.tile(xs / lam, xs.size),
-                  quad.real, quad.imag, factorized.real, factorized.imag, abs_diff])
-    relative = float(abs_diff.max()) / scale
-    print(f"wrote {path}")
-    print(f"max |quadrature - factorized| / max|factorized|: {relative:.3e}")
-    _require_within("quadrature deviation", relative, QUADRATURE_TOLERANCE)
-    return 0
+    return ("oracle_quadrature.csv",
+            "x_over_lambda,xp_over_lambda,re_quad,im_quad,re_fact,im_fact,abs_diff",
+            [np.repeat(xs / lam, xs.size), np.tile(xs / lam, xs.size),
+             quad.real, quad.imag, factorized.real, factorized.imag, abs_diff],
+            [Check("max |quadrature - factorized| / max|factorized|",
+                   float(abs_diff.max()) / scale, 1e-8)])
 
 
-def _oracle_rate(cfg: dict, out_dir: str) -> int:
+def _oracle_rate(cfg: dict) -> tuple:
     params = _model_params(cfg)
     grid = _mode_grid(cfg, params)
     with np.errstate(all="ignore"):  # a value out of range is refused below
-        check = ww_rate_check(grid, params)
-    if not np.isfinite(check.rate) or check.expected == 0.0:  # under- or overflow
+        pole_sum = ww_rate_check(grid, params)
+    if not np.isfinite(pole_sum.rate) or pole_sum.expected == 0.0:  # under- or overflow
         raise ConfigurationError("the mode grid's pole sum or gamma/2 is not a "
                                  "finite positive number")
-    relative = abs(check.rate / check.expected - 1.0)
-    path = os.path.join(out_dir, "oracle_rate.csv")
-    _publish_csv(path, "rate,expected,relative_error,flagged",
-                 [[check.rate], [check.expected], [relative],
-                  [b"true" if check.flagged else b"false"]])
+    relative = abs(pole_sum.rate / pole_sum.expected - 1.0)
+    # Flagged means a deficit over 10 %, always beyond the tolerance.
+    return ("oracle_rate.csv", "rate,expected,relative_error,flagged",
+            [[pole_sum.rate], [pole_sum.expected], [relative],
+             [b"true" if pole_sum.flagged else b"false"]],
+            [Check("pole-sum rate relative error", relative, 0.05)])
+
+
+def cmd_oracle(cfg: dict, out_dir: str, which: str) -> int:
+    """Publish a validator's table, print each of its checks, value against
+    tolerance, then raise :class:`OracleToleranceError` on the first failed."""
+    validator = {"amplitudes": _oracle_amplitudes, "quadrature": _oracle_quadrature,
+                 "rate": _oracle_rate}[which]
+    name, header, columns, checks = validator(cfg)
+    path = os.path.join(out_dir, name)
+    _publish_csv(path, header, columns)
     print(f"wrote {path}")
-    print(f"pole-sum rate relative error: {relative:.3e}")
-    # Flagged means a deficit over 10 %, always beyond this tolerance.
-    _require_within("rate_deficit", relative, RATE_TOLERANCE, " (grid bandwidth too small)")
+    for check in checks:
+        print(f"{check.name}: {check.value:.3e} (tolerance {check.tolerance:g})")
+    for check in checks:
+        if not check.value <= check.tolerance:
+            raise OracleToleranceError(f"{check.name} {check.value:.3e} > {check.tolerance:g}")
     return 0
-
-
-def _require_within(what: str, value: float, tolerance: float, hint: str = "") -> None:
-    """Pass only when ``value <= tolerance``: a NaN comparison fails."""
-    if not value <= tolerance:
-        raise OracleToleranceError(f"{what} {value:.3e} > {tolerance}{hint}")
 
 
 # ----------------------------------------------------------------------
@@ -612,9 +612,7 @@ def _main(argv) -> int:
             return cmd_decoherence_factor(cfg, ns.out)
         if ns.command == "evolve":
             return cmd_evolve(cfg, ns.out, ns.emission)
-        oracle = {"amplitudes": _oracle_amplitudes, "quadrature": _oracle_quadrature,
-                  "rate": _oracle_rate}[ns.which]
-        return oracle(cfg, ns.out)
+        return cmd_oracle(cfg, ns.out, ns.which)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

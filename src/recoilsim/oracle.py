@@ -191,6 +191,11 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         return np.add.reduce(self.sector_populations, axis=1)
 
+    @property
+    def norm_drift(self) -> float:
+        """How far the conserved norm strays: ``max |norms - 1|``, NaN if a norm is."""
+        return float(np.max(np.abs(self.norms - 1.0)))
+
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two-photon storage: modes ``(rows, cols)`` of the stored amplitudes
@@ -405,8 +410,7 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     the first product; at a fixed bandwidth and ``T`` it does not grow with
     the mode count.  Initial condition A = 1, everything else zero: the
     equations are linear, so a start from A = C_p is this run times C_p.  A
-    drift of |A|^2 + 2 sum|B|^2 + sum|D|^2 (B twice: at p = 0 the atoms' B
-    are equal) from 1 not within ``10 * tol`` (NaN included) raises
+    :attr:`Trajectory.norm_drift` not within ``10 * tol`` (NaN included) raises
     :class:`NormDriftFailure`.  Reruns are bit-identical, whatever the
     OpenBLAS thread count and the number of samples: each product
     (:meth:`Generator.__matmul__`) sums in a fixed order, and the terms are
@@ -427,11 +431,9 @@ def integrate_amplitudes(run: OdeRun) -> Trajectory:
     e0[0] = 1.0
     y = solve_ivp(lambda t, x: h @ x, run.t_span, e0, t_eval=times, radius=_radius(h))
     traj = Trajectory(run=run, times=times, y=y)
-    drift = float(np.max(np.abs(traj.norms - 1.0)))
-    if not drift <= 10.0 * run.tol:
-        raise NormDriftFailure(
-            f"sector norm drifted by {drift:.3e} (allowed {10.0 * run.tol:.3e}); "
-            "shorten the run")
+    if not traj.norm_drift <= 10.0 * run.tol:
+        raise NormDriftFailure(f"sector norm drifted by {traj.norm_drift:.3e} (allowed "
+                               f"{10.0 * run.tol:.3e}); shorten the run")
     return traj
 
 

@@ -3,18 +3,31 @@
 The expensive runs (the 400-mode oracle trajectory, the default CLI evolve)
 are session-scoped so the acceptance criteria and the module tests share one
 computation each.
+
+Hypothesis draws the same examples on every run under the ``tier1`` profile,
+loaded unless ``HYPOTHESIS_PROFILE`` names another: two Tier-1 runs of one
+commit, or two mutation passes, test the same inputs, and a failure replays
+without the example database.  ``HYPOTHESIS_PROFILE=explore`` draws new
+examples each run, to look for inputs the fixed draw misses; each it finds
+becomes an ``@example``.
 """
 
 import json
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from recoilsim.cli import main
 from recoilsim.core import ModelParams, ModeGrid
 from recoilsim.density import ValidityWarning
 from recoilsim.oracle import OdeRun, integrate_amplitudes
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 Each mutant is ``(file, old line, new line, test modules)``: in a fresh copy
 of ``src/``, ``tests/`` and ``pyproject.toml``, the one line of ``file`` that
 reads ``old line`` (indentation aside) becomes ``new line``, at the same
-indentation, and the test modules run with ``pytest -x`` against the copy.
+indentation, and the test modules (or pytest node ids, such as one class of
+a module) run with ``pytest -x`` against the copy.
 A mutant is killed when pytest reports a failure (exit code 1).
 
 Run from anywhere::
@@ -219,6 +220,11 @@ MUTANTS = [
      'rows[:, -1, -1] = ord("\\n")',
      'rows[:, -1, -1] = ord(",")',
      ["tests/test_cli.py"]),
+    # The oracle verdict comparing the other way round, so a NaN passes.
+    ("src/recoilsim/cli.py",
+     "if not check.value <= check.tolerance:",
+     "if check.value > check.tolerance:",
+     ["tests/test_cli.py::TestToleranceCheck"]),
     # The package loading numpy when ``from recoilsim import cli`` asks it
     # for ``cli``, before the CLI can choose the thread count.
     ("src/recoilsim/__init__.py",

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import run_cli
-from recoilsim import cli
+from recoilsim import cli, oracle
 from recoilsim.cli import DEFAULTS, load_config, main
 from recoilsim.core import ConfigurationError, ModelParams
 from recoilsim.density import (DensityGrid, Scenario, SpatialGrid, ValidityWarning,
@@ -975,6 +975,38 @@ class TestOracleCommand:
         assert "oracle tolerance breach" in err
         assert "|A|^2 decay deviation" in err
 
+    def test_amplitudes_norm_drift_exits_three_before_writing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Every amplitude 1e-6 too large: the library's own drift check
+        # refuses the trajectory, so no table is written.
+        solve = oracle.solve_ivp
+        monkeypatch.setattr(oracle, "solve_ivp",
+                            lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-6))
+        cfg = write_config(tmp_path, {"modes": {"n_k": 40, "bandwidth_gammas": 20.0}})
+        out = tmp_path / "out"
+        assert run_cli(["oracle", "--which", "amplitudes", "--config", cfg], out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("oracle tolerance breach: sector norm drifted by ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("which, tolerances", [
+        ("amplitudes", {"max |A|^2 decay deviation (within recurrence window)": "0.05",
+                        "max sector-norm drift": "1e-09"}),
+        ("quadrature", {"max |quadrature - factorized| / max|factorized|": "1e-08"}),
+        ("rate", {"pole-sum rate relative error": "0.05"}),
+    ])
+    def test_default_run_reports_each_check_once(self, tmp_path, capsys, which,
+                                                 tolerances):
+        assert run_cli(["oracle", "--which", which], tmp_path) == 0
+        wrote, *lines = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote {tmp_path / f'oracle_{which}.csv'}"
+        report = [re.fullmatch(r"(.+): (\S+) \(tolerance (\S+)\)", line).groups()
+                  for line in lines]
+        assert len(report) == len(tolerances)
+        assert {name: tolerance for name, _, tolerance in report} == tolerances
+        assert all(float(value) <= float(tolerance) for _, value, tolerance in report)
+
 
 def _recorded(monkeypatch, name, edit=lambda args, value: value):
     """Make ``cli.<name>`` return ``edit(args, value)`` for each ``value`` it
@@ -1065,14 +1097,34 @@ class TestSmallTables:
 
 
 class TestToleranceCheck:
+    """``cmd_oracle``'s verdict on a stand-in rate validator's checks: every
+    check is printed, the table is written, and the first failed check, a NaN
+    included, exits 3."""
+
+    def _run(self, tmp_path, monkeypatch, checks):
+        monkeypatch.setattr(cli, "_oracle_rate", lambda cfg: (
+            "oracle_rate.csv", "v", [[1.0]], checks))
+        return run_cli(["oracle", "--which", "rate"], tmp_path)
+
     @pytest.mark.parametrize("value", [0.0, 0.05])
-    def test_values_up_to_the_tolerance_pass(self, value):
-        cli._require_within("deviation", value, 0.05)
+    def test_values_up_to_the_tolerance_pass(self, tmp_path, capsys, monkeypatch, value):
+        checks = [cli.Check("deviation", value, 0.05)]
+        assert self._run(tmp_path, monkeypatch, checks) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"deviation: {value:.3e} (tolerance 0.05)"]
 
     @pytest.mark.parametrize("value", [0.050000001, float("nan"), float("inf")])
-    def test_a_breach_or_nan_fails(self, value):
-        with pytest.raises(cli.OracleToleranceError, match="deviation"):
-            cli._require_within("deviation", value, 0.05)
+    def test_a_breach_or_nan_fails(self, tmp_path, capsys, monkeypatch, value):
+        checks = [cli.Check("first", 0.0, 0.05), cli.Check("deviation", value, 0.05),
+                  cli.Check("last", 1.0, 1e-8)]
+        assert self._run(tmp_path, monkeypatch, checks) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == [
+            "first: 0.000e+00 (tolerance 0.05)",
+            f"deviation: {value:.3e} (tolerance 0.05)",
+            "last: 1.000e+00 (tolerance 1e-08)"]
+        assert err == f"oracle tolerance breach: deviation {value:.3e} > 0.05\n"
+        assert (tmp_path / "oracle_rate.csv").read_text() == "v\n1\n"
 
 
 class TestEntryPoint:

@@ -122,6 +122,18 @@ class TestConservationAndDeterminism:
     def test_norm_is_conserved(self, small_traj):
         drift = np.max(np.abs(small_traj.norms - 1.0))
         assert drift <= 1e-9
+        assert small_traj.norm_drift == drift
+
+    def test_a_drifting_norm_raises(self, params, small_grid, monkeypatch):
+        # Every amplitude 1e-6 too large: the norm drifts by about 2e-6, far
+        # beyond 10 * tol.
+        solve = oracle.solve_ivp
+        monkeypatch.setattr(oracle, "solve_ivp",
+                            lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-6))
+        run = OdeRun(params=params, grid=small_grid,
+                     t_span=(0.0, 2.0 / params.gamma), tol=1e-10)
+        with pytest.raises(oracle.NormDriftFailure, match=r"drifted by 2\.0\d\de-06"):
+            integrate_amplitudes(run)
 
     def test_reruns_are_bit_identical(self, params, small_grid, small_traj):
         run = OdeRun(params=params, grid=small_grid,
