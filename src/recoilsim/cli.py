@@ -547,11 +547,14 @@ def cmd_oracle(cfg: dict, out_dir: str, which: str) -> int:
     path = os.path.join(out_dir, name)
     _publish_csv(path, header, columns)
     print(f"wrote {path}")
+    # Each value as its shortest round-trip repr, so that a breach just past
+    # its tolerance does not read as equal to it.
     for check in checks:
-        print(f"{check.name}: {check.value:.3e} (tolerance {check.tolerance:g})")
+        print(f"{check.name}: {float(check.value)!r} (tolerance {check.tolerance:g})")
     for check in checks:
         if not check.value <= check.tolerance:
-            raise OracleToleranceError(f"{check.name} {check.value:.3e} > {check.tolerance:g}")
+            raise OracleToleranceError(
+                f"{check.name} {float(check.value)!r} > {check.tolerance:g}")
     return 0
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ConfigurationError",
     "ModelParams",
     "ModeGrid",
-    "MomentumAmplitude",
     "recoil_momentum",
     "omega_no_photon",
     "omega_one_photon",
@@ -259,32 +258,3 @@ class ModeGrid:
             return np.full(self.n_modes, self.coupling_ref)
         return self.coupling_ref * np.sqrt(self.mode_k / self.reference_k)
 
-
-@dataclass(frozen=True)
-class MomentumAmplitude:
-    """Initial weight over relative momenta, sampled on a uniform grid.
-
-    The sampled profile must be unit-normalized: ``sum |c_p|^2 * dp = 1``
-    (trapezoid rule) to within 1e-10.
-    """
-
-    p_values: np.ndarray
-    c_p: np.ndarray
-
-    def __post_init__(self):
-        p = _frozen_array(self.p_values)
-        c = _frozen_array(self.c_p, dtype=complex)
-        object.__setattr__(self, "p_values", p)
-        object.__setattr__(self, "c_p", c)
-        if p.ndim != 1 or p.size < 2 or c.shape != p.shape:
-            raise ConfigurationError("p_values and c_p must be matching 1-d arrays")
-        if not _finite(p) or not _uniform(p):
-            raise ConfigurationError("p_values must be uniform and increasing")
-        norm = float(np.trapezoid(np.abs(c) ** 2, p))
-        if not abs(norm - 1.0) <= 1e-10:  # also a NaN norm
-            raise ConfigurationError(
-                f"momentum profile is not normalized: sum |c_p|^2 dp = {norm!r}")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.p_values[1] - self.p_values[0])

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ConfigurationError, ModelParams, MomentumAmplitude, _check_time,
-                   _finite, _frozen_array, _uniform)
+from .core import (ConfigurationError, ModelParams, _check_time, _finite,
+                   _frozen_array, _uniform)
 from .specfun import bessel_j0
 
 __all__ = [
@@ -97,14 +97,6 @@ class GaussianPacket:
         return pref * np.exp(-((np.asarray(x, dtype=float) - self.center) ** 2)
                              / (4.0 * d_t))
 
-    def momentum_amplitude(self, p, params: ModelParams):
-        """Momentum-space profile: Gaussian of width hbar/(2d) with the
-        center's translation phase."""
-        sigma_p = params.hbar / (2.0 * self.width)
-        return (2.0 * np.pi * sigma_p**2) ** (-0.25) * np.exp(
-            -np.asarray(p, dtype=float) ** 2 / (4.0 * sigma_p**2)
-            - 1j * np.asarray(p, dtype=float) * self.center / params.hbar)
-
     def sigma(self, t, params: ModelParams) -> float:
         """Position spread of |psi(.,t)|^2."""
         d = self.width
@@ -153,30 +145,18 @@ class Scenario:
 def psi_free(x, t, c_p_spec, params: ModelParams):
     """Freely evolved relative wave function at position(s) ``x``.
 
-    ``c_p_spec`` may be a :class:`Scenario` (closed-form evolution) or a
-    :class:`~recoilsim.core.MomentumAmplitude` (direct quadrature of the
-    momentum integral).  The quadrature route is the numerical fallback used
-    to cross-check the closed forms.
+    ``c_p_spec`` must be a :class:`Scenario`; each of its packets evolves in
+    closed form.
     """
-    if isinstance(c_p_spec, Scenario):
-        parts = [w * pk.evolved(x, t, params)
-                 for pk, w in zip(c_p_spec.packets, c_p_spec.weights)]
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        return total
-    if isinstance(c_p_spec, MomentumAmplitude):
-        x_arr = np.asarray(x, dtype=float)
-        p = c_p_spec.p_values
-        dp = np.full(p.size, c_p_spec.spacing)
-        dp[0] = dp[-1] = c_p_spec.spacing / 2.0
-        hbar, mu = params.hbar, params.mu
-        phase = np.exp(1j * (np.multiply.outer(x_arr, p)
-                             - p**2 * t / (2.0 * mu)) / hbar)
-        out = phase @ (c_p_spec.c_p * dp) / np.sqrt(2.0 * np.pi * hbar)
-        return complex(out) if x_arr.ndim == 0 else out
-    raise ConfigurationError(
-        f"unsupported wave-packet specification: {type(c_p_spec).__name__}")
+    if not isinstance(c_p_spec, Scenario):
+        raise ConfigurationError(
+            f"unsupported wave-packet specification: {type(c_p_spec).__name__}")
+    parts = [w * pk.evolved(x, t, params)
+             for pk, w in zip(c_p_spec.packets, c_p_spec.weights)]
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
 
 
 def decoherence_factor(x, x2, params: ModelParams):

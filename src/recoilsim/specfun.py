@@ -1,5 +1,4 @@
-"""Bessel function J0, implemented from scratch, plus an independent
-quadrature route used to cross-check it.
+"""Bessel function J0, implemented from scratch.
 
 The decoherence factor of the reduced spatial density matrix is ``J0**2`` of
 the separation in recoil units, so J0 sits on the package's critical path.
@@ -8,17 +7,16 @@ extended precision below the crossover and a Hankel asymptotic expansion
 above it, with the truncation of the asymptotic series chosen adaptively at
 its smallest term.
 
-``j0_quadrature_oracle`` evaluates the same function by its integral
-representation (the angular average of ``cos(a*sin(theta))``), sharing no
-code with the series/asymptotic route.  The two agree to ~1e-12 over the
-domain the package uses, and the tests hold them to that.
+The tests hold it to ~1e-12 over the domain the package uses, against the
+integral representation (the angular average of ``cos(a*sin(theta))``),
+which shares no code with the series/asymptotic route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bessel_j0", "j0_quadrature_oracle"]
+__all__ = ["bessel_j0"]
 
 # Branch crossover |z| for the series vs. asymptotic evaluation.  At 12 the
 # power series still converges cleanly in extended precision and the
@@ -98,19 +96,3 @@ def bessel_j0(z):
         out[~small] = _j0_asymptotic(z_abs[~small])
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
-
-def j0_quadrature_oracle(a, n: int = 256):
-    """J0 by its integral form: the mean of ``cos(a*sin(theta))`` over a period.
-
-    Uses the uniform-grid (rectangle) rule on [0, 2*pi) with ``n`` panels,
-    which for periodic integrands is spectrally accurate: the quadrature
-    error is set by the Bessel coefficient J_n(a), astronomically small once
-    ``n >= 2*|a|``.  This shares no code with :func:`bessel_j0` and is the
-    package's independent check on it.
-    """
-    if n < 64:
-        raise ValueError("n must be at least 64 for a trustworthy check")
-    a_arr = np.asarray(a, dtype=float)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    vals = np.cos(np.multiply.outer(a_arr, np.sin(theta))).mean(axis=-1)
-    return float(vals) if a_arr.ndim == 0 else vals

@@ -8,8 +8,9 @@ Hypothesis draws the same examples on every run under the ``tier1`` profile,
 loaded unless ``HYPOTHESIS_PROFILE`` names another: two Tier-1 runs of one
 commit, or two mutation passes, test the same inputs, and a failure replays
 without the example database.  ``HYPOTHESIS_PROFILE=explore`` draws new
-examples each run, to look for inputs the fixed draw misses; each it finds
-becomes an ``@example``.
+examples each run, ``EXPLORE_SCALE`` times as many per test, to look for
+inputs the fixed draw misses; each it finds becomes an ``@example``.  A test
+that sets its own count passes it through :func:`examples`.
 """
 
 import json
@@ -25,9 +26,20 @@ from recoilsim.core import ModelParams, ModeGrid
 from recoilsim.density import ValidityWarning
 from recoilsim.oracle import OdeRun, integrate_amplitudes
 
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+EXPLORE_SCALE = 10
+
+
+def examples(n: int) -> int:
+    """``max_examples`` for a test that draws ``n`` examples under tier1:
+    ``n`` there, ``EXPLORE_SCALE`` times as many under explore."""
+    return n * EXPLORE_SCALE if PROFILE == "explore" else n
+
+
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("explore", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+# Hypothesis draws 100 examples where a test sets no count.
+settings.register_profile("explore", derandomize=False, max_examples=examples(100))
+settings.load_profile(PROFILE)
 
 
 @pytest.fixture(scope="session")

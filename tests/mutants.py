@@ -134,6 +134,13 @@ MUTANTS = [
      "d_t = d**2 + 1j * params.hbar * t / (2.0 * params.mu)",
      "d_t = d**2 + 1.01j * params.hbar * t / (2.0 * params.mu)",
      ["tests/test_density.py"]),
+    # The free packet's prefactor with the conjugate complex width: a
+    # global phase that no density matrix sees, only the momentum-integral
+    # reference in tests/references.py.
+    ("src/recoilsim/density.py",
+     "pref = (2.0 * np.pi) ** (-0.25) * np.sqrt(d / d_t)",
+     "pref = (2.0 * np.pi) ** (-0.25) * np.sqrt(d / np.conj(d_t))",
+     ["tests/test_density.py"]),
     # The decoherence factor's Bessel argument a percent short.
     ("src/recoilsim/density.py",
      "arg = (params.omega0 / (2.0 * params.c)) * (np.asarray(x, dtype=float)",
@@ -149,6 +156,11 @@ MUTANTS = [
     ("src/recoilsim/specfun.py",
      "CROSSOVER = 12.0",
      "CROSSOVER = 10.0",
+     ["tests/test_specfun.py"]),
+    # The Hankel expansion's phase shift pi/4 a quarter-percent small.
+    ("src/recoilsim/specfun.py",
+     "chi = z - np.pi / 4.0",
+     "chi = z - np.pi / 4.01",
      ["tests/test_specfun.py"]),
     # The Chebyshev recurrence fed phi_{j-2} where it needs phi_{j-1}.
     ("src/recoilsim/oracle.py",

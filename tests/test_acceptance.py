@@ -22,7 +22,7 @@ from recoilsim.density import (GaussianPacket, Scenario, SpatialGrid,
                                decoherence_factor, psi_free, scenario_sweep)
 from recoilsim.oracle import (OdeRun, density_quadrature, integrate_amplitudes,
                               max_decay_error)
-from recoilsim.specfun import j0_quadrature_oracle
+from references import j0_by_angular_average
 
 EINV_SEPARATION = 0.42202459528465086   # F = 1/e at this many wavelengths
 
@@ -38,7 +38,7 @@ def test_criterion_1_decoherence_factor_curve(params):
 
     f_null = decoherence_factor(2.404825558 * lam / np.pi, 0.0, params)
     f_golden = decoherence_factor(lam / np.pi, 0.0, params)
-    oracle = j0_quadrature_oracle(1.0, n=1024) ** 2
+    oracle = j0_by_angular_average(1.0, n=1024) ** 2
     golden_dev = abs(f_golden - oracle)
     elapsed = time.perf_counter() - start
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from recoilsim.amplitudes import (
     amplitude_a,
     amplitude_b,
@@ -66,7 +67,7 @@ class TestNoPhotonAmplitude:
 
     @given(st.floats(min_value=0.0, max_value=500.0),
            st.floats(min_value=0.0, max_value=500.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_modulus_is_monotone_nonincreasing(self, params, t1, t2):
         lo, hi = sorted((t1, t2))
         a_lo = amplitude_a(0.3, lo, params)
@@ -264,7 +265,7 @@ class TestAtomExchange:
     TOL = 1e-10
 
     @given(_kicked_pairs())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_energy_closes_over_the_frequencies_amplitude_d_reads(self, pair):
         k, phi, k2, phi2, p, params, g, g2 = pair
         with mock.patch.object(amplitudes, "omega_one_photon",
@@ -279,7 +280,7 @@ class TestAtomExchange:
         assert abs((beta1 + beta2) - (alpha + delta)) <= 1e-14 * 4.0 * params.omega0
 
     @given(_kicked_pairs(), st.floats(0.0, 50.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_exchanging_the_atoms_changes_nothing(self, pair, gt):
         k, phi, k2, phi2, p, params, g, g2 = pair
         t = gt / params.gamma
@@ -294,7 +295,7 @@ class TestAtomExchange:
         assert abs(limit - swapped) <= self.TOL * bound
 
     @given(_kicked_pairs(), st.floats(20.0, 60.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_late_times_reach_the_product_limit(self, pair, gt):
         # D(t) e^{i delta t} - D_inf is the four damped terms of the two
         # triples.  With |a|, |b| >= gamma / 2 and |R| >= gamma they are at
@@ -358,7 +359,7 @@ class TestRelativeMomentum:
 
     @given(p=st.floats(-2.0, 2.0), t=st.floats(0.0, 500.0),
            k=st.floats(-20.0, 20.0), k2=st.floats(-20.0, 20.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_momentum_is_a_phase(self, params, p, t, k, k2):
         k, k2 = (params.k0 + x * params.gamma / params.c for x in (k, k2))
         g = 1e-3

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import run_cli
+from conftest import examples, run_cli
 from recoilsim import cli, oracle
 from recoilsim.cli import DEFAULTS, load_config, main
 from recoilsim.core import ConfigurationError, ModelParams
@@ -374,7 +374,7 @@ class TestDensityWriter:
 
     @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @example(3.0, 4.0)
     @example(1.3e308, 1.3e308)
     @example(5e-324, -5e-324)
@@ -799,7 +799,7 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=examples(300), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_CONFIGS)
 @example(payload={"params": {"omega0": 1e200, "dipole": 1e200}})
@@ -857,7 +857,7 @@ _FORMS = [["decoherence-factor"], ["evolve"], ["evolve", "--emission", "on"],
           ["oracle", "--which", "quadrature"], ["oracle", "--which", "rate"]]
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=examples(300), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=st.sampled_from(_FORMS), payload=_CONFIGS.map(_small))
 @example(argv=["oracle", "--which", "quadrature"],
@@ -1006,6 +1006,7 @@ class TestOracleCommand:
         assert len(report) == len(tolerances)
         assert {name: tolerance for name, _, tolerance in report} == tolerances
         assert all(float(value) <= float(tolerance) for _, value, tolerance in report)
+        assert all(repr(float(value)) == value for _, value, _ in report)
 
 
 def _recorded(monkeypatch, name, edit=lambda args, value: value):
@@ -1106,24 +1107,26 @@ class TestToleranceCheck:
             "oracle_rate.csv", "v", [[1.0]], checks))
         return run_cli(["oracle", "--which", "rate"], tmp_path)
 
-    @pytest.mark.parametrize("value", [0.0, 0.05])
-    def test_values_up_to_the_tolerance_pass(self, tmp_path, capsys, monkeypatch, value):
-        checks = [cli.Check("deviation", value, 0.05)]
+    @pytest.mark.parametrize("text", ["0.0", "0.05"])
+    def test_values_up_to_the_tolerance_pass(self, tmp_path, capsys, monkeypatch, text):
+        checks = [cli.Check("deviation", float(text), 0.05)]
         assert self._run(tmp_path, monkeypatch, checks) == 0
         assert capsys.readouterr().out.splitlines()[1:] == [
-            f"deviation: {value:.3e} (tolerance 0.05)"]
+            f"deviation: {text} (tolerance 0.05)"]
 
-    @pytest.mark.parametrize("value", [0.050000001, float("nan"), float("inf")])
-    def test_a_breach_or_nan_fails(self, tmp_path, capsys, monkeypatch, value):
-        checks = [cli.Check("first", 0.0, 0.05), cli.Check("deviation", value, 0.05),
+    # Each value prints in full: a breach 2e-8 relative past 0.05 reads as
+    # more than 0.05.
+    @pytest.mark.parametrize("text", ["0.050000001", "nan", "inf"])
+    def test_a_breach_or_nan_fails(self, tmp_path, capsys, monkeypatch, text):
+        checks = [cli.Check("first", 0.0, 0.05), cli.Check("deviation", float(text), 0.05),
                   cli.Check("last", 1.0, 1e-8)]
         assert self._run(tmp_path, monkeypatch, checks) == 3
         out, err = capsys.readouterr()
         assert out.splitlines()[1:] == [
-            "first: 0.000e+00 (tolerance 0.05)",
-            f"deviation: {value:.3e} (tolerance 0.05)",
-            "last: 1.000e+00 (tolerance 1e-08)"]
-        assert err == f"oracle tolerance breach: deviation {value:.3e} > 0.05\n"
+            "first: 0.0 (tolerance 0.05)",
+            f"deviation: {text} (tolerance 0.05)",
+            "last: 1.0 (tolerance 1e-08)"]
+        assert err == f"oracle tolerance breach: deviation {text} > 0.05\n"
         assert (tmp_path / "oracle_rate.csv").read_text() == "v\n1\n"
 
 

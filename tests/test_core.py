@@ -13,7 +13,6 @@ from recoilsim.core import (
     ConfigurationError,
     ModeGrid,
     ModelParams,
-    MomentumAmplitude,
     omega_no_photon,
     omega_one_photon,
     omega_two_photon,
@@ -46,8 +45,6 @@ class TestModelParams:
         fields = dataclasses.fields(ModelParams)
         assert [f.name for f in fields] == ["omega0", "mu", "gamma"]
         assert all(f.default is dataclasses.MISSING for f in fields)
-        assert [f.name for f in dataclasses.fields(MomentumAmplitude)] == [
-            "p_values", "c_p"]
 
     @pytest.mark.parametrize("unit", ["hbar", "c"])
     def test_units_are_fixed_constants(self, unit):
@@ -228,52 +225,15 @@ class TestModeGrid:
             grid.k_values[0] = 0.0
 
 
-class TestMomentumAmplitude:
-    def _gaussian(self, n=801, sigma=1.0):
-        p = np.linspace(-10.0 * sigma, 10.0 * sigma, n)
-        cp = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-p**2 / (4.0 * sigma**2))
-        return p, cp.astype(complex)
-
-    def test_normalized_amplitude_accepted(self):
-        p, cp = self._gaussian()
-        ma = MomentumAmplitude(p_values=p, c_p=cp)
-        dp = np.full(p.size, p[1] - p[0])
-        dp[0] = dp[-1] = (p[1] - p[0]) / 2.0
-        assert abs(np.dot(np.abs(cp)**2, dp) - 1.0) <= 1e-10
-
-    def test_unnormalized_amplitude_rejected(self):
-        p, cp = self._gaussian()
-        with pytest.raises(ConfigurationError):
-            MomentumAmplitude(p_values=p, c_p=1.5 * cp)
-
-    def test_nan_amplitude_rejected(self):
-        # Its norm is NaN, which no comparison with the bound holds for.
-        with pytest.raises(ConfigurationError, match="not normalized"):
-            MomentumAmplitude(p_values=np.linspace(-1.0, 1.0, 5), c_p=np.full(5, np.nan))
-
-    def test_nonuniform_grid_rejected(self):
-        p, cp = self._gaussian()
-        bad = p.copy()
-        bad[3] += 1e-3
-        with pytest.raises(ConfigurationError):
-            MomentumAmplitude(p_values=bad, c_p=cp)
-
-
 def _mode_grid(k):
     return ModeGrid(k_values=k, phi_values=np.array([0.0]), coupling_ref=0.1,
                     reference_k=1.0)
-
-
-def _momentum_amplitude(p):
-    # A box profile, unit-normalized by the trapezoid rule on p.
-    return MomentumAmplitude(p_values=p, c_p=np.full(p.size, (p[-1] - p[0]) ** -0.5))
 
 
 # Each grid record with its uniformity rule, built from one array of points.
 GRIDS = {
     "ModeGrid": _mode_grid,
     "SpatialGrid": lambda x: density.SpatialGrid(x_values=x),
-    "MomentumAmplitude": _momentum_amplitude,
 }
 
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from recoilsim.amplitudes import amplitude_a, amplitude_d
-from recoilsim.core import ConfigurationError, ModelParams, ModeGrid, MomentumAmplitude
+from recoilsim.core import ConfigurationError, ModelParams, ModeGrid
 from recoilsim.density import (
     CoherenceLength,
     DensityGrid,
@@ -25,6 +26,7 @@ from recoilsim.density import (
     scenario_sweep,
     worker_count,
 )
+from references import psi_by_momentum_quadrature
 
 # Separation at which J0^2 of pi*dx/lambda first reaches e^{-1}, in units of
 # the wavelength; the saturation value of the emission coherence length.
@@ -93,10 +95,12 @@ class TestGaussianPacket:
         pk = GaussianPacket(center=0.3 * params.wavelength, width=np.pi)
         sigma_p = params.hbar / (2.0 * pk.width)
         p = np.linspace(-12.0 * sigma_p, 12.0 * sigma_p, 1601)
-        spec = MomentumAmplitude(p_values=p, c_p=pk.momentum_amplitude(p, params))
+        # A Gaussian of width hbar/(2d) with the center's translation phase.
+        c_p = (2.0 * np.pi * sigma_p**2) ** (-0.25) * np.exp(
+            -p**2 / (4.0 * sigma_p**2) - 1j * p * pk.center / params.hbar)
         t = 2.0 / params.gamma
         x = np.linspace(-2.0, 2.0, 9) * params.wavelength
-        via_quadrature = psi_free(x, t, spec, params)
+        via_quadrature = psi_by_momentum_quadrature(x, t, p, c_p, params)
         closed = pk.evolved(x, t, params)
         assert np.max(np.abs(via_quadrature - closed)) <= 1e-10
 
@@ -149,18 +153,14 @@ class TestScenario:
             pk.sigma(t, params) for pk in sc.packets)
 
     def test_psi_free_rejects_unknown_specs(self, params):
-        # A bare packet reaches psi_free only inside a Scenario; the sweep,
-        # which needs a Scenario's spread, refuses a momentum profile too,
-        # and before it looks at the times.
+        # A bare packet reaches psi_free only inside a Scenario; the sweep
+        # refuses it too, and before it looks at the times.
         packet = GaussianPacket(0.0, 1.0)
-        profile = MomentumAmplitude(p_values=np.array([-1.0, 0.0, 1.0]),
-                                    c_p=np.array([0.0, 1.0, 0.0]))
         grid = SpatialGrid.linspace(-10.0, 10.0, 201)
-        for spec in ("not a packet", packet, profile):
+        for spec in ("not a packet", packet):
             message = f"unsupported wave-packet specification: {type(spec).__name__}$"
-            if spec is not profile:
-                with pytest.raises(ConfigurationError, match=message):
-                    psi_free(0.0, 0.0, spec, params)
+            with pytest.raises(ConfigurationError, match=message):
+                psi_free(0.0, 0.0, spec, params)
             with pytest.raises(ConfigurationError, match=message):
                 scenario_sweep(spec, [np.inf], False, grid, params)
 
@@ -677,7 +677,7 @@ class TestRelations:
     oracles compute, drawn across accepted sweeps."""
 
     @given(_sweeps())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_mass_time_scaling_changes_no_bit(self, sweep):
         # t enters only as t / mu and gamma t, and doubling is exact.
         scenario, times, emission, grid, params = sweep
@@ -704,7 +704,7 @@ class TestRelations:
                               _bits(packet.evolved(x, 2.0 * t, heavy)))
 
     @given(_sweeps(emission=st.just(True)))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_emission_never_purifies_or_lengthens_coherence(self, sweep):
         scenario, times, _, grid, params = sweep
         with warnings.catch_warnings():
@@ -723,7 +723,7 @@ class TestRelations:
     REFLECTION_TOL = 1e-13
 
     @given(_sweeps(), st.integers(1, 40))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_translation_by_whole_steps_shifts_the_indices(self, sweep, steps):
         # psi depends on x only through x - center.  The grid's quadrature
         # holds a slightly different share of the moved packet, so the
@@ -747,7 +747,7 @@ class TestRelations:
             assert np.abs(left - right).max() <= self.TRANSLATION_TOL * np.abs(left).max()
 
     @given(_sweeps())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_a_centred_packet_is_reflection_symmetric(self, sweep):
         # The drawn grids are symmetric about 0, to rounding.
         _, times, emission, grid, params = sweep

@@ -5,6 +5,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import examples
 from recoilsim import _g17
 
 EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
@@ -30,14 +31,14 @@ _floats = st.one_of(
 
 
 @given(st.lists(_floats, min_size=1, max_size=64))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @example(EDGES)
 def test_text_is_format_17g(values):
     assert _texts(values) == _reference(values)
 
 
 @given(st.lists(_floats.filter(lambda v: not math.isnan(v)), min_size=1, max_size=64))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @example([v for v in EDGES if not math.isnan(v)])
 def test_negating_flips_the_sign_byte_alone(values):
     # evolve writes an entry's conjugate from the entry's slots this way.
@@ -61,7 +62,7 @@ def test_every_decade_and_its_neighbours():
 
 @given(st.lists(st.integers(2**51, 2**52 - 1).map(lambda m: (2 * m + 1) / 4.0),
                 min_size=1, max_size=16))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @example([1234567890123456.75, 1234567890123457.25])
 def test_exact_ties_round_half_to_even(values):
     # An odd multiple of 1/4 between 2^50 and 2^51 is a float with 18

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from recoilsim.core import (
     ConfigurationError,
     ModeGrid,
@@ -495,7 +496,7 @@ class TestLinearity:
            bandwidth=st.floats(oracle.MIN_BANDWIDTH_GAMMAS, 50.0),
            gamma_t=st.floats(0.5, 5.0), seed=st.integers(0, 2**32 - 1),
            s=st.integers(-30, 40))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_solve_ivp_is_linear(self, params, n_k, n_phi, bandwidth, gamma_t, seed, s):
         grid = ModeGrid.build(params, n_k=n_k, bandwidth_gammas=bandwidth, n_phi=n_phi)
         t1 = gamma_t / params.gamma

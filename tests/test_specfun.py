@@ -1,11 +1,13 @@
-"""In-repo Bessel J0 against golden values and the quadrature oracle."""
+"""In-repo Bessel J0 against golden values and the angular-average reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recoilsim.specfun import CROSSOVER, bessel_j0, j0_quadrature_oracle
+from conftest import examples
+from recoilsim.specfun import CROSSOVER, bessel_j0
 from recoilsim.specfun import _j0_asymptotic, _j0_series
+from references import j0_by_angular_average
 
 # Reference values (Abramowitz & Stegun / mpmath, 16 significant digits).
 J0_AT_1 = 0.7651976865579666
@@ -34,20 +36,16 @@ class TestAgainstQuadratureOracle:
 
     def test_scan_meets_accuracy_contract(self):
         z = np.arange(0.0, 30.0 + 1e-9, 0.1)
-        reference = j0_quadrature_oracle(z, n=1024)
+        reference = j0_by_angular_average(z, n=1024)
         worst = np.max(np.abs(bessel_j0(z) - reference))
         assert worst <= 1e-12
 
     def test_oracle_at_zero_is_exactly_one(self):
-        assert j0_quadrature_oracle(0.0) == 1.0
+        assert j0_by_angular_average(0.0) == 1.0
 
     def test_oracle_matches_golden_values(self):
-        assert j0_quadrature_oracle(1.0, n=256) == pytest.approx(J0_AT_1, abs=1e-12)
-        assert j0_quadrature_oracle(5.0, n=512) == pytest.approx(J0_AT_5, abs=1e-10)
-
-    def test_oracle_rejects_coarse_grids(self):
-        with pytest.raises(ValueError):
-            j0_quadrature_oracle(1.0, n=32)
+        assert j0_by_angular_average(1.0, n=256) == pytest.approx(J0_AT_1, abs=1e-12)
+        assert j0_by_angular_average(5.0, n=512) == pytest.approx(J0_AT_5, abs=1e-10)
 
 
 class TestBranchStructure:
@@ -103,11 +101,11 @@ class TestArgumentHandling:
 
 class TestProperties:
     @given(st.floats(min_value=-30.0, max_value=30.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_bounded_by_one(self, z):
         assert abs(bessel_j0(z)) <= 1.0 + 1e-12
 
     @given(st.floats(min_value=0.0, max_value=30.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_reflection_is_bit_exact(self, z):
         assert bessel_j0(-z) == bessel_j0(z)
