@@ -470,11 +470,9 @@ def _oracle_amplitudes(cfg: dict) -> tuple:
             + _resident_bytes() + FIRST_RUN_BYTES)
     have = _available_bytes()
     if need > have:
-        # Decimal, not float: the exact count can pass the float range.  Imported
-        # here, as it is needed only to refuse.
-        from decimal import Decimal
-        gib = Decimal(need) / 2**30
-        raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about {gib:.3g} GiB for "
+        # _typed caps n_k and n_phi at sys.maxsize // 16: need / 2**30 is a float.
+        raise ConfigurationError(f"modes.n_k = {m['n_k']} needs about "
+                                 f"{need / 2**30:.3g} GiB for "
                                  "the amplitudes oracle and what the process holds, "
                                  f"more than the {have / 2**30:.3g} GiB of available memory")
     run = OdeRun(params=params, grid=_mode_grid(cfg, params),
@@ -507,11 +505,8 @@ def _oracle_quadrature(cfg: dict) -> tuple:
     if not 0.0 < scale < np.inf:  # also NaN, from model arithmetic out of range
         raise ConfigurationError("the packet has no finite density on the quadrature "
                                  f"oracle's probe grid |x| <= {QUADRATURE_SPAN} lambda")
-    quad = np.empty_like(factorized)
-    for i, x in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            quad[i, j] = density_quadrature(x, x2, t, scenario, params,
-                                            n_phi=256, include_offset=False)
+    quad = density_quadrature(xs[:, None], xs[None, :], t, scenario, params,
+                              n_phi=256, include_offset=False)
     diff = quad - factorized
     abs_diff = np.hypot(diff.real, diff.imag)  # Python's abs of each, to the bit
     return ("oracle_quadrature.csv",

@@ -484,16 +484,20 @@ def ww_rate_check(grid: ModeGrid, params: ModelParams) -> RateCheck:
 
 
 def density_quadrature(x, x2, t, packet_spec, params: ModelParams,
-                       n_phi: int = 256, *, include_offset: bool = True) -> complex:
+                       n_phi: int = 256, *, include_offset: bool = True):
     """Directly integrate the traced density-matrix element over both photon
     emission angles, before any Bessel-function reduction.
 
     The integrand carries the photon which-path phases
     ``e^{-i (omega0/2c)(x - x2) sin(phi)} e^{+i (omega0/2c)(x - x2) sin(phi')}``
-    and the recoil-shifted packets evaluated at
-    ``x + s (sin(phi) + sin(phi'))`` with ``s = hbar omega0 t / (2 mu c)``.
+    of the kicks ``-q1/2`` and ``+q2/2``, and the packets they move to
+    ``x + s (sin(phi) - sin(phi'))``, ``s = hbar omega0 t / (2 mu c)``.
     ``include_offset=False`` forces s = 0, isolating the pure phase average
     whose exact value is the J0^2 factorization.
+
+    ``x`` and ``x2`` broadcast: each element is a lone call's sum, and two
+    scalars give a ``complex``.  Each distinct point's packets are kept, at
+    distinct points x ``n_phi**2`` x 16 bytes with the offset.
 
     Uniform (rectangle-rule) sampling of both angles: spectrally accurate for
     these periodic integrands once ``n_phi`` comfortably exceeds the phase
@@ -501,17 +505,26 @@ def density_quadrature(x, x2, t, packet_spec, params: ModelParams,
     """
     if n_phi < 128:
         raise ConfigurationError("n_phi must be at least 128")
-    x, x2, t = float(x), float(x2), float(t)
+    x, x2 = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x2, dtype=float))
+    t = float(t)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     sphi = np.sin(phi)
-    dphase = (params.omega0 / (2.0 * params.c)) * (x - x2)
-    w1 = np.exp(-1j * dphase * sphi)
-    w2 = np.exp(+1j * dphase * sphi)
     shift = 0.0
     if include_offset:
         s_off = params.hbar * params.omega0 * t / (2.0 * params.mu * params.c)
-        shift = s_off * (sphi[:, None] + sphi[None, :])
-    psi1 = psi_free(x + shift, t, packet_spec, params)
-    psi2 = psi_free(x2 + shift, t, packet_spec, params)
-    integrand = (w1[:, None] * w2[None, :]) * (psi1 * np.conj(psi2))
-    return complex(np.add.reduce(np.asarray(integrand).ravel()) / n_phi**2)
+        shift = s_off * (sphi[:, None] - sphi[None, :])
+    # Each point as a lone Python float plus the shift: numpy's array complex
+    # multiply may fuse a multiply-add where its scalar path does not.  unique
+    # merges NaNs and +-0, which the packets' squared distance cannot tell apart.
+    points, index = np.unique(np.concatenate([x.ravel(), x2.ravel()]), return_inverse=True)
+    packets = [psi_free(float(u) + shift, t, packet_spec, params) for u in points]
+    first, second = index.reshape(2, x.size)
+    quad = np.empty(x.shape, dtype=complex)
+    for k, (a, b) in enumerate(zip(x.flat, x2.flat)):
+        dphase = (params.omega0 / (2.0 * params.c)) * (float(a) - float(b))
+        w1 = np.exp(-1j * dphase * sphi)
+        w2 = np.exp(+1j * dphase * sphi)
+        integrand = ((w1[:, None] * w2[None, :])
+                     * (packets[first[k]] * np.conj(packets[second[k]])))
+        quad.flat[k] = np.add.reduce(integrand.ravel()) / n_phi**2
+    return complex(quad[()]) if quad.ndim == 0 else quad

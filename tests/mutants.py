@@ -35,6 +35,16 @@ MUTANTS = [
      "s_off = params.hbar * params.omega0 * t / (2.0 * params.mu * params.c)",
      "s_off = 1.01 * params.hbar * params.omega0 * t / (2.0 * params.mu * params.c)",
      ["tests/test_oracle.py"]),
+    # The second photon's drift with the first's sign: its kick +q2/2 moves x by -s sin phi'.
+    ("src/recoilsim/oracle.py",
+     "shift = s_off * (sphi[:, None] - sphi[None, :])",
+     "shift = s_off * (sphi[:, None] + sphi[None, :])",
+     ["tests/test_oracle.py"]),
+    # A broadcast call's points paired column-wise: right for a lone call, not for a grid.
+    ("src/recoilsim/oracle.py",
+     "first, second = index.reshape(2, x.size)",
+     "first, second = index.reshape(x.size, 2).T",
+     ["tests/test_oracle.py"]),
     # The coherence length's 1/e threshold, a tenth of a permille high.
     ("src/recoilsim/density.py",
      "threshold = float(np.exp(-1.0))",

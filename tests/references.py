@@ -6,7 +6,9 @@ and shares no code with it:
 * :func:`j0_by_angular_average` against ``specfun.bessel_j0``'s power series
   and Hankel expansion;
 * :func:`psi_by_momentum_quadrature` against ``density.GaussianPacket``'s
-  closed-form free evolution.
+  closed-form free evolution;
+* :func:`density_by_kicked_momenta` against ``oracle.density_quadrature``'s
+  recoil-shifted packets.
 """
 
 import numpy as np
@@ -29,10 +31,25 @@ def psi_by_momentum_quadrature(x, t, p, c_p, params):
     """The relative wave function at positions ``x`` and time ``t`` from its
     momentum weights ``c_p``, sampled on the uniform grid ``p``:
     ``(2 pi hbar)^(-1/2) int C_p exp(i (p x - p^2 t / (2 mu)) / hbar) dp``
-    by the trapezoid rule."""
+    by the trapezoid rule.  ``c_p`` may hold one set of weights per row."""
     dp = np.full(p.size, p[1] - p[0])
     dp[0] = dp[-1] = (p[1] - p[0]) / 2.0
     hbar, mu = params.hbar, params.mu
     phase = np.exp(1j * (np.multiply.outer(np.asarray(x, dtype=float), p)
                          - p**2 * t / (2.0 * mu)) / hbar)
-    return phase @ (c_p * dp) / np.sqrt(2.0 * np.pi * hbar)
+    return (c_p * dp) @ phase.T / np.sqrt(2.0 * np.pi * hbar)
+
+
+def density_by_kicked_momenta(x, x2, t, p, c_of_p, params, n_phi):
+    """``rho(x, x2)`` at time ``t`` with each photon's recoil kept, from
+    momentum integrals alone: for each pair of angles ``(phi, phi')`` on the
+    uniform ``n_phi`` grid the photons move ``p`` to ``p - q1/2 + q2/2``, as
+    in ``core``'s dispersions, so the weights are ``c_of_p(p - kick)``, ``kick
+    = (hbar k0 / 2)(sin phi' - sin phi)``.  ``psi(x) psi*(x2)`` of each pair's
+    packet (:func:`psi_by_momentum_quadrature`) is averaged over the pairs."""
+    s = np.sin(2.0 * np.pi * np.arange(n_phi) / n_phi)
+    rho = 0j
+    for kicks in (params.hbar * params.k0 / 2.0) * np.subtract.outer(s, s):  # one phi'
+        psi = psi_by_momentum_quadrature([x, x2], t, p, c_of_p(p - kicks[:, None]), params)
+        rho += np.add.reduce(psi[:, 0] * np.conj(psi[:, 1]))
+    return rho / n_phi**2

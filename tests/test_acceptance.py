@@ -60,11 +60,8 @@ def test_criterion_2_quadrature_matches_factorization(params):
     t = 2.0 / params.gamma
 
     xs = np.linspace(-2.0 * lam, 2.0 * lam, 16)
-    quad = np.empty((16, 16), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, xp in enumerate(xs):
-            quad[i, j] = density_quadrature(x, xp, t, sc, params, n_phi=128,
-                                            include_offset=False)
+    quad = density_quadrature(xs[:, None], xs[None, :], t, sc, params, n_phi=128,
+                              include_offset=False)
     psi = psi_free(xs, t, sc, params)
     fact = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
         xs[:, None], xs[None, :], params)

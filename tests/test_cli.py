@@ -622,7 +622,7 @@ class TestRejectedInputs:
             raise AssertionError("the mode grid was built")
 
         monkeypatch.setattr(cli.ModeGrid, "build", unbuilt)
-        # 10**160 modes need more GiB than a float holds.
+        # 10**160 is past the config's integer cap, and refused as it is read.
         for n_k in (10**12, 10**160):
             cfg = write_config(tmp_path, {"modes": {"n_k": n_k}})
             start = time.perf_counter()
@@ -1009,13 +1009,13 @@ class TestOracleCommand:
         assert all(repr(float(value)) == value for _, value, _ in report)
 
 
-def _recorded(monkeypatch, name, edit=lambda args, value: value):
-    """Make ``cli.<name>`` return ``edit(args, value)`` for each ``value`` it
+def _recorded(monkeypatch, name, edit=lambda value: value):
+    """Make ``cli.<name>`` return ``edit(value)`` for each ``value`` it
     returns, and return the list of what it then returns."""
     original, returned = getattr(cli, name), []
 
     def wrapper(*args, **kwargs):
-        returned.append(edit(args, original(*args, **kwargs)))
+        returned.append(edit(original(*args, **kwargs)))
         return returned[-1]
 
     monkeypatch.setattr(cli, name, wrapper)
@@ -1058,9 +1058,10 @@ class TestSmallTables:
     def test_quadrature_with_negative_zeros(self, tmp_path, monkeypatch):
         # The quadrature's imaginary parts on the diagonal are +0; negated
         # here, they must print as "-0".
-        quads = _recorded(monkeypatch, "density_quadrature", lambda args, v:
-                          complex(v.real, -v.imag) if args[0] == args[1] else v)
+        quads = _recorded(monkeypatch, "density_quadrature",
+                          lambda quad: np.where(np.eye(16, dtype=bool), quad.conj(), quad))
         assert run_cli(["oracle", "--which", "quadrature"], tmp_path) == 0
+        [quad] = quads
         params = cli._model_params(DEFAULTS)
         lam = params.wavelength
         t = max(DEFAULTS["times"]) / params.gamma
@@ -1070,11 +1071,11 @@ class TestSmallTables:
         fact = np.multiply.outer(psi, psi.conj()) * decoherence_factor(
             xs[:, None], xs[None, :], params)
         pairs = [(i, j) for i in range(16) for j in range(16)]
-        assert len(quads) == len(pairs)
+        assert quad.shape == (16, 16)
         rows = [f"{_g(xs[i] / lam)},{_g(xs[j] / lam)},{_g(q.real)},{_g(q.imag)},"
                 f"{_g(fact[i, j].real)},{_g(fact[i, j].imag)},"
                 f"{_g(abs(complex(q) - complex(fact[i, j])))}"
-                for (i, j), q in zip(pairs, quads)]
+                for (i, j), q in zip(pairs, quad.ravel())]
         self._assert_file(tmp_path / "oracle_quadrature.csv",
                           "x_over_lambda,xp_over_lambda,re_quad,im_quad,"
                           "re_fact,im_fact,abs_diff", rows)
